@@ -50,7 +50,6 @@ from .simulation import (
     EventRecord,
     ExecutionLog,
     ExperimentConfig,
-    MessageItem,
     ReplayError,
     replay_timestamps,
     run,
@@ -73,7 +72,6 @@ __all__ = [
     "ExecutionLog",
     "ExperimentConfig",
     "HashFamily",
-    "MessageItem",
     "MetricsReport",
     "NumericError",
     "ProbabilityReport",

@@ -12,7 +12,7 @@ Subcommands:
 * ``trace``  persist a run's event log, or load one back and verify it by
              replaying the protocol.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric error.
+Exit codes: 0 success, 2 configuration or trace error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments
 from .errors import NumericError
 from .metrics import SliceSpec, probability_curve
-from .simulation import TOPOLOGIES, ExperimentConfig, replay_timestamps, run
+from .simulation import KINDS, TOPOLOGIES, ExperimentConfig, ReplayError, replay_timestamps, run
 from .trace import load_trace, persist_trace
-
-_METRIC_FIELDS = ("precision", "accuracy", "recall", "fpr", "alpha")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, many: bool, required: bool = True) -> None:
@@ -93,7 +93,7 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
 
 
 def _print_aggregate(label: str, aggregate: experiments.AggregateMetrics) -> None:
-    values = "  ".join(f"{f}={getattr(aggregate, f):.3f}" for f in _METRIC_FIELDS)
+    values = "  ".join(f"{f}={getattr(aggregate, f):.3f}" for f in experiments.METRIC_FIELDS)
     print(f"{label}  {values}")
 
 
@@ -102,7 +102,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _single_config(args, seeds[0])
     artifact = experiments.run_experiment(config, seeds, _slice_spec(args))
     for seed, report in zip(artifact.seeds, artifact.reports):
-        values = "  ".join(f"{f}={getattr(report, f):.3f}" for f in _METRIC_FIELDS)
+        values = "  ".join(f"{f}={getattr(report, f):.3f}" for f in experiments.METRIC_FIELDS)
         counts = report.counts
         print(f"seed {seed}  tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}  {values}")
     _print_aggregate(f"mean over {len(seeds)} seeds", artifact.aggregate)
@@ -170,7 +170,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.load is not None:
         log = load_trace(args.load)
         replay_timestamps(log)
-        kinds = {kind: sum(1 for e in log.events if e.kind == kind) for kind in ("internal", "send", "receive")}
+        kinds = dict(zip(KINDS, np.bincount(log.events.kinds, minlength=len(KINDS)).tolist()))
         print(
             f"loaded {len(log.events)} events ({kinds['internal']} internal, "
             f"{kinds['send']} send, {kinds['receive']} receive); replay check passed"
@@ -233,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except ReplayError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from .metrics import CurveRow, MetricsReport, SliceSpec, probability_curve, slic
 from .simulation import ExperimentConfig, run
 
 CURVE_HEADER = ("z_gsn", "pr_p", "pr_fp_step", "pr_fp_smooth", "outcome")
-_METRIC_FIELDS = ("precision", "accuracy", "recall", "fpr", "alpha")
+METRIC_FIELDS = ("precision", "accuracy", "recall", "fpr", "alpha")
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def _mean(values: Sequence[float]) -> float:
 
 def aggregate_reports(reports: Sequence[MetricsReport]) -> AggregateMetrics:
     return AggregateMetrics(
-        **{field: _mean([getattr(r, field) for r in reports]) for field in _METRIC_FIELDS}
+        **{field: _mean([getattr(r, field) for r in reports]) for field in METRIC_FIELDS}
     )
 
 
@@ -150,7 +150,7 @@ def average_over(
         merged = AggregateMetrics(
             **{
                 field: _mean([getattr(a.aggregate, field) for a in members])
-                for field in _METRIC_FIELDS
+                for field in METRIC_FIELDS
             }
         )
         rows.append((dict(zip(key_fields, key)), merged))
@@ -187,7 +187,7 @@ def sweep_table(artifacts: Sequence[RunArtifact]) -> list[dict]:
         row = {field: getattr(artifact.config, field) for field in _CELL_FIELDS}
         row["seeds"] = len(artifact.seeds)
         row.update(
-            {field: round(getattr(artifact.aggregate, field), 3) for field in _METRIC_FIELDS}
+            {field: round(getattr(artifact.aggregate, field), 3) for field in METRIC_FIELDS}
         )
         rows.append(row)
     return rows
@@ -204,7 +204,7 @@ def write_grouped_csv(
     rows = []
     for key, aggregate in grouped:
         row = dict(key)
-        row.update({field: round(getattr(aggregate, field), 3) for field in _METRIC_FIELDS})
+        row.update({field: round(getattr(aggregate, field), 3) for field in METRIC_FIELDS})
         rows.append(row)
     _write_csv(rows, path)
 

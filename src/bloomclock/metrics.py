@@ -13,8 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .clocks import BloomClock
 from .probability import classify_probabilities
-from .simulation import EventRecord, ExecutionLog
+from .simulation import EventRecord, Events, ExecutionLog
 
 
 @dataclass(frozen=True)
@@ -91,47 +92,63 @@ def sample_slice(log: ExecutionLog, spec: SliceSpec | None = None) -> list[Event
         raise ValueError(f"end_gsn {end} beyond log end {len(log.events)}")
     if start > end:
         raise ValueError(f"empty slice: start_gsn {start} beyond end_gsn {end}")
-    sampled = []
-    for gsn in range(start, end + 1, stride):
-        event = log.events[gsn - 1]
-        if event.gsn != gsn:
-            raise ValueError(f"log is not contiguous at gsn {gsn}")
-        sampled.append(event)
-    return sampled
+    sampled = log.events[start - 1 : end : stride]
+    grid = np.arange(start, end + 1, stride)
+    gaps = np.flatnonzero(sampled.gsns != grid)
+    if gaps.size:
+        raise ValueError(f"log is not contiguous at gsn {grid[gaps[0]]}")
+    return list(sampled)
 
 
-def classify_pair(y: EventRecord, z: EventRecord) -> str:
-    """Outcome of testing y -> z: the vector oracle against the Bloom dominance test."""
-    oracle = y.vector_ts.happened_before(z.vector_ts)
-    predicted = y.bloom_ts.leq(z.bloom_ts)
+def _outcome(oracle: bool, predicted: bool) -> str:
     if oracle:
         return "TP" if predicted else "FN"
     return "FP" if predicted else "TN"
 
 
+def classify_pair(y: EventRecord, z: EventRecord) -> str:
+    """Outcome of testing y -> z: the vector oracle against the Bloom dominance test."""
+    return _outcome(y.vector_ts.happened_before(z.vector_ts), y.bloom_ts.leq(z.bloom_ts))
+
+
+def _reaches(pid_y, own_y, vectors_z: np.ndarray) -> np.ndarray:
+    """Fidge/Mattern oracle for distinct events of one execution, indexed ``[z, y]``.
+
+    ``y -> z`` iff ``V_z[pid_y] >= V_y[pid_y]``: z has seen y's own tick.
+    ``pid_y`` and ``own_y = V_y[pid_y]`` may be scalars or arrays over y.
+    """
+    return vectors_z[:, pid_y] >= own_y
+
+
 def confusion_counts(events: Sequence[EventRecord]) -> ConfusionCounts:
-    """Classify every ordered pair of distinct events (both directions), vectorized."""
+    """Classify every ordered pair of distinct events (both directions), vectorized.
+
+    The oracle is the Fidge/Mattern test, which holds for timestamps of one
+    execution; the Bloom test compares all m counters.
+    """
     if len(events) < 2:
         raise ValueError(f"need at least two events to form pairs, got {len(events)}")
-    vecs = np.asarray([e.vector_ts.counters for e in events], dtype=np.int64)
-    blooms = np.asarray([e.bloom_ts.counters for e in events], dtype=np.int64)
-    count = len(events)
-    # Chunk rows so the broadcast buffers stay around tens of megabytes.
-    rows = max(1, (1 << 26) // max(1, count * vecs.shape[1]))
-    tp = fp = tn = fn = 0
+    if not isinstance(events, Events):
+        # The widths only shape an empty log, and two events are required.
+        events = Events.from_records(events, entities=0, m=0)
+    pids, vecs, blooms = events.pids, events.vectors, events.blooms
+    count = len(pids)
+    own = vecs[np.arange(count), pids]
+    # Chunk rows so the broadcast Bloom buffer stays around tens of megabytes.
+    rows = max(1, (1 << 26) // max(1, count * blooms.shape[1]))
+    both = oracle_total = predicted_total = 0
     for lo in range(0, count, rows):
         hi = min(count, lo + rows)
-        vle = (vecs[lo:hi, None, :] <= vecs[None, :, :]).all(axis=2)
-        veq = (vecs[lo:hi, None, :] == vecs[None, :, :]).all(axis=2)
-        oracle = vle & ~veq
+        oracle = _reaches(pids[lo:hi], own[lo:hi], vecs).T
         predicted = (blooms[lo:hi, None, :] <= blooms[None, :, :]).all(axis=2)
-        keep = np.ones((hi - lo, count), dtype=bool)
-        keep[np.arange(hi - lo), np.arange(lo, hi)] = False
-        tp += int((oracle & predicted & keep).sum())
-        fp += int((~oracle & predicted & keep).sum())
-        tn += int((~oracle & ~predicted & keep).sum())
-        fn += int((oracle & ~predicted & keep).sum())
-    return ConfusionCounts(tp, fp, tn, fn)
+        both += int(np.count_nonzero(oracle & predicted))
+        oracle_total += int(np.count_nonzero(oracle))
+        predicted_total += int(np.count_nonzero(predicted))
+    # The diagonal (each event against itself) passes both tests; it is not a pair.
+    tp = both - count
+    fp = predicted_total - both
+    fn = oracle_total - both
+    return ConfusionCounts(tp, fp, count * (count - 1) - tp - fp - fn, fn)
 
 
 def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
@@ -191,16 +208,18 @@ def probability_curve(
             f"need z_from <= z_to <= log end, got z_from={z_from}, z_to={z_to}, end={len(log.events)}"
         )
     y = log.events[y_gsn - 1]
+    window = log.events[z_from - 1 : z_to]
+    causal = _reaches(y.pid, y.vector_ts.counters[y.pid], window.vectors).tolist()
     rows = []
-    for z in log.events[z_from - 1 : z_to]:
-        report = classify_probabilities(y.bloom_ts, z.bloom_ts)
+    for gsn, bloom, oracle in zip(window.gsns.tolist(), window.blooms.tolist(), causal):
+        report = classify_probabilities(y.bloom_ts, BloomClock(tuple(bloom)))
         rows.append(
             CurveRow(
-                z_gsn=z.gsn,
+                z_gsn=gsn,
                 pr_p=report.pr_p,
                 pr_fp_step=report.pr_fp_step,
                 pr_fp_smooth=report.pr_fp_smooth,
-                outcome=classify_pair(y, z),
+                outcome=_outcome(oracle, report.pr_delta_p == 1),
             )
         )
     return rows

@@ -21,19 +21,41 @@ the log is a linearization of the run: ``y`` happened-before ``z`` implies
 per destination and a receive consumes a uniformly random element.
 
 Runs are pure functions of the configuration: the scheduler, destination
-choices, pool draws and hash family all derive from one 64-bit seed.
+choices, pool draws and hash family all derive from one 64-bit seed.  No
+random draw depends on a clock value, so a runner first records the
+linkage (who executed what, and which send each receive consumed) and
+then ``_stamp`` applies the clock protocol to it.  ``replay_timestamps``
+feeds a recorded log's linkage to the same ``_stamp``.
+
+A log is columnar: integer columns per event plus one events x entities
+vector matrix and one events x m Bloom matrix, all int32, so an event costs
+``4 * (entities + m)`` bytes of clocks.  ``ExecutionLog.events`` is a lazy
+sequence over those columns that builds an ``EventRecord`` only when an
+item is read; its slices are views.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from .clocks import BloomClock, EventIndex, HashFamily, ProcessId, VectorClock
 from .errors import ConfigurationError
 
 TOPOLOGIES = ("complete", "star", "broadcast")
 KINDS = ("internal", "send", "receive")
+INTERNAL, SEND, RECEIVE = range(len(KINDS))
+
+# Every column and clock matrix is int32; absent optional fields
+# (sender, receiver, send_gsn) are stored as -1.
+_DTYPE = np.int32
+_INT32_MAX = np.iinfo(_DTYPE).max
+_ABSENT = -1
+# Records are built this many rows at a time while iterating a log.
+_CHUNK = 256
 
 
 class ReplayError(Exception):
@@ -80,6 +102,12 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"messages_per_client must be positive, got {self.messages_per_client}"
             )
+        # A Bloom counter is at most k times the number of events before it,
+        # and a vector component at most that number.
+        if self.k * self.event_count > _INT32_MAX:
+            raise ConfigurationError(
+                f"{self.event_count} events with k={self.k} could overflow the int32 clock counters"
+            )
 
     @property
     def event_budget(self) -> int:
@@ -88,6 +116,15 @@ class ExperimentConfig:
     @property
     def rounds_per_client(self) -> int:
         return self.messages_per_client if self.messages_per_client is not None else self.n
+
+    @property
+    def event_count(self) -> int:
+        """Number of events a run produces: the budget, four per star round, or ``n**2`` broadcast."""
+        if self.topology == "complete":
+            return self.event_budget
+        if self.topology == "star":
+            return 4 * self.n * self.rounds_per_client
+        return self.n * self.n
 
     @property
     def entities(self) -> int:
@@ -120,23 +157,137 @@ class EventRecord:
     bloom_ts: BloomClock
 
 
-@dataclass(frozen=True)
-class MessageItem:
-    """A message in flight: payloads are snapshots taken at the send event."""
+def _optional(value: int) -> int | None:
+    return None if value == _ABSENT else value
 
-    origin: ProcessId
-    destination: ProcessId | None
-    send_gsn: int
-    vector_payload: VectorClock
-    bloom_payload: BloomClock
+
+def _stored(value: int | None) -> int:
+    return _ABSENT if value is None else value
+
+
+class Events(Sequence[EventRecord]):
+    """Columnar events in GSN order: a lazy sequence of ``EventRecord``.
+
+    Row ``i`` of every column belongs to one event.  Indexing or iterating
+    builds records on demand; slicing returns another ``Events`` over numpy
+    views, so ``log.events[1999:]`` copies nothing.  ``kinds`` holds indices
+    into ``KINDS``; absent sender, receiver and send_gsn are -1.
+    """
+
+    COLUMNS = ("gsns", "pids", "kinds", "event_indices", "senders", "receivers", "send_gsns")
+    __slots__ = COLUMNS + ("vectors", "blooms")
+
+    def __init__(self, columns: Sequence[np.ndarray], vectors: np.ndarray, blooms: np.ndarray):
+        for name, column in zip(self.COLUMNS, columns, strict=True):
+            setattr(self, name, column)
+        self.vectors = vectors
+        self.blooms = blooms
+
+    @classmethod
+    def from_records(cls, records: Iterable[EventRecord], entities: int, m: int) -> Events:
+        """Columns from records; ``entities`` and ``m`` give the clock widths of an empty log."""
+        records = list(records)
+        columns = [
+            np.array(values, dtype=_DTYPE)
+            for values in (
+                [r.gsn for r in records],
+                [r.pid for r in records],
+                [KINDS.index(r.kind) for r in records],
+                [r.event_index for r in records],
+                [_stored(r.sender) for r in records],
+                [_stored(r.receiver) for r in records],
+                [_stored(r.send_gsn) for r in records],
+            )
+        ]
+        if not records:
+            return cls(columns, np.zeros((0, entities), _DTYPE), np.zeros((0, m), _DTYPE))
+        vectors = np.array([r.vector_ts.counters for r in records], dtype=_DTYPE)
+        blooms = np.array([r.bloom_ts.counters for r in records], dtype=_DTYPE)
+        return cls(columns, vectors, blooms)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.COLUMNS)
+
+    def __len__(self) -> int:
+        return len(self.gsns)
+
+    def _records(self, lo: int, hi: int) -> Iterator[EventRecord]:
+        rows = slice(lo, hi)
+        scalars = [column[rows].tolist() for column in self.columns()]
+        vectors = self.vectors[rows].tolist()
+        blooms = self.blooms[rows].tolist()
+        for gsn, pid, kind, x, sender, receiver, send_gsn, vector, bloom in zip(*scalars, vectors, blooms):
+            yield EventRecord(
+                gsn,
+                pid,
+                KINDS[kind],
+                x,
+                _optional(sender),
+                _optional(receiver),
+                _optional(send_gsn),
+                VectorClock(tuple(vector)),
+                BloomClock(tuple(bloom)),
+            )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Events([column[index] for column in self.columns()], self.vectors[index], self.blooms[index])
+        count = len(self)
+        position = index + count if index < 0 else index
+        if not 0 <= position < count:
+            raise IndexError(f"event index {index} out of range for {count} events")
+        return next(self._records(position, position + 1))
+
+    def __iter__(self) -> Iterator[EventRecord]:
+        for lo in range(0, len(self), _CHUNK):
+            yield from self._records(lo, lo + _CHUNK)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Events):
+            return all(
+                np.array_equal(a, b)
+                for a, b in zip(
+                    self.columns() + (self.vectors, self.blooms),
+                    other.columns() + (other.vectors, other.blooms),
+                )
+            )
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __add__(self, other: Iterable[EventRecord]) -> tuple[EventRecord, ...]:
+        return tuple(self) + tuple(other)
+
+    def __radd__(self, other: Iterable[EventRecord]) -> tuple[EventRecord, ...]:
+        return tuple(other) + tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Events(<{len(self)} events, {self.vectors.shape[1]} entities, m={self.blooms.shape[1]}>)"
 
 
 @dataclass(frozen=True)
 class ExecutionLog:
-    """A run's configuration echo plus its events ordered by GSN (contiguous from 1)."""
+    """A run's configuration echo plus its events ordered by GSN (contiguous from 1).
+
+    ``events`` may be given as ``Events`` (kept as is, views included) or as
+    any iterable of ``EventRecord``, which is converted to columns.  Clock
+    widths must match the configuration.
+    """
 
     config: ExperimentConfig
-    events: tuple[EventRecord, ...]
+    events: Events
+
+    def __post_init__(self) -> None:
+        config = self.config
+        events = self.events
+        if not isinstance(events, Events):
+            events = Events.from_records(events, config.entities, config.m)
+            object.__setattr__(self, "events", events)
+        if events.vectors.shape[1] != config.entities or events.blooms.shape[1] != config.m:
+            raise ConfigurationError(
+                f"clock widths {events.vectors.shape[1]}/{events.blooms.shape[1]} do not match "
+                f"the configuration's {config.entities} entities and m={config.m}"
+            )
 
     def __len__(self) -> int:
         return len(self.events)
@@ -147,41 +298,80 @@ class ExecutionLog:
         return self.events[gsn - 1]
 
 
-class _Engine:
-    """Clock and event-log bookkeeping shared by the topology runners."""
+def _stamp(
+    config: ExperimentConfig, pids: Sequence[int], kinds: Sequence[int], xs: Sequence[int], send_gsns: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the clock protocol to a linkage; the one place where clocks tick and merge.
 
-    def __init__(self, config: ExperimentConfig, entities: int):
-        self.family = config.hash_family()
-        self.xs = [0] * entities
-        self.vclocks = [VectorClock.zero(entities) for _ in range(entities)]
-        self.bclocks = [BloomClock.zero(config.m) for _ in range(entities)]
-        self.events: list[EventRecord] = []
+    Event ``g`` (GSN order, from 1) at process ``pids[g-1]`` with event index
+    ``xs[g-1]`` starts from its process's last row, or the zero row; a
+    receive first takes the pointwise maximum with the row of send
+    ``send_gsns[g-1]``.  Then both clocks tick.  Returns the vector and
+    Bloom matrices, one row per event.
+    """
+    count = len(pids)
+    indices = config.hash_family().indices
+    maximum = np.maximum
+    # Row g holds the timestamps of GSN g; row 0 is the zero clock.
+    vectors = np.zeros((count + 1, config.entities), _DTYPE)
+    blooms = np.zeros((count + 1, config.m), _DTYPE)
+    last_vector = [vectors[0]] * config.entities
+    last_bloom = [blooms[0]] * config.entities
+    for gsn, pid, kind, x, send_gsn in zip(range(1, count + 1), pids, kinds, xs, send_gsns):
+        vector, bloom = vectors[gsn], blooms[gsn]
+        if kind == RECEIVE:
+            maximum(last_vector[pid], vectors[send_gsn], out=vector)
+            maximum(last_bloom[pid], blooms[send_gsn], out=bloom)
+        else:
+            vector[:] = last_vector[pid]
+            bloom[:] = last_bloom[pid]
+        vector[pid] += 1
+        for i in indices(pid, x):
+            bloom[i] += 1
+        last_vector[pid], last_bloom[pid] = vector, bloom
+    return vectors[1:], blooms[1:]
 
-    def _advance(self, pid: ProcessId) -> tuple[int, int]:
-        self.xs[pid] += 1
-        return len(self.events) + 1, self.xs[pid]
+
+class _Linkage:
+    """The columns a runner records, one append per executed event; messages are send GSNs."""
+
+    def __init__(self, entities: int):
+        self.xs_by_pid = [0] * entities
+        self.pids: list[int] = []
+        self.kinds: list[int] = []
+        self.xs: list[int] = []
+        self.senders: list[int] = []
+        self.receivers: list[int] = []
+        self.send_gsns: list[int] = []
+
+    def _append(self, pid: ProcessId, kind: int, sender: int, receiver: int, send_gsn: int) -> int:
+        self.xs_by_pid[pid] += 1
+        self.pids.append(pid)
+        self.kinds.append(kind)
+        self.xs.append(self.xs_by_pid[pid])
+        self.senders.append(sender)
+        self.receivers.append(receiver)
+        self.send_gsns.append(send_gsn)
+        return len(self.pids)
 
     def internal(self, pid: ProcessId) -> None:
-        gsn, x = self._advance(pid)
-        v = self.vclocks[pid].tick(pid)
-        b = self.bclocks[pid].tick(self.family, pid, x)
-        self.vclocks[pid], self.bclocks[pid] = v, b
-        self.events.append(EventRecord(gsn, pid, "internal", x, None, None, None, v, b))
+        self._append(pid, INTERNAL, _ABSENT, _ABSENT, _ABSENT)
 
-    def send(self, pid: ProcessId, dest: ProcessId | None) -> MessageItem:
-        gsn, x = self._advance(pid)
-        v = self.vclocks[pid].tick(pid)
-        b = self.bclocks[pid].tick(self.family, pid, x)
-        self.vclocks[pid], self.bclocks[pid] = v, b
-        self.events.append(EventRecord(gsn, pid, "send", x, pid, dest, None, v, b))
-        return MessageItem(pid, dest, gsn, v, b)
+    def send(self, pid: ProcessId, dest: ProcessId | None) -> int:
+        """Record a send and return its GSN, which stands for the message in flight."""
+        return self._append(pid, SEND, pid, _stored(dest), _ABSENT)
 
-    def receive(self, pid: ProcessId, msg: MessageItem) -> None:
-        gsn, x = self._advance(pid)
-        v = self.vclocks[pid].merge(msg.vector_payload).tick(pid)
-        b = self.bclocks[pid].merge(msg.bloom_payload).tick(self.family, pid, x)
-        self.vclocks[pid], self.bclocks[pid] = v, b
-        self.events.append(EventRecord(gsn, pid, "receive", x, msg.origin, pid, msg.send_gsn, v, b))
+    def receive(self, pid: ProcessId, send_gsn: int) -> None:
+        self._append(pid, RECEIVE, self.pids[send_gsn - 1], pid, send_gsn)
+
+    def log(self, config: ExperimentConfig) -> ExecutionLog:
+        vectors, blooms = _stamp(config, self.pids, self.kinds, self.xs, self.send_gsns)
+        gsns = range(1, len(self.pids) + 1)
+        columns = [
+            np.array(values, dtype=_DTYPE)
+            for values in (gsns, self.pids, self.kinds, self.xs, self.senders, self.receivers, self.send_gsns)
+        ]
+        return ExecutionLog(config, Events(columns, vectors, blooms))
 
 
 def _require_topology(config: ExperimentConfig, topology: str) -> None:
@@ -206,26 +396,26 @@ def run_complete(config: ExperimentConfig) -> ExecutionLog:
     """
     _require_topology(config, "complete")
     rng = random.Random(config.seed)
-    engine = _Engine(config, config.n)
     n = config.n
-    pending: list[list[MessageItem]] = [[] for _ in range(n)]
+    linkage = _Linkage(n)
+    pending: list[list[int]] = [[] for _ in range(n)]
     send_cut = config.pr_i + (1.0 - config.pr_i) / 2.0
 
-    while len(engine.events) < config.event_budget:
+    while len(linkage.pids) < config.event_budget:
         pid = rng.randrange(n)
         u = rng.random()
         if u < config.pr_i:
-            engine.internal(pid)
+            linkage.internal(pid)
         elif u < send_cut:
             dest = rng.randrange(n - 1)
             if dest >= pid:
                 dest += 1
-            pending[dest].append(engine.send(pid, dest))
+            pending[dest].append(linkage.send(pid, dest))
         elif pending[pid]:
             pool = pending[pid]
-            engine.receive(pid, pool.pop(rng.randrange(len(pool))))
+            linkage.receive(pid, pool.pop(rng.randrange(len(pool))))
         # else: a receive draw with an empty pool yields the step.
-    return ExecutionLog(config, tuple(engine.events))
+    return linkage.log(config)
 
 
 def run_star(config: ExperimentConfig) -> ExecutionLog:
@@ -240,11 +430,11 @@ def run_star(config: ExperimentConfig) -> ExecutionLog:
     rng = random.Random(config.seed)
     n = config.n
     server = n
-    engine = _Engine(config, n + 1)
+    linkage = _Linkage(n + 1)
     remaining = [config.rounds_per_client] * n
     awaiting = [False] * n
-    replies: list[MessageItem | None] = [None] * n
-    requests: list[MessageItem] = []
+    replies: list[int | None] = [None] * n
+    requests: list[int] = []
 
     while True:
         ready = [c for c in range(n) if replies[c] is not None or (not awaiting[c] and remaining[c] > 0)]
@@ -254,19 +444,20 @@ def run_star(config: ExperimentConfig) -> ExecutionLog:
             break
         actor = ready[rng.randrange(len(ready))]
         if actor == server:
-            msg = requests.pop(rng.randrange(len(requests)))
-            engine.receive(server, msg)
-            replies[msg.origin] = engine.send(server, msg.origin)
+            request = requests.pop(rng.randrange(len(requests)))
+            client = linkage.pids[request - 1]
+            linkage.receive(server, request)
+            replies[client] = linkage.send(server, client)
         elif replies[actor] is not None:
-            msg = replies[actor]
+            reply = replies[actor]
             replies[actor] = None
-            engine.receive(actor, msg)
+            linkage.receive(actor, reply)
             awaiting[actor] = False
             remaining[actor] -= 1
         else:
-            requests.append(engine.send(actor, server))
+            requests.append(linkage.send(actor, server))
             awaiting[actor] = True
-    return ExecutionLog(config, tuple(engine.events))
+    return linkage.log(config)
 
 
 def run_broadcast(config: ExperimentConfig) -> ExecutionLog:
@@ -278,8 +469,8 @@ def run_broadcast(config: ExperimentConfig) -> ExecutionLog:
     _require_topology(config, "broadcast")
     rng = random.Random(config.seed)
     n = config.n
-    engine = _Engine(config, n)
-    pending: list[list[MessageItem]] = [[] for _ in range(n)]
+    linkage = _Linkage(n)
+    pending: list[list[int]] = [[] for _ in range(n)]
     sent = [False] * n
 
     while True:
@@ -289,56 +480,45 @@ def run_broadcast(config: ExperimentConfig) -> ExecutionLog:
         pid = ready[rng.randrange(len(ready))]
         if not sent[pid]:
             sent[pid] = True
-            msg = engine.send(pid, None)
+            message = linkage.send(pid, None)
             for other in range(n):
                 if other != pid:
-                    pending[other].append(replace(msg, destination=other))
+                    pending[other].append(message)
         else:
             pool = pending[pid]
-            engine.receive(pid, pool.pop(rng.randrange(len(pool))))
-    return ExecutionLog(config, tuple(engine.events))
+            linkage.receive(pid, pool.pop(rng.randrange(len(pool))))
+    return linkage.log(config)
 
 
 def replay_timestamps(log: ExecutionLog) -> None:
     """Recompute every timestamp in the log from the protocol rules alone.
 
-    Walks the events in GSN order with fresh clocks per entity, resolving
-    receive payloads through the recorded send linkage.  Raises
-    ``ReplayError`` on the first sequencing or timestamp mismatch; a clean
-    return certifies the log is protocol-consistent bit for bit.
+    Checks the sequencing (contiguous GSNs, pids in range, event indices in
+    process order, receives linked to earlier sends), then drives ``_stamp``
+    with the recorded linkage and compares its matrices with the recorded
+    ones.  Raises ``ReplayError`` on the first sequencing problem or the
+    first GSN whose timestamps differ; a clean return certifies the log is
+    protocol-consistent bit for bit.
     """
     config = log.config
     entities = config.entities
-    family = config.hash_family()
-    xs = [0] * entities
-    vclocks = [VectorClock.zero(entities) for _ in range(entities)]
-    bclocks = [BloomClock.zero(config.m) for _ in range(entities)]
-    payloads: dict[int, tuple[VectorClock, BloomClock]] = {}
-
-    for position, rec in enumerate(log.events, start=1):
-        if rec.gsn != position:
-            raise ReplayError(f"gsn {rec.gsn} at position {position}: log is not contiguous")
-        if not 0 <= rec.pid < entities:
-            raise ReplayError(f"gsn {rec.gsn}: pid {rec.pid} outside [0, {entities})")
-        if rec.event_index != xs[rec.pid] + 1:
+    events = log.events
+    gsns, pids, kinds, xs, _, _, send_gsns = (column.tolist() for column in events.columns())
+    xs_by_pid = [0] * entities
+    for position, (gsn, pid, kind, x, send_gsn) in enumerate(zip(gsns, pids, kinds, xs, send_gsns), start=1):
+        if gsn != position:
+            raise ReplayError(f"gsn {gsn} at position {position}: log is not contiguous")
+        if not 0 <= pid < entities:
+            raise ReplayError(f"gsn {gsn}: pid {pid} outside [0, {entities})")
+        if x != xs_by_pid[pid] + 1:
             raise ReplayError(
-                f"gsn {rec.gsn}: event index {rec.event_index} breaks process order "
-                f"(expected {xs[rec.pid] + 1})"
+                f"gsn {gsn}: event index {x} breaks process order (expected {xs_by_pid[pid] + 1})"
             )
-        xs[rec.pid] = rec.event_index
-        if rec.kind == "receive":
-            if rec.send_gsn not in payloads:
-                raise ReplayError(f"gsn {rec.gsn}: receive links to unknown send gsn {rec.send_gsn}")
-            pv, pb = payloads[rec.send_gsn]
-            v = vclocks[rec.pid].merge(pv).tick(rec.pid)
-            b = bclocks[rec.pid].merge(pb).tick(family, rec.pid, rec.event_index)
-        elif rec.kind in ("internal", "send"):
-            v = vclocks[rec.pid].tick(rec.pid)
-            b = bclocks[rec.pid].tick(family, rec.pid, rec.event_index)
-        else:
-            raise ReplayError(f"gsn {rec.gsn}: unknown event kind {rec.kind!r}")
-        if v != rec.vector_ts or b != rec.bloom_ts:
-            raise ReplayError(f"gsn {rec.gsn}: replayed timestamps differ from the recorded ones")
-        vclocks[rec.pid], bclocks[rec.pid] = v, b
-        if rec.kind == "send":
-            payloads[rec.gsn] = (v, b)
+        xs_by_pid[pid] = x
+        if kind == RECEIVE and not (1 <= send_gsn < gsn and kinds[send_gsn - 1] == SEND):
+            raise ReplayError(f"gsn {gsn}: receive links to unknown send gsn {_optional(send_gsn)}")
+    vectors, blooms = _stamp(config, pids, kinds, xs, send_gsns)
+    differs = (vectors != events.vectors).any(axis=1) | (blooms != events.blooms).any(axis=1)
+    if differs.any():
+        gsn = int(np.argmax(differs)) + 1
+        raise ReplayError(f"gsn {gsn}: replayed timestamps differ from the recorded ones")

@@ -112,6 +112,23 @@ def test_trace_load_rejects_corrupt_file(tmp_path, capsys):
     assert main(["trace", "--load", str(path)]) == 2
 
 
+def test_trace_load_rejects_tampered_timestamps(tmp_path, capsys):
+    out = tmp_path / "tr"
+    assert main(["trace", "--topology", "star", "--n", "10", "--m", "3", "--seed", "2", "--out", str(out)]) == 0
+    path = out / "trace.txt"
+    lines = path.read_text().splitlines()
+    parts = lines[7].split("|")
+    bloom = parts[8].split(",")
+    bloom[0] = str(int(bloom[0]) + 1)
+    parts[8] = ",".join(bloom)
+    lines[7] = "|".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["trace", "--load", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "gsn 6" in err
+
+
 def test_trace_without_mode_exits_two(capsys):
     assert main(["trace"]) == 2
 

@@ -5,12 +5,21 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloomclock import (
+    BloomClock,
     ConfigurationError,
+    ConfusionCounts,
+    ExecutionLog,
     ExperimentConfig,
     ReplayError,
+    VectorClock,
+    classify_pair,
+    confusion_counts,
     replay_timestamps,
     run,
     run_broadcast,
@@ -34,6 +43,15 @@ def test_config_validation():
         ExperimentConfig("star", n=4, m=2, k=1, pr_i=0.5)
     with pytest.raises(ConfigurationError):
         ExperimentConfig("complete", n=4, m=2, k=1, gsn_limit=0)
+
+
+def test_config_rejects_counter_overflow():
+    # Bloom counters can reach k times the event count, past int32.
+    with pytest.raises(ConfigurationError, match="overflow"):
+        ExperimentConfig("complete", n=4, m=2, k=2, gsn_limit=2**30)
+    with pytest.raises(ConfigurationError, match="overflow"):
+        ExperimentConfig("star", n=2**15, m=2, k=1)
+    ExperimentConfig("complete", n=4, m=2, k=1, gsn_limit=2**30)
 
 
 def test_runner_checks_topology():
@@ -224,3 +242,83 @@ def test_replay_detects_broken_linkage():
     bad = replace(log, events=log.events[:idx] + (forged,) + log.events[idx + 1:])
     with pytest.raises(ReplayError):
         replay_timestamps(bad)
+
+
+# ---------------------------------------------------------------------------
+# the columnar log against the clock value types
+
+
+def _reference_timestamps(log):
+    """Each event's timestamps recomputed with VectorClock/BloomClock tick and merge alone."""
+    config = log.config
+    family = config.hash_family()
+    vclocks = [VectorClock.zero(config.entities) for _ in range(config.entities)]
+    bclocks = [BloomClock.zero(config.m) for _ in range(config.entities)]
+    sent = {}
+    stamps = []
+    for e in log.events:
+        v, b = vclocks[e.pid], bclocks[e.pid]
+        if e.kind == "receive":
+            sent_v, sent_b = sent[e.send_gsn]
+            v, b = v.merge(sent_v), b.merge(sent_b)
+        v, b = v.tick(e.pid), b.tick(family, e.pid, e.event_index)
+        vclocks[e.pid], bclocks[e.pid] = v, b
+        if e.kind == "send":
+            sent[e.gsn] = (v, b)
+        stamps.append((v, b))
+    return stamps
+
+
+@st.composite
+def small_configs(draw):
+    topology = draw(st.sampled_from(("complete", "star", "broadcast")))
+    n = draw(st.integers(min_value=1 if topology == "star" else 2, max_value=7))
+    return ExperimentConfig(
+        topology,
+        n=n,
+        m=draw(st.integers(min_value=1, max_value=6)),
+        k=draw(st.integers(min_value=1, max_value=4)),
+        pr_i=draw(st.sampled_from((0.0, 0.3, 0.9, 1.0))) if topology == "complete" else 0.0,
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        gsn_limit=draw(st.integers(min_value=1, max_value=80)) if topology == "complete" else None,
+        messages_per_client=draw(st.integers(min_value=1, max_value=4)) if topology == "star" else None,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_configs())
+def test_engine_agrees_with_clock_value_types(config):
+    log = run(config)
+    assert len(log) == config.event_count
+    assert [e.gsn for e in log.events] == list(range(1, len(log) + 1))
+    for e, (vector, bloom) in zip(log.events, _reference_timestamps(log)):
+        assert e.vector_ts == vector and e.bloom_ts == bloom, f"gsn {e.gsn}"
+        assert e.event_index == vector.counters[e.pid]
+        if e.kind == "receive":
+            assert e.sender == log.events[e.send_gsn - 1].pid and e.receiver == e.pid
+    if len(log) >= 2:
+        expected = ConfusionCounts()
+        for i, y in enumerate(log.events):
+            for j, z in enumerate(log.events):
+                if i != j:
+                    expected = expected + ConfusionCounts(**{classify_pair(y, z).lower(): 1})
+        assert confusion_counts(log.events) == expected
+        assert confusion_counts(list(log.events)) == expected
+
+
+def test_events_are_a_lazy_sequence_with_view_slices():
+    log = run(ExperimentConfig("complete", n=6, m=3, k=2, pr_i=0.2, seed=4, gsn_limit=60))
+    events = log.events
+    window = events[10:30:2]
+    assert np.shares_memory(window.vectors, events.vectors)
+    assert np.shares_memory(window.blooms, events.blooms)
+    assert list(window) == [events[i] for i in range(10, 30, 2)]
+    assert events[-1] == events[len(events) - 1] and events[-1].gsn == 60
+    with pytest.raises(IndexError):
+        events[60]
+    records = tuple(events)
+    assert events == records and events[:5] + records[5:] == records
+    assert ExecutionLog(log.config, records) == log
+    assert replace(log, events=events[:20]) == ExecutionLog(log.config, records[:20])
+    with pytest.raises(ConfigurationError):
+        ExecutionLog(replace(log.config, m=4), events)

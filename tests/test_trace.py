@@ -89,6 +89,33 @@ def test_non_integer_counter_rejected(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize("field", [7, 8])
+def test_clock_width_mismatch_names_line(tmp_path, field):
+    log = run(ExperimentConfig("complete", n=4, m=3, k=1, seed=1, gsn_limit=8))
+    path = tmp_path / "bad.txt"
+    persist_trace(log, path)
+    lines = path.read_text().splitlines()
+    parts = lines[5].split("|")
+    parts[field] = parts[field].rsplit(",", 1)[0]
+    lines[5] = "|".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError, match="line 6"):
+        load_trace(path)
+
+
+def test_counter_beyond_int32_names_line(tmp_path):
+    log = run(ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=5))
+    path = tmp_path / "bad.txt"
+    persist_trace(log, path)
+    lines = path.read_text().splitlines()
+    parts = lines[3].split("|")
+    parts[8] = "1," + str(2**31)
+    lines[3] = "|".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError, match="line 4"):
+        load_trace(path)
+
+
 HAND_WRITTEN = """\
 #config {"gsn_limit": 3, "k": 1, "m": 2, "messages_per_client": null, "n": 2, "pr_i": 0.0, "seed": 1, "topology": "complete"}
 gsn|pid|kind|event_index|sender|receiver|send_gsn|vector_ts|bloom_ts
