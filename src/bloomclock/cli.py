@@ -12,7 +12,7 @@ Subcommands:
 * ``trace``  persist a run's event log, or load one back and verify it by
              replaying the protocol.
 
-Exit codes: 0 success, 2 configuration or trace error, 3 numeric error.
+Exit codes: 0 success, 2 configuration, trace or I/O error, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -236,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ReplayError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"I/O error: {exc}", file=sys.stderr)
         return 2
     except (NumericError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -13,8 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .clocks import BloomClock
-from .probability import classify_probabilities
+# classify_probabilities is no longer called here, but perfbench's traced run
+# wraps ``metrics.classify_probabilities``, so the name stays bound.
+from .probability import classify_probabilities  # noqa: F401
+from .probability import pr_positive_by_sum
 from .simulation import EventRecord, Events, ExecutionLog
 
 
@@ -210,16 +212,15 @@ def probability_curve(
     y = log.events[y_gsn - 1]
     window = log.events[z_from - 1 : z_to]
     causal = _reaches(y.pid, y.vector_ts.counters[y.pid], window.vectors).tolist()
-    rows = []
-    for gsn, bloom, oracle in zip(window.gsns.tolist(), window.blooms.tolist(), causal):
-        report = classify_probabilities(y.bloom_ts, BloomClock(tuple(bloom)))
-        rows.append(
-            CurveRow(
-                z_gsn=gsn,
-                pr_p=report.pr_p,
-                pr_fp_step=report.pr_fp_step,
-                pr_fp_smooth=report.pr_fp_smooth,
-                outcome=_outcome(oracle, report.pr_delta_p == 1),
-            )
+    dominates = (window.blooms >= np.asarray(y.bloom_ts.counters)).all(axis=1).tolist()
+    probabilities = pr_positive_by_sum(y.bloom_ts, window.blooms.sum(axis=1).tolist())
+    return [
+        CurveRow(
+            z_gsn=gsn,
+            pr_p=p,
+            pr_fp_step=(1.0 - p) * delta,
+            pr_fp_smooth=(1.0 - p) * p,
+            outcome=_outcome(oracle, delta),
         )
-    return rows
+        for gsn, p, delta, oracle in zip(window.gsns.tolist(), probabilities, dominates, causal)
+    ]

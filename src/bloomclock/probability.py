@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .clocks import BloomClock
 from .errors import ConfigurationError, NumericError
@@ -146,23 +147,41 @@ def _gamma_q_continued_fraction(a: float, x: float) -> float:
     raise NumericError(f"gamma continued fraction did not converge for a={a}, x={x}")
 
 
-def pr_positive(by: BloomClock, bz: BloomClock) -> float:
-    """Probability that every cell of ``bz`` was incremented at least ``by[i]`` times.
+def pr_positive_by_sum(by: BloomClock, trials: Sequence[int]) -> list[float]:
+    """``pr_positive`` of ``by`` against one z per entry of ``trials``, z's Bloom sum.
 
-    The per-cell factors are accumulated in log space so that widths in the
+    ``pr_p`` depends on z only through its sum, so each distinct sum is
+    evaluated once.
+    """
+    by_sum = {total: _pr_positive_at_sum(by.counters, total) for total in dict.fromkeys(trials)}
+    return [by_sum[total] for total in trials]
+
+
+def _pr_positive_at_sum(thresholds: tuple[int, ...], trials: int) -> float:
+    """``pr_p`` for reference counters ``thresholds`` against a z whose Bloom sum is ``trials``.
+
+    Each distinct threshold's factor is evaluated once.  The factors are
+    accumulated in log space, in counter order, so that widths in the
     hundreds cannot underflow the running product.
     """
-    if by.width != bz.width:
-        raise ConfigurationError(f"clock width mismatch: {by.width} vs {bz.width}")
-    trials = bz.total
-    width = by.width
+    width = len(thresholds)
+    factors: dict[int, float] = {}
     log_product = 0.0
-    for threshold in by.counters:
-        factor = 1.0 - count_threshold_cdf(threshold, trials, width)
+    for threshold in thresholds:
+        if threshold not in factors:
+            factors[threshold] = 1.0 - count_threshold_cdf(threshold, trials, width)
+        factor = factors[threshold]
         if factor <= 0.0:
             return 0.0
         log_product += math.log(factor)
     return _as_probability(math.exp(log_product))
+
+
+def pr_positive(by: BloomClock, bz: BloomClock) -> float:
+    """Probability that every cell of ``bz`` was incremented at least ``by[i]`` times."""
+    if by.width != bz.width:
+        raise ConfigurationError(f"clock width mismatch: {by.width} vs {bz.width}")
+    return pr_positive_by_sum(by, (bz.total,))[0]
 
 
 def pr_delta(by: BloomClock, bz: BloomClock) -> int:

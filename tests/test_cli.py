@@ -112,6 +112,21 @@ def test_trace_load_rejects_corrupt_file(tmp_path, capsys):
     assert main(["trace", "--load", str(path)]) == 2
 
 
+def test_trace_load_missing_file_exits_two(tmp_path, capsys):
+    assert main(["trace", "--load", str(tmp_path / "no-such-trace.txt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error:") and err.count("\n") == 1
+
+
+def test_out_directory_that_cannot_be_made_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["trace", "--n", "6", "--m", "3", "--seed", "2", "--gsn-limit", "100",
+                 "--out", str(blocker / "tr")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("I/O error:")
+
+
 def test_trace_load_rejects_tampered_timestamps(tmp_path, capsys):
     out = tmp_path / "tr"
     assert main(["trace", "--topology", "star", "--n", "10", "--m", "3", "--seed", "2", "--out", str(out)]) == 0

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bloomclock import (
     BloomClock,
     ConfusionCounts,
+    CurveRow,
     EventRecord,
     ExperimentConfig,
     SliceSpec,
     VectorClock,
     causality_spread,
     classify_pair,
+    classify_probabilities,
     compute_metrics,
     confusion_counts,
     probability_curve,
@@ -181,6 +185,43 @@ def test_curve_rows_and_gating():
         assert row.pr_fp_smooth <= 0.25
         if row.outcome == "TN":
             assert row.pr_fp_step == 0.0
+
+
+@st.composite
+def curve_cases(draw):
+    topology = draw(st.sampled_from(("complete", "star", "broadcast")))
+    config = ExperimentConfig(
+        topology,
+        n=draw(st.integers(min_value=2, max_value=6)),
+        m=draw(st.integers(min_value=1, max_value=6)),
+        k=draw(st.integers(min_value=1, max_value=4)),
+        pr_i=draw(st.sampled_from((0.0, 0.5, 1.0))) if topology == "complete" else 0.0,
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        # Up to 600 events, so Bloom sums reach past EXACT_CUTOFF at small n.
+        gsn_limit=draw(st.integers(min_value=2, max_value=600)) if topology == "complete" else None,
+        messages_per_client=draw(st.integers(min_value=1, max_value=40)) if topology == "star" else None,
+    )
+    end = config.event_count
+    y_gsn = draw(st.integers(min_value=1, max_value=end - 1))
+    z_from = draw(st.integers(min_value=y_gsn + 1, max_value=end))
+    return config, y_gsn, z_from, draw(st.integers(min_value=z_from, max_value=end))
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve_cases())
+def test_curve_matches_per_pair_classification(case):
+    config, y_gsn, z_from, z_to = case
+    log = run(config)
+    y = log.events[y_gsn - 1]
+    expected = []
+    for z in log.events[z_from - 1 : z_to]:
+        report = classify_probabilities(y.bloom_ts, z.bloom_ts)
+        expected.append(
+            CurveRow(z.gsn, report.pr_p, report.pr_fp_step, report.pr_fp_smooth, classify_pair(y, z))
+        )
+    rows = probability_curve(log, y_gsn, z_from, z_to)
+    # Exact, not approximate: curve.csv prints these floats with repr().
+    assert [repr(r) for r in rows] == [repr(r) for r in expected]
 
 
 def test_curve_range_validation():

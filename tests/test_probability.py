@@ -8,10 +8,11 @@ import random
 
 import mpmath as mp
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bloomclock import (
+    EXACT_CUTOFF,
     BloomClock,
     ConfigurationError,
     binom_pmf,
@@ -22,6 +23,7 @@ from bloomclock import (
     pr_positive,
     regularized_gamma_q,
 )
+from bloomclock.probability import pr_positive_by_sum
 
 mp.mp.dps = 50
 
@@ -231,3 +233,66 @@ def test_smooth_variant_peaks_at_one_quarter():
     for total in range(2, 40):
         spread = BloomClock((total - total // 2, total // 2))
         assert classify_probabilities(by, spread).pr_fp_smooth <= 0.25
+
+
+# ---------------------------------------------------------------------------
+# batch evaluator against the per-pair evaluation it replaced
+
+
+def _pr_positive_per_pair(by, bz):
+    """``pr_positive`` as it was evaluated one pair at a time: the reference."""
+    trials = bz.total
+    width = by.width
+    log_product = 0.0
+    for threshold in by.counters:
+        factor = 1.0 - count_threshold_cdf(threshold, trials, width)
+        if factor <= 0.0:
+            return 0.0
+        log_product += math.log(factor)
+    return min(1.0, max(0.0, math.exp(log_product)))
+
+
+def _assert_matches_per_pair(by, trials):
+    # Exact, not approximate: curve.csv prints these floats with repr().
+    expected = [_pr_positive_per_pair(by, BloomClock((t,) + (0,) * (by.width - 1))) for t in trials]
+    got = pr_positive_by_sum(by, trials)
+    assert [repr(p) for p in got] == [repr(p) for p in expected]
+    assert all(type(p) is float for p in got)
+
+
+def test_batch_evaluator_edge_cases():
+    around_cutoff = [0, 1, 7, EXACT_CUTOFF - 1, EXACT_CUTOFF, EXACT_CUTOFF + 1, 4000, 7, EXACT_CUTOFF, 0]
+    _assert_matches_per_pair(BloomClock((0, 0, 0)), around_cutoff)  # an all-zero y: every pr_p is 1
+    assert pr_positive_by_sum(BloomClock((0, 0, 0)), around_cutoff) == [1.0] * len(around_cutoff)
+    _assert_matches_per_pair(BloomClock((5, 0, 2, 5)), around_cutoff)  # a threshold beyond 0, 1 and 7 trials
+    _assert_matches_per_pair(BloomClock((30, 1, 30, 2)), [30, 31, 30])  # a factor that rounds to 0 on the exact path
+    assert 1.0 - count_threshold_cdf(30, 30, 4) == 0.0
+    _assert_matches_per_pair(BloomClock((1, 3000)), [3000, 2999, 3001, 3000])  # and on the gamma path
+    assert 1.0 - count_threshold_cdf(3000, 3000, 2) == 0.0
+    assert pr_positive_by_sum(BloomClock((1, 2)), []) == []
+
+
+@st.composite
+def batch_cases(draw):
+    width = draw(st.integers(min_value=1, max_value=8))
+    counters = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=width, max_size=width))
+    sums = st.one_of(
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=EXACT_CUTOFF - 40, max_value=EXACT_CUTOFF + 40),
+        st.integers(min_value=EXACT_CUTOFF + 41, max_value=5000),
+    )
+    pool = draw(st.lists(sums, min_size=1, max_size=6))
+    # Drawing from a small pool repeats sums, which the batch evaluates once.
+    return BloomClock(tuple(counters)), draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch_cases())
+def test_batch_evaluator_matches_per_pair_reference(case):
+    _assert_matches_per_pair(*case)
+
+
+@given(small_clock, small_clock)
+def test_scalar_pr_positive_is_the_batch_of_one(a, b):
+    by, bz = BloomClock(tuple(a)), BloomClock(tuple(b))
+    assert repr(pr_positive(by, bz)) == repr(_pr_positive_per_pair(by, bz))
