@@ -10,11 +10,8 @@ simulations of complete-graph, client-server and broadcast executions.
 from .clocks import BloomClock, HashFamily, VectorClock
 from .errors import ConfigurationError, NumericError
 from .experiments import (
-    AggregateMetrics,
-    RunArtifact,
     SweepSpec,
     average_over,
-    curve_rows,
     ratio_to_width,
     run_experiment,
     run_sweep,
@@ -25,7 +22,6 @@ from .experiments import (
 from .metrics import (
     ConfusionCounts,
     CurveRow,
-    MetricsReport,
     SliceSpec,
     causality_spread,
     classify_pair,
@@ -37,12 +33,10 @@ from .metrics import (
 )
 from .probability import (
     EXACT_CUTOFF,
-    ProbabilityReport,
     binom_pmf,
     classify_probabilities,
     count_threshold_cdf,
     poisson_cdf_via_gamma,
-    pr_delta,
     pr_positive,
     regularized_gamma_q,
 )
@@ -53,16 +47,12 @@ from .simulation import (
     ReplayError,
     replay_timestamps,
     run,
-    run_broadcast,
-    run_complete,
-    run_star,
 )
 from .trace import TraceParseError, load_trace, persist_trace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateMetrics",
     "BloomClock",
     "ConfigurationError",
     "ConfusionCounts",
@@ -72,11 +62,8 @@ __all__ = [
     "ExecutionLog",
     "ExperimentConfig",
     "HashFamily",
-    "MetricsReport",
     "NumericError",
-    "ProbabilityReport",
     "ReplayError",
-    "RunArtifact",
     "SliceSpec",
     "SweepSpec",
     "TraceParseError",
@@ -89,21 +76,16 @@ __all__ = [
     "compute_metrics",
     "confusion_counts",
     "count_threshold_cdf",
-    "curve_rows",
     "load_trace",
     "persist_trace",
     "poisson_cdf_via_gamma",
-    "pr_delta",
     "pr_positive",
     "probability_curve",
     "ratio_to_width",
     "regularized_gamma_q",
     "replay_timestamps",
     "run",
-    "run_broadcast",
-    "run_complete",
     "run_experiment",
-    "run_star",
     "run_sweep",
     "sample_slice",
     "slice_metrics",

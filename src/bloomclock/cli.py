@@ -43,12 +43,16 @@ def _add_config_flags(parser: argparse.ArgumentParser, many: bool, required: boo
     parser.add_argument("--gsn-limit", type=int, help="complete-graph termination bound (default n^2)")
     parser.add_argument("--messages-per-client", type=int, help="star rounds per client (default n)")
     parser.add_argument("--slice-start", type=int, help="slice start gsn (default 10*n)")
-    parser.add_argument("--slice-stride", type=int, default=100, help="slice stride (default 100)")
+    parser.add_argument("--slice-stride", type=int, default=SliceSpec.stride,
+                        help=f"slice stride (default {SliceSpec.stride})")
 
 
-def _add_seed_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, action="append", help="explicit seed (repeatable)")
-    parser.add_argument("--runs", type=int, help="use seeds 1..N (default 3)")
+def _add_seed_flags(parser: argparse.ArgumentParser, repeatable: bool) -> None:
+    if repeatable:
+        parser.add_argument("--seed", type=int, action="append", help="explicit seed (repeatable)")
+        parser.add_argument("--runs", type=int, help="use seeds 1..N (default 3)")
+    else:
+        parser.add_argument("--seed", type=int, default=1, help="seed of the run (default 1)")
 
 
 def _seeds(args: argparse.Namespace) -> tuple[int, ...]:
@@ -78,9 +82,7 @@ def _single_config(args: argparse.Namespace, seed: int) -> ExperimentConfig:
     )
 
 
-def _slice_spec(args: argparse.Namespace) -> SliceSpec | None:
-    if args.slice_start is None and args.slice_stride == 100:
-        return None
+def _slice_spec(args: argparse.Namespace) -> SliceSpec:
     return SliceSpec(start_gsn=args.slice_start, stride=args.slice_stride)
 
 
@@ -92,9 +94,8 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
     return path
 
 
-def _print_aggregate(label: str, aggregate: experiments.AggregateMetrics) -> None:
-    values = "  ".join(f"{f}={getattr(aggregate, f):.3f}" for f in experiments.METRIC_FIELDS)
-    print(f"{label}  {values}")
+def _metric_values(source: object) -> str:
+    return "  ".join(f"{f}={getattr(source, f):.3f}" for f in experiments.METRIC_FIELDS)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -102,10 +103,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _single_config(args, seeds[0])
     artifact = experiments.run_experiment(config, seeds, _slice_spec(args))
     for seed, report in zip(artifact.seeds, artifact.reports):
-        values = "  ".join(f"{f}={getattr(report, f):.3f}" for f in experiments.METRIC_FIELDS)
         counts = report.counts
-        print(f"seed {seed}  tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}  {values}")
-    _print_aggregate(f"mean over {len(seeds)} seeds", artifact.aggregate)
+        print(f"seed {seed}  tp={counts.tp} fp={counts.fp} tn={counts.tn} fn={counts.fn}  {_metric_values(report)}")
+    print(f"mean over {len(seeds)} seeds  {_metric_values(artifact.aggregate)}")
     out = _out_dir(args)
     if out is not None:
         experiments.write_sweep_csv([artifact], out / "run.csv")
@@ -140,16 +140,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grouped = experiments.average_over(artifacts, averaged)
         for key, aggregate in grouped:
             label = "  ".join(f"{k}={v}" for k, v in key.items())
-            _print_aggregate(label, aggregate)
+            print(f"{label}  {_metric_values(aggregate)}")
         if out is not None:
-            experiments.write_grouped_csv(grouped, out / "sweep_grouped.csv")
+            rows = [experiments.table_row(key, aggregate) for key, aggregate in grouped]
+            experiments.write_csv(rows, out / "sweep_grouped.csv")
             print(f"wrote {out / 'sweep_grouped.csv'}")
     return 0
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    seeds = _seeds(args)
-    config = _single_config(args, seeds[0])
+    config = _single_config(args, args.seed)
     log = run(config)
     y_gsn = args.y_gsn if args.y_gsn is not None else 10 * config.n
     z_from = args.z_from if args.z_from is not None else y_gsn + 1
@@ -162,7 +162,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     else:
         print(",".join(experiments.CURVE_HEADER))
         for row in rows:
-            print(f"{row.z_gsn},{row.pr_p!r},{row.pr_fp_step!r},{row.pr_fp_smooth!r},{row.outcome}")
+            print(",".join(map(str, experiments.curve_fields(row))))
     return 0
 
 
@@ -176,15 +176,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             f"{kinds['send']} send, {kinds['receive']} receive); replay check passed"
         )
         return 0
-    if args.n is None:
+    if args.n is None or args.out is None:
         raise argparse.ArgumentTypeError("trace needs either --load PATH or run flags with --out DIR")
-    seeds = _seeds(args)
-    config = _single_config(args, seeds[0])
-    log = run(config)
-    out = _out_dir(args)
-    if out is None:
-        raise argparse.ArgumentTypeError("trace generation needs --out DIR")
-    path = out / "trace.txt"
+    log = run(_single_config(args, args.seed))
+    path = _out_dir(args) / "trace.txt"
     persist_trace(log, path)
     print(f"wrote {len(log.events)} events to {path}")
     return 0
@@ -196,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one configuration over seeds and report slice metrics")
     _add_config_flags(p_run, many=False)
-    _add_seed_flags(p_run)
+    _add_seed_flags(p_run, repeatable=True)
     p_run.add_argument("--out", help="directory for run.csv / run.json")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a cartesian parameter sweep")
     _add_config_flags(p_sweep, many=True)
-    _add_seed_flags(p_sweep)
+    _add_seed_flags(p_sweep, repeatable=True)
     p_sweep.add_argument("--average-over", nargs="+", choices=["n", "m", "k", "pri"],
                          help="also emit metrics averaged over these parameters")
     p_sweep.add_argument("--out", help="directory for sweep.csv / sweep.json")
@@ -210,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="emit the per-pair probability curve for one run")
     _add_config_flags(p_curve, many=False)
-    _add_seed_flags(p_curve)
+    _add_seed_flags(p_curve, repeatable=False)
     p_curve.add_argument("--y-gsn", type=int, help="gsn of the fixed event y (default 10*n)")
     p_curve.add_argument("--z-from", type=int, help="first z gsn (default y+1)")
     p_curve.add_argument("--z-to", type=int, help="last z gsn (default log end)")
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="persist a run's event log, or load and verify one")
     _add_config_flags(p_trace, many=False, required=False)
-    _add_seed_flags(p_trace)
+    _add_seed_flags(p_trace, repeatable=False)
     p_trace.add_argument("--load", help="load this trace file and verify it by replay")
     p_trace.add_argument("--out", help="directory for trace.txt")
     p_trace.set_defaults(func=cmd_trace)

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigurationError
-from .metrics import CurveRow, MetricsReport, SliceSpec, probability_curve, slice_metrics
+from .metrics import CurveRow, MetricsReport, SliceSpec, slice_metrics
 from .simulation import ExperimentConfig, run
 
 CURVE_HEADER = ("z_gsn", "pr_p", "pr_fp_step", "pr_fp_smooth", "outcome")
@@ -145,21 +145,10 @@ def average_over(
     for artifact in artifacts:
         key = tuple(getattr(artifact.config, f) for f in key_fields)
         groups.setdefault(key, []).append(artifact)
-    rows = []
-    for key, members in groups.items():
-        merged = AggregateMetrics(
-            **{
-                field: _mean([getattr(a.aggregate, field) for a in members])
-                for field in METRIC_FIELDS
-            }
-        )
-        rows.append((dict(zip(key_fields, key)), merged))
-    return rows
-
-
-def curve_rows(config: ExperimentConfig, y_gsn: int, z_from: int, z_to: int) -> list[CurveRow]:
-    """Run the configured simulation and evaluate the probability curve."""
-    return probability_curve(run(config), y_gsn, z_from, z_to)
+    return [
+        (dict(zip(key_fields, key)), aggregate_reports([a.aggregate for a in members]))
+        for key, members in groups.items()
+    ]
 
 
 def _artifact_dict(artifact: RunArtifact) -> dict:
@@ -180,36 +169,26 @@ def write_artifacts_json(artifacts: Sequence[RunArtifact], path: str | Path) -> 
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def table_row(key: dict, aggregate: AggregateMetrics) -> dict:
+    """A table row: the key fields, then the metrics rounded to three decimals."""
+    return {**key, **{field: round(getattr(aggregate, field), 3) for field in METRIC_FIELDS}}
+
+
 def sweep_table(artifacts: Sequence[RunArtifact]) -> list[dict]:
-    """One row of 3-decimal metrics per cell, for table presentation."""
+    """One row per cell: its parameters, its seed count and its 3-decimal metrics."""
     rows = []
     for artifact in artifacts:
-        row = {field: getattr(artifact.config, field) for field in _CELL_FIELDS}
-        row["seeds"] = len(artifact.seeds)
-        row.update(
-            {field: round(getattr(artifact.aggregate, field), 3) for field in METRIC_FIELDS}
-        )
-        rows.append(row)
+        key = {field: getattr(artifact.config, field) for field in _CELL_FIELDS}
+        rows.append(table_row({**key, "seeds": len(artifact.seeds)}, artifact.aggregate))
     return rows
 
 
 def write_sweep_csv(artifacts: Sequence[RunArtifact], path: str | Path) -> None:
-    rows = sweep_table(artifacts)
-    _write_csv(rows, path)
+    write_csv(sweep_table(artifacts), path)
 
 
-def write_grouped_csv(
-    grouped: Sequence[tuple[dict, AggregateMetrics]], path: str | Path
-) -> None:
-    rows = []
-    for key, aggregate in grouped:
-        row = dict(key)
-        row.update({field: round(getattr(aggregate, field), 3) for field in METRIC_FIELDS})
-        rows.append(row)
-    _write_csv(rows, path)
-
-
-def _write_csv(rows: Sequence[dict], path: str | Path) -> None:
+def write_csv(rows: Sequence[dict], path: str | Path) -> None:
+    """Rows of one table as CSV, with the first row's keys as the header."""
     if not rows:
         raise ConfigurationError("no rows to write")
     with open(path, "w", newline="") as handle:
@@ -223,8 +202,12 @@ def write_curve_csv(rows: Sequence[CurveRow], path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CURVE_HEADER)
-        for row in rows:
-            writer.writerow([row.z_gsn, repr(row.pr_p), repr(row.pr_fp_step), repr(row.pr_fp_smooth), row.outcome])
+        writer.writerows(curve_fields(row) for row in rows)
+
+
+def curve_fields(row: CurveRow) -> list:
+    """One curve row's CSV fields; floats use ``repr`` so the file round-trips losslessly."""
+    return [row.z_gsn, repr(row.pr_p), repr(row.pr_fp_step), repr(row.pr_fp_smooth), row.outcome]
 
 
 def read_curve_csv(path: str | Path) -> list[CurveRow]:

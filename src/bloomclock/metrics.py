@@ -16,7 +16,7 @@ import numpy as np
 # classify_probabilities is no longer called here, but perfbench's traced run
 # wraps ``metrics.classify_probabilities``, so the name stays bound.
 from .probability import classify_probabilities  # noqa: F401
-from .probability import pr_positive_by_sum
+from .probability import false_positive_probabilities, pr_positive_by_sum
 from .simulation import EventRecord, Events, ExecutionLog
 
 
@@ -86,8 +86,8 @@ class CurveRow:
     outcome: str
 
 
-def sample_slice(log: ExecutionLog, spec: SliceSpec | None = None) -> list[EventRecord]:
-    """Events at gsn = start, start+stride, ... <= end."""
+def sample_slice(log: ExecutionLog, spec: SliceSpec | None = None) -> Events:
+    """Events at gsn = start, start+stride, ... <= end, as a view of the log's columns."""
     spec = spec if spec is not None else SliceSpec()
     start, stride, end = spec.resolve(log)
     if end > len(log.events):
@@ -99,7 +99,7 @@ def sample_slice(log: ExecutionLog, spec: SliceSpec | None = None) -> list[Event
     gaps = np.flatnonzero(sampled.gsns != grid)
     if gaps.size:
         raise ValueError(f"log is not contiguous at gsn {grid[gaps[0]]}")
-    return list(sampled)
+    return sampled
 
 
 def _outcome(oracle: bool, predicted: bool) -> str:
@@ -215,12 +215,6 @@ def probability_curve(
     dominates = (window.blooms >= np.asarray(y.bloom_ts.counters)).all(axis=1).tolist()
     probabilities = pr_positive_by_sum(y.bloom_ts, window.blooms.sum(axis=1).tolist())
     return [
-        CurveRow(
-            z_gsn=gsn,
-            pr_p=p,
-            pr_fp_step=(1.0 - p) * delta,
-            pr_fp_smooth=(1.0 - p) * p,
-            outcome=_outcome(oracle, delta),
-        )
+        CurveRow(gsn, p, *false_positive_probabilities(p, delta), _outcome(oracle, delta))
         for gsn, p, delta, oracle in zip(window.gsns.tolist(), probabilities, dominates, causal)
     ]

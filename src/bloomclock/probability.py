@@ -9,7 +9,7 @@ where each cell's hit count is Binomial(B_z_sum, 1/m).  The inner tail is
 summed exactly for small trial counts and through the Poisson limit (whose
 CDF is a regularized incomplete gamma function) for large ones.
 
-Two readings of the false/true-positive probabilities are produced: the
+Two readings of the false-positive probability are produced: the
 *step* variant gates on the exact 0/1 outcome of the dominance test, the
 *smooth* variant reuses ``pr_p`` for both factors and is capped at 0.25.
 """
@@ -184,36 +184,23 @@ def pr_positive(by: BloomClock, bz: BloomClock) -> float:
     return pr_positive_by_sum(by, (bz.total,))[0]
 
 
-def pr_delta(by: BloomClock, bz: BloomClock) -> int:
-    """Exact 0/1 outcome of the dominance test, given both timestamps."""
-    return 1 if by.leq(bz) else 0
+def false_positive_probabilities(p: float, delta: int) -> tuple[float, float]:
+    """The step and smooth false-positive probabilities for ``pr_p = p`` and dominance bit ``delta``."""
+    return (1.0 - p) * delta, (1.0 - p) * p
 
 
 @dataclass(frozen=True)
 class ProbabilityReport:
-    """Both readings of the outcome probabilities for one ordered pair (y, z)."""
+    """Both readings of the false-positive probability for one ordered pair (y, z)."""
 
     pr_p: float
     pr_delta_p: int
     pr_fp_step: float
-    pr_tp_step: float
-    pr_tn_step: float
     pr_fp_smooth: float
-    pr_tp_smooth: float
-    pr_tn_smooth: float
 
 
 def classify_probabilities(by: BloomClock, bz: BloomClock) -> ProbabilityReport:
-    """Evaluate ``pr_p`` and derive the step- and smooth-variant outcome probabilities."""
+    """Evaluate ``pr_p`` and derive the step- and smooth-variant false-positive probabilities."""
     p = pr_positive(by, bz)
-    delta = pr_delta(by, bz)
-    return ProbabilityReport(
-        pr_p=p,
-        pr_delta_p=delta,
-        pr_fp_step=(1.0 - p) * delta,
-        pr_tp_step=p * delta,
-        pr_tn_step=1.0 - delta,
-        pr_fp_smooth=(1.0 - p) * p,
-        pr_tp_smooth=p * p,
-        pr_tn_smooth=1.0 - p,
-    )
+    delta = int(by.leq(bz))
+    return ProbabilityReport(p, delta, *false_positive_probabilities(p, delta))

@@ -69,6 +69,7 @@ class ExperimentConfig:
     ``gsn_limit`` bounds the complete-graph run (default ``n**2``); star and
     broadcast runs terminate structurally instead.  ``messages_per_client``
     is the number of request/reply rounds per star client (default ``n``).
+    Each of the two is rejected on a topology that would ignore it.
     """
 
     topology: str
@@ -96,6 +97,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"pr_i must lie in [0, 1], got {self.pr_i}")
         if self.topology != "complete" and self.pr_i != 0.0:
             raise ConfigurationError(f"{self.topology} topology has no internal events; pr_i must be 0")
+        if self.gsn_limit is not None and self.topology != "complete":
+            raise ConfigurationError(f"{self.topology} topology ignores gsn_limit; it bounds complete runs only")
+        if self.messages_per_client is not None and self.topology != "star":
+            raise ConfigurationError(
+                f"{self.topology} topology ignores messages_per_client; it sets star rounds only"
+            )
         if self.gsn_limit is not None and self.gsn_limit < 1:
             raise ConfigurationError(f"gsn_limit must be positive, got {self.gsn_limit}")
         if self.messages_per_client is not None and self.messages_per_client < 1:
@@ -292,11 +299,6 @@ class ExecutionLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    def event(self, gsn: int) -> EventRecord:
-        if not 1 <= gsn <= len(self.events):
-            raise ValueError(f"gsn {gsn} outside [1, {len(self.events)}]")
-        return self.events[gsn - 1]
-
 
 def _stamp(
     config: ExperimentConfig, pids: Sequence[int], kinds: Sequence[int], xs: Sequence[int], send_gsns: Sequence[int]
@@ -374,30 +376,20 @@ class _Linkage:
         return ExecutionLog(config, Events(columns, vectors, blooms))
 
 
-def _require_topology(config: ExperimentConfig, topology: str) -> None:
-    if config.topology != topology:
-        raise ConfigurationError(f"config topology is {config.topology!r}, expected {topology!r}")
-
-
 def run(config: ExperimentConfig) -> ExecutionLog:
-    """Run the topology named by the configuration."""
-    if config.topology == "complete":
-        return run_complete(config)
-    if config.topology == "star":
-        return run_star(config)
-    return run_broadcast(config)
+    """Run the topology named by the configuration; every draw comes from one ``random.Random(seed)``."""
+    linkage = _Linkage(config.entities)
+    _RUNNERS[config.topology](config, random.Random(config.seed), linkage)
+    return linkage.log(config)
 
 
-def run_complete(config: ExperimentConfig) -> ExecutionLog:
+def _run_complete(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -> None:
     """Decentralized complete-graph run, terminating when the GSN hits the budget.
 
     Scheduler steps that draw a receive for a process with an empty pending
     pool execute nothing; the GSN only advances on executed events.
     """
-    _require_topology(config, "complete")
-    rng = random.Random(config.seed)
     n = config.n
-    linkage = _Linkage(n)
     pending: list[list[int]] = [[] for _ in range(n)]
     send_cut = config.pr_i + (1.0 - config.pr_i) / 2.0
 
@@ -415,10 +407,9 @@ def run_complete(config: ExperimentConfig) -> ExecutionLog:
             pool = pending[pid]
             linkage.receive(pid, pool.pop(rng.randrange(len(pool))))
         # else: a receive draw with an empty pool yields the step.
-    return linkage.log(config)
 
 
-def run_star(config: ExperimentConfig) -> ExecutionLog:
+def _run_star(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -> None:
     """Client-server run: each client plays ``rounds_per_client`` request/reply rounds.
 
     The server is entity ``n`` and owns the single shared clock pair.  The
@@ -426,11 +417,8 @@ def run_star(config: ExperimentConfig) -> ExecutionLog:
     are queued, the server; one server slot handles a uniformly chosen
     pending request atomically (receive, then reply send).
     """
-    _require_topology(config, "star")
-    rng = random.Random(config.seed)
     n = config.n
     server = n
-    linkage = _Linkage(n + 1)
     remaining = [config.rounds_per_client] * n
     awaiting = [False] * n
     replies: list[int | None] = [None] * n
@@ -457,19 +445,15 @@ def run_star(config: ExperimentConfig) -> ExecutionLog:
         else:
             requests.append(linkage.send(actor, server))
             awaiting[actor] = True
-    return linkage.log(config)
 
 
-def run_broadcast(config: ExperimentConfig) -> ExecutionLog:
+def _run_broadcast(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -> None:
     """Broadcast run: every process sends once to all others, then drains its pool.
 
     The log holds exactly ``n`` send events and ``n*(n-1)`` receive events;
     a process always broadcasts before consuming any incoming message.
     """
-    _require_topology(config, "broadcast")
-    rng = random.Random(config.seed)
     n = config.n
-    linkage = _Linkage(n)
     pending: list[list[int]] = [[] for _ in range(n)]
     sent = [False] * n
 
@@ -487,7 +471,9 @@ def run_broadcast(config: ExperimentConfig) -> ExecutionLog:
         else:
             pool = pending[pid]
             linkage.receive(pid, pool.pop(rng.randrange(len(pool))))
-    return linkage.log(config)
+
+
+_RUNNERS = {"complete": _run_complete, "star": _run_star, "broadcast": _run_broadcast}
 
 
 def replay_timestamps(log: ExecutionLog) -> None:

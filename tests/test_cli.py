@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from bloomclock import NumericError
 from bloomclock.cli import main
 
@@ -87,6 +89,47 @@ def test_curve_writes_file(tmp_path, capsys):
                  "--y-gsn", "100", "--z-to", "150", "--out", str(out)])
     assert code == 0
     assert (out / "curve.csv").read_text().splitlines()[0] == "z_gsn,pr_p,pr_fp_step,pr_fp_smooth,outcome"
+
+
+def test_curve_stdout_rows_match_the_file(tmp_path, capsys):
+    args = ["curve", "--n", "10", "--m", "3", "--gsn-limit", "400", "--seed", "3", "--y-gsn", "100", "--z-to", "150"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    written = (tmp_path / "curve.csv").read_bytes().decode()
+    assert "\r" not in printed
+    assert written == printed.replace("\n", "\r\n")
+
+
+def test_curve_and_trace_take_one_seed(capsys):
+    # Only run and sweep average over seeds; a seed list elsewhere is a usage error.
+    for command in ("curve", "trace"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "10", "--m", "3", "--gsn-limit", "400", "--runs", "3"])
+        assert exc.value.code == 2
+
+
+def test_trace_without_out_exits_before_running(monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("trace ran the simulation without an --out directory")
+
+    monkeypatch.setattr("bloomclock.cli.run", no_run)
+    assert main(["trace", "--n", "150", "--m", "15"]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_field_the_topology_ignores_exits_two(tmp_path, capsys):
+    assert main(["run", "--topology", "star", "--n", "5", "--m", "2", "--gsn-limit", "7", "--runs", "1"]) == 2
+    assert main(["curve", "--n", "10", "--m", "3", "--messages-per-client", "4"]) == 2
+    out = tmp_path / "tr"
+    assert main(["trace", "--topology", "star", "--n", "3", "--m", "2", "--out", str(out)]) == 0
+    path = out / "trace.txt"
+    text = path.read_text()
+    assert '"gsn_limit": null' in text
+    path.write_text(text.replace('"gsn_limit": null', '"gsn_limit": 7', 1))
+    capsys.readouterr()
+    assert main(["trace", "--load", str(path)]) == 2
+    assert "gsn_limit" in capsys.readouterr().err
 
 
 def test_curve_range_error_exits_two(capsys):

@@ -12,8 +12,9 @@ from bloomclock import (
     ExperimentConfig,
     SweepSpec,
     average_over,
-    curve_rows,
+    probability_curve,
     ratio_to_width,
+    run,
     run_experiment,
     run_sweep,
     write_artifacts_json,
@@ -137,7 +138,7 @@ def test_sweep_csv_and_json(tmp_path):
 
 
 def test_curve_csv_round_trip(tmp_path):
-    rows = curve_rows(ExperimentConfig("complete", n=10, m=3, k=2, gsn_limit=400, seed=3), 100, 101, 200)
+    rows = probability_curve(run(ExperimentConfig("complete", n=10, m=3, k=2, gsn_limit=400, seed=3)), 100, 101, 200)
     path = tmp_path / "curve.csv"
     write_curve_csv(rows, path)
     header = path.read_text().splitlines()[0]

@@ -103,7 +103,7 @@ def test_confusion_counts_match_scalar_classification():
     expected = ConfusionCounts()
     for y in events:
         for z in events:
-            if y is not z:
+            if y.gsn != z.gsn:
                 outcome = classify_pair(y, z)
                 expected = expected + ConfusionCounts(**{outcome.lower(): 1})
     assert confusion_counts(events) == expected

@@ -19,7 +19,6 @@ from bloomclock import (
     classify_probabilities,
     count_threshold_cdf,
     poisson_cdf_via_gamma,
-    pr_delta,
     pr_positive,
     regularized_gamma_q,
 )
@@ -182,15 +181,6 @@ def test_pr_positive_decreases_as_threshold_grows():
         assert pr_positive(BloomClock(tuple(raised)), bz) <= pr_positive(BloomClock(tuple(base)), bz) + 1e-12
 
 
-def test_pr_delta_agrees_with_dominance():
-    rng = random.Random(7)
-    for _ in range(1000):
-        m = rng.randint(1, 6)
-        by = BloomClock(tuple(rng.randrange(5) for _ in range(m)))
-        bz = BloomClock(tuple(rng.randrange(5) for _ in range(m)))
-        assert pr_delta(by, bz) == int(by.leq(bz))
-
-
 small_clock = st.lists(st.integers(min_value=0, max_value=12), min_size=3, max_size=3)
 
 
@@ -202,13 +192,8 @@ def test_report_invariants(a, b):
     assert 0.0 <= p <= 1.0
     assert delta in (0, 1)
     assert rep.pr_fp_step == (1.0 - p) * delta
-    assert rep.pr_tp_step == p * delta
-    assert rep.pr_tn_step == 1.0 - delta
     assert rep.pr_fp_smooth == (1.0 - p) * p
-    assert rep.pr_tp_smooth == p * p
-    assert rep.pr_tn_smooth == 1.0 - p
     assert rep.pr_fp_smooth <= 0.25
-    assert rep.pr_fp_step + rep.pr_tp_step + rep.pr_tn_step == pytest.approx(1.0, abs=1e-12)
 
 
 def test_report_step_gating():
@@ -216,15 +201,12 @@ def test_report_step_gating():
     rep = classify_probabilities(BloomClock((3, 0)), BloomClock((2, 9)))
     assert rep.pr_delta_p == 0
     assert rep.pr_fp_step == 0.0
-    assert rep.pr_tn_step == 1.0
 
 
 def test_report_zero_reference():
     rep = classify_probabilities(BloomClock((0, 0)), BloomClock((4, 7)))
     assert rep.pr_p == 1.0
     assert rep.pr_fp_step == 0.0
-    assert rep.pr_tp_step == 1.0
-    assert rep.pr_tn_step == 0.0
 
 
 def test_smooth_variant_peaks_at_one_quarter():

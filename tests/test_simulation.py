@@ -22,9 +22,6 @@ from bloomclock import (
     confusion_counts,
     replay_timestamps,
     run,
-    run_broadcast,
-    run_complete,
-    run_star,
 )
 
 
@@ -43,6 +40,13 @@ def test_config_validation():
         ExperimentConfig("star", n=4, m=2, k=1, pr_i=0.5)
     with pytest.raises(ConfigurationError):
         ExperimentConfig("complete", n=4, m=2, k=1, gsn_limit=0)
+    # A field the topology would ignore is rejected, not silently dropped.
+    for topology in ("star", "broadcast"):
+        with pytest.raises(ConfigurationError, match="gsn_limit"):
+            ExperimentConfig(topology, n=5, m=2, k=1, gsn_limit=7)
+    for topology in ("complete", "broadcast"):
+        with pytest.raises(ConfigurationError, match="messages_per_client"):
+            ExperimentConfig(topology, n=5, m=2, k=1, messages_per_client=3)
 
 
 def test_config_rejects_counter_overflow():
@@ -54,17 +58,9 @@ def test_config_rejects_counter_overflow():
     ExperimentConfig("complete", n=4, m=2, k=1, gsn_limit=2**30)
 
 
-def test_runner_checks_topology():
-    config = ExperimentConfig("complete", n=4, m=2, k=1, gsn_limit=10)
-    with pytest.raises(ConfigurationError):
-        run_star(config)
-    with pytest.raises(ConfigurationError):
-        run_broadcast(config)
-
-
 def test_fixed_seed_reproduces_identical_logs():
     config = ExperimentConfig("complete", n=100, m=10, k=2, pr_i=0.0, seed=4)
-    assert run_complete(config) == run_complete(config)
+    assert run(config) == run(config)
 
 
 def test_seed_changes_the_log():
