@@ -42,6 +42,10 @@ def _add_config_flags(parser: argparse.ArgumentParser, many: bool, required: boo
                         help="internal event probability")
     parser.add_argument("--gsn-limit", type=int, help="complete-graph termination bound (default n^2)")
     parser.add_argument("--messages-per-client", type=int, help="star rounds per client (default n)")
+
+
+def _add_slice_flags(parser: argparse.ArgumentParser) -> None:
+    """Only ``run`` and ``sweep`` classify a slice; elsewhere these flags are usage errors."""
     parser.add_argument("--slice-start", type=int, help="slice start gsn (default 10*n)")
     parser.add_argument("--slice-stride", type=int, default=SliceSpec.stride,
                         help=f"slice stride (default {SliceSpec.stride})")
@@ -191,12 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one configuration over seeds and report slice metrics")
     _add_config_flags(p_run, many=False)
+    _add_slice_flags(p_run)
     _add_seed_flags(p_run, repeatable=True)
     p_run.add_argument("--out", help="directory for run.csv / run.json")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a cartesian parameter sweep")
     _add_config_flags(p_sweep, many=True)
+    _add_slice_flags(p_sweep)
     _add_seed_flags(p_sweep, repeatable=True)
     p_sweep.add_argument("--average-over", nargs="+", choices=["n", "m", "k", "pri"],
                          help="also emit metrics averaged over these parameters")

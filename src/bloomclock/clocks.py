@@ -15,13 +15,19 @@ so snapshots can be stored in event logs and shared freely across threads.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from hashlib import blake2b
+
+import numpy as np
 
 from .errors import ConfigurationError
 
 ProcessId = int
 EventIndex = int
+
+# A hashed (pid, x) pair: two little-endian signed 64-bit integers.
+_PAIR = struct.Struct("<qq")
 
 
 @dataclass(frozen=True)
@@ -29,10 +35,19 @@ class HashFamily:
     """``k`` hash functions over (process id, event index), each mapping into [0, m).
 
     Indices come from the double-hashing construction ``(h1 + i*h2) mod m``
-    where ``h1`` and ``h2`` are the two halves of a keyed blake2b digest of
-    the pair and ``h2`` is forced odd.  The derivation is a pure function of
-    ``(seed, pid, x)``: identical inputs always yield identical index
-    sequences, which is what makes whole simulations reproducible.
+    (Kirsch & Mitzenmacher, "Less hashing, same performance", 2006) where
+    ``h1`` and ``h2`` are the two halves of a 16-byte blake2b digest of the
+    pair, keyed with the seed, and ``h2`` is forced odd.  The derivation is
+    a pure function of ``(seed, pid, x)``: identical inputs always yield
+    identical index sequences, which is what makes whole simulations
+    reproducible.
+
+    ``indices`` is the scalar reference.  ``index_rows`` derives the same
+    indices for many events from one digest each, in uint64 numpy
+    arithmetic.  It relies on ``(h1 + i*h2) mod m == (h1 mod m + i*(h2 mod
+    m)) mod m``: reducing each half mod m first keeps every term below
+    ``k*m``, so nothing wraps, whereas uint64 arithmetic on the raw halves
+    would.
     """
 
     k: int
@@ -45,6 +60,9 @@ class HashFamily:
         if self.m < 1:
             raise ConfigurationError(f"clock width must be at least 1, got m={self.m}")
 
+    def _key(self) -> bytes:
+        return (self.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+
     def indices(self, pid: ProcessId, x: EventIndex) -> tuple[int, ...]:
         """Return the ``k`` counter indices to increment for event ``x`` at ``pid``.
 
@@ -52,12 +70,28 @@ class HashFamily:
         incremented twice, so one tick always adds exactly ``k`` to the
         counter sum.
         """
-        key = (self.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        digest = blake2b(struct.pack("<qq", pid, x), digest_size=16, key=key).digest()
+        digest = blake2b(_PAIR.pack(pid, x), digest_size=16, key=self._key()).digest()
         h1 = int.from_bytes(digest[:8], "little")
         h2 = int.from_bytes(digest[8:], "little") | 1
         m = self.m
         return tuple((h1 + i * h2) % m for i in range(self.k))
+
+    def index_rows(self, pids: Iterable[ProcessId], xs: Iterable[EventIndex]) -> np.ndarray:
+        """Indices of many events: row ``r`` of the ``(events, k)`` uint64 array is ``indices(pids[r], xs[r])``."""
+        # A copy of a keyed hasher skips the key block that a keyed
+        # constructor compresses on every call.
+        keyed = blake2b(digest_size=16, key=self._key())
+        pack = _PAIR.pack
+        digests = []
+        for pid, x in zip(pids, xs):
+            h = keyed.copy()
+            h.update(pack(pid, x))
+            digests.append(h.digest())
+        halves = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 2)
+        m = np.uint64(self.m)
+        h1 = halves[:, 0] % m
+        h2 = (halves[:, 1] | np.uint64(1)) % m
+        return (h1[:, None] + np.arange(self.k, dtype=np.uint64) * h2[:, None]) % m
 
 
 @dataclass(frozen=True)

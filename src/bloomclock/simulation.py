@@ -56,6 +56,8 @@ _INT32_MAX = np.iinfo(_DTYPE).max
 _ABSENT = -1
 # Records are built this many rows at a time while iterating a log.
 _CHUNK = 256
+# _stamp hashes and builds Bloom tick rows this many events at a time.
+_STAMP_CHUNK = 512
 
 
 class ReplayError(Exception):
@@ -310,27 +312,40 @@ def _stamp(
     receive first takes the pointwise maximum with the row of send
     ``send_gsns[g-1]``.  Then both clocks tick.  Returns the vector and
     Bloom matrices, one row per event.
+
+    The events are walked ``_STAMP_CHUNK`` at a time.  Each chunk's Bloom
+    tick rows are built up front from one batch of hashes, so the
+    per-event work is one add of a tick row (a unit row for the vector
+    clock), after a pointwise maximum at a receive.
     """
     count = len(pids)
-    indices = config.hash_family().indices
-    maximum = np.maximum
+    family = config.hash_family()
+    add, maximum = np.add, np.maximum
     # Row g holds the timestamps of GSN g; row 0 is the zero clock.
     vectors = np.zeros((count + 1, config.entities), _DTYPE)
     blooms = np.zeros((count + 1, config.m), _DTYPE)
+    units = list(np.eye(config.entities, dtype=_DTYPE))
     last_vector = [vectors[0]] * config.entities
     last_bloom = [blooms[0]] * config.entities
-    for gsn, pid, kind, x, send_gsn in zip(range(1, count + 1), pids, kinds, xs, send_gsns):
-        vector, bloom = vectors[gsn], blooms[gsn]
-        if kind == RECEIVE:
-            maximum(last_vector[pid], vectors[send_gsn], out=vector)
-            maximum(last_bloom[pid], blooms[send_gsn], out=bloom)
-        else:
-            vector[:] = last_vector[pid]
-            bloom[:] = last_bloom[pid]
-        vector[pid] += 1
-        for i in indices(pid, x):
-            bloom[i] += 1
-        last_vector[pid], last_bloom[pid] = vector, bloom
+    for lo in range(0, count, _STAMP_CHUNK):
+        hi = min(lo + _STAMP_CHUNK, count)
+        chunk_pids = pids[lo:hi]
+        ticks = np.zeros((hi - lo, config.m), _DTYPE)
+        # np.add.at adds once per occurrence, so an index hit twice adds 2.
+        np.add.at(ticks, (np.arange(hi - lo)[:, None], family.index_rows(chunk_pids, xs[lo:hi])), 1)
+        rows = zip(chunk_pids, kinds[lo:hi], send_gsns[lo:hi], vectors[lo + 1 : hi + 1], blooms[lo + 1 : hi + 1], ticks)
+        # np.add takes its output positionally, which skips keyword parsing
+        # (about a quarter of this loop); np.maximum deprecates that form.
+        for pid, kind, send_gsn, vector, bloom, tick in rows:
+            if kind == RECEIVE:
+                maximum(last_vector[pid], vectors[send_gsn], out=vector)
+                maximum(last_bloom[pid], blooms[send_gsn], out=bloom)
+                add(vector, units[pid], vector)
+                add(bloom, tick, bloom)
+            else:
+                add(last_vector[pid], units[pid], vector)
+                add(last_bloom[pid], tick, bloom)
+            last_vector[pid], last_bloom[pid] = vector, bloom
     return vectors[1:], blooms[1:]
 
 

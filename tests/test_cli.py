@@ -109,6 +109,21 @@ def test_curve_and_trace_take_one_seed(capsys):
         assert exc.value.code == 2
 
 
+def test_slice_flags_are_usage_errors_off_run_and_sweep(tmp_path, capsys):
+    # curve and trace classify no slice, so they do not accept its flags.
+    commands = (
+        ["curve", "--n", "10", "--m", "3", "--gsn-limit", "400", "--y-gsn", "100", "--z-to", "150"],
+        ["trace", "--n", "10", "--m", "3", "--gsn-limit", "400", "--out", str(tmp_path)],
+    )
+    for command in commands:
+        for flag in ("--slice-start", "--slice-stride"):
+            with pytest.raises(SystemExit) as exc:
+                main(command + [flag, "7"])
+            assert exc.value.code == 2
+            assert flag in capsys.readouterr().err
+    assert not (tmp_path / "trace.txt").exists()
+
+
 def test_trace_without_out_exits_before_running(monkeypatch, capsys):
     def no_run(config):
         raise AssertionError("trace ran the simulation without an --out directory")

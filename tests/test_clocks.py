@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -71,6 +71,27 @@ def test_indices_uniform_chi_square():
     sigma = (2 * draws * (1 / 16) * (15 / 16)) ** 0.5
     for i in range(16):
         assert abs(pooled[i] - pooled_expected) < 3 * sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.one_of(
+        st.integers(min_value=-(2**70), max_value=-1),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=2**64, max_value=2**70),
+    ),
+    m=st.integers(min_value=1, max_value=2**20),
+    k=st.integers(min_value=1, max_value=8),
+    pairs=st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), max_size=12),
+)
+# k > m: every row repeats an index, and each repeat must survive.
+@example(seed=-1, m=1, k=8, pairs=[(0, 1), (2**62, 2**62)])
+@example(seed=2**64 + 5, m=3, k=8, pairs=[(3, 7), (0, 0)])
+def test_index_rows_match_scalar_indices(seed, m, k, pairs):
+    family = HashFamily(k=k, m=m, seed=seed)
+    rows = family.index_rows([pid for pid, _ in pairs], [x for _, x in pairs])
+    assert rows.shape == (len(pairs), k)
+    assert [tuple(row) for row in rows.tolist()] == [family.indices(pid, x) for pid, x in pairs]
 
 
 def test_family_validation():

@@ -20,9 +20,12 @@ from bloomclock import (
     VectorClock,
     classify_pair,
     confusion_counts,
+    load_trace,
+    persist_trace,
     replay_timestamps,
     run,
 )
+from bloomclock.simulation import _STAMP_CHUNK
 
 
 def test_config_validation():
@@ -300,6 +303,30 @@ def test_engine_agrees_with_clock_value_types(config):
                     expected = expected + ConfusionCounts(**{classify_pair(y, z).lower(): 1})
         assert confusion_counts(log.events) == expected
         assert confusion_counts(list(log.events)) == expected
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig("complete", n=9, m=5, k=3, pr_i=0.3, seed=21, gsn_limit=2 * _STAMP_CHUNK + 77),
+        ExperimentConfig("star", n=3, m=4, k=2, seed=22, messages_per_client=_STAMP_CHUNK // 5),
+        ExperimentConfig("broadcast", n=36, m=6, k=4, seed=23),
+    ],
+    ids=lambda config: config.topology,
+)
+def test_engine_agrees_across_stamp_chunks(config):
+    # Two full chunks of hashed tick rows plus a partial one.
+    log = run(config)
+    assert len(log) % _STAMP_CHUNK and len(log) > 2 * _STAMP_CHUNK
+    for e, (vector, bloom) in zip(log.events, _reference_timestamps(log), strict=True):
+        assert e.vector_ts == vector and e.bloom_ts == bloom, f"gsn {e.gsn}"
+    replay_timestamps(log)
+
+
+def test_replay_accepts_an_empty_trace(tmp_path):
+    path = tmp_path / "empty.txt"
+    persist_trace(ExecutionLog(ExperimentConfig("complete", n=4, m=2, k=1), ()), path)
+    replay_timestamps(load_trace(path))
 
 
 def test_events_are_a_lazy_sequence_with_view_slices():
