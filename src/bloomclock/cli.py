@@ -27,7 +27,7 @@ from . import experiments
 from .errors import NumericError
 from .metrics import SliceSpec, probability_curve
 from .simulation import KINDS, TOPOLOGIES, ExperimentConfig, ReplayError, replay_timestamps, run
-from .trace import load_trace, persist_trace
+from .trace import TraceParseError, load_trace, persist_trace
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, many: bool, required: bool = True) -> None:
@@ -173,6 +173,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     if args.load is not None:
         log = load_trace(args.load)
+        if len(log.events) != log.config.event_count:
+            raise TraceParseError(
+                f"trace holds {len(log.events)} events, but its config runs {log.config.event_count}"
+            )
         replay_timestamps(log)
         kinds = dict(zip(KINDS, np.bincount(log.events.kinds, minlength=len(KINDS)).tolist()))
         print(
@@ -232,11 +236,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (TraceParseError, ReplayError) as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ReplayError as exc:
-        print(f"trace error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

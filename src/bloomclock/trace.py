@@ -8,13 +8,21 @@ The format is deliberately plain so traces diff well:
 
 Clock vectors are comma-joined inside their field; optional fields
 (sender, receiver, send_gsn) are left empty when absent.  An empty log
-persists as just the two header lines.  Both directions work on the log's
+persists as just the two header lines.  Persisting works on the log's
 columns a chunk of rows at a time, without building event records.
+
+Loading reads the file once.  A body of ASCII digits, ``-``, ``|``,
+``,``, newlines and the kind names goes through numpy's C text parser a
+chunk of lines at a time, after checks that numpy reads it exactly as
+the line parser would.  A file that fails any check, anywhere, goes
+whole through the line parser, which is the only source of
+``TraceParseError`` and names the first bad line.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
@@ -31,10 +39,25 @@ _CHUNK = 1024
 # Counters below this print through a table of their decimal strings,
 # twice as fast as str(); clocks of runs with up to ~10**5 events fit.
 _TABLE_SIZE = 1 << 17
+_INT32 = np.iinfo(np.int32)
+# The bulk path rewrites each kind name as the sentinel plus its code and
+# each empty field as the sentinel plus len(KINDS), integers outside int32.
+# It counts its rewrites, so a sentinel written as digits is caught.
+_SENTINEL = 1 << 40
+_EMPTY = _SENTINEL + len(KINDS)
+_KIND_TOKENS = tuple((f"|{kind}|".encode(), f"|{_SENTINEL + code}|".encode()) for code, kind in enumerate(KINDS))
+_EMPTY_TOKEN = f"|{_EMPTY}|".encode()
+_BULK_BYTES = b"0123456789-|,\n"
+_TO_COMMA = bytes.maketrans(b"|\n", b",,")
+_NEWLINE, _PIPE, _COMMA, _MINUS = b"\n|,-"
+_SEPARATOR_BYTES = np.frombuffer(b"\n|,", np.uint8)
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+# Other bytes str.splitlines breaks at; a head holding one goes to the line parser.
+_OTHER_BREAKS = b"\r\v\f\x1c\x1d\x1e"
 
 
 class TraceParseError(ValueError):
-    """A trace file line could not be parsed; the message names the line number."""
+    """A trace file could not be parsed (the message names the line) or does not hold its config's run."""
 
 
 def _counter_text(events: Events) -> Callable[[int], str]:
@@ -72,6 +95,19 @@ def persist_trace(log: ExecutionLog, path: str | Path) -> None:
             handle.write("\n".join(_format_rows(events[lo : lo + _CHUNK], text)) + "\n")
 
 
+def _read_config(lines: list[str]) -> ExperimentConfig:
+    """The run configuration on line 1, after checking the header on line 2."""
+    if not lines or not lines[0].startswith(_CONFIG_PREFIX):
+        raise TraceParseError("line 1: missing config line")
+    try:
+        config = ExperimentConfig(**json.loads(lines[0][len(_CONFIG_PREFIX):]))
+    except (TypeError, ValueError) as exc:
+        raise TraceParseError(f"line 1: bad config: {exc}") from exc
+    if len(lines) < 2 or lines[1] != _HEADER:
+        raise TraceParseError(f"line 2: expected header {_HEADER!r}")
+    return config
+
+
 def _parse_record(line: str, lineno: int, entities: int, m: int) -> tuple[list[int], list[int], list[int]]:
     """Scalar fields (kind as its code, absent fields as -1), vector and Bloom counters of one line."""
     parts = line.split("|")
@@ -107,44 +143,137 @@ def _parse_record(line: str, lineno: int, entities: int, m: int) -> tuple[list[i
         raise TraceParseError(f"line {lineno}: vector clock has {len(vector)} components, expected {entities}")
     if len(bloom) != m:
         raise TraceParseError(f"line {lineno}: Bloom clock has {len(bloom)} counters, expected m={m}")
+    for value in (min(*scalars, *vector, *bloom), max(*scalars, *vector, *bloom)):
+        if not _INT32.min <= value <= _INT32.max:
+            raise TraceParseError(f"line {lineno}: value {value} is outside the int32 range")
     return scalars, vector, bloom
 
 
-def _fill(target: np.ndarray, rows: list[list[int]], linenos: list[int]) -> None:
-    """Copy parsed rows into ``target``; a value outside the column dtype names its line."""
+def _empty_arrays(config: ExperimentConfig, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialised int32 scalar, vector and Bloom arrays of ``rows`` events."""
+    return (
+        np.empty((rows, len(Events.COLUMNS)), np.int32),
+        np.empty((rows, config.entities), np.int32),
+        np.empty((rows, config.m), np.int32),
+    )
+
+
+def _log(config: ExperimentConfig, scalars: np.ndarray, vectors: np.ndarray, blooms: np.ndarray) -> ExecutionLog:
+    return ExecutionLog(config=config, events=Events(list(scalars.T), vectors, blooms))
+
+
+def _parse_lines(text: str) -> ExecutionLog:
+    """The line parser: the reference for the bulk path and the source of every error message."""
+    lines = text.splitlines()
+    config = _read_config(lines)
+    numbered = [(lineno, line) for lineno, line in enumerate(lines[2:], start=3) if line]
+    arrays = _empty_arrays(config, len(numbered))
+    for lo in range(0, len(numbered), _CHUNK):
+        parsed = [_parse_record(line, lineno, config.entities, config.m) for lineno, line in numbered[lo : lo + _CHUNK]]
+        for target, rows in zip(arrays, zip(*parsed)):
+            target[lo : lo + len(parsed)] = rows
+    return _log(config, *arrays)
+
+
+def _well_laid_out(chunk: bytes, rows: int, layout: np.ndarray) -> bool:
+    """Whether every line of ``chunk`` holds its separators in ``layout`` order and each ``-`` is a sign.
+
+    ``layout`` is one line's pipes, commas and closing newline, so every
+    value lands in its own field.  numpy reads a bare ``-`` as 0 and
+    stops quietly inside ``1-2``, where ``int()`` rejects both.
+    """
+    text = np.frombuffer(chunk, np.uint8)
+    separators = text[(text == _PIPE) | (text == _COMMA) | (text == _NEWLINE)]
+    if len(separators) != rows * len(layout) - 1:  # the chunk holds no closing newline
+        return False
+    if not (np.append(separators, _NEWLINE).reshape(rows, -1) == layout).all():
+        return False
+    minus = np.flatnonzero(text == _MINUS)
+    if minus.size:
+        padded = np.concatenate(([_NEWLINE], text, [_NEWLINE]))
+        return bool(np.isin(padded[minus], _SEPARATOR_BYTES).all() and np.isin(padded[minus + 2], _DIGITS).all())
+    return True
+
+
+def _bulk_chunk(chunk: bytes, rows: int, layout: np.ndarray) -> np.ndarray | None:
+    """Values of the ``rows`` lines of ``chunk``, or None.
+
+    The result is int64, one row of the record's fields per line, kinds
+    as codes and absent fields as -1.  None means the line parser might
+    reject or read the lines differently; each check closes one way in
+    which numpy would accept what ``int()`` does not.
+    """
+    if not _well_laid_out(chunk, rows, layout):
+        return None
+    # Replacements are counted from the growth they cause, each token being longer than what it replaces.
+    kinds = 0
+    for name, token in _KIND_TOKENS:
+        size = len(chunk)
+        chunk = chunk.replace(name, token)
+        kinds += (len(chunk) - size) // (len(token) - len(name))
+    size = len(chunk)
+    # The first pass fills every other field of a run of empty ones, the second the rest.
+    chunk = chunk.replace(b"||", _EMPTY_TOKEN).replace(b"||", _EMPTY_TOKEN)
+    empties = (len(chunk) - size) // (len(_EMPTY_TOKEN) - 2)
+    if kinds != rows or chunk.translate(None, _BULK_BYTES):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(chunk.translate(_TO_COMMA), dtype=np.int64, sep=",")
+        except (ValueError, Warning):  # trailing junk: numpy 2 raises, numpy 1 only warns
+            return None
+    if values.size != rows * len(layout):
+        return None
+    values = values.reshape(rows, -1)
+    # Every sentinel came from a replacement: none was written as digits.
+    codes = values[:, 2] - _SENTINEL
+    optional = values[:, 4:7]
+    empty = optional == _EMPTY
+    if not ((codes >= 0) & (codes < len(KINDS))).all() or np.count_nonzero(empty) != empties or (optional < 0).any():
+        return None
+    values[:, 2] = codes
+    optional[empty] = -1
+    if values.min() < _INT32.min or values.max() > _INT32.max:
+        return None
+    return values
+
+
+def _parse_bulk(data: bytes) -> ExecutionLog | None:
+    """The log of a well-formed trace through numpy's C text parser, or None to use the line parser."""
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == _NEWLINE)
+    if not data.endswith(b"\n"):  # a last line without a newline ends with the file
+        ends = np.append(ends, len(data))
+    if len(ends) < 2:
+        return None
+    head = data[: ends[1]]
+    if not head.isascii() or head.translate(None, _OTHER_BREAKS) != head:
+        return None
     try:
-        target[:] = rows
-    except OverflowError:
-        for row, values, lineno in zip(target, rows, linenos):
-            try:
-                row[:] = values
-            except OverflowError as exc:
-                raise TraceParseError(f"line {lineno}: {exc}") from exc
-        raise
+        config = _read_config(head.decode().split("\n"))
+    except TraceParseError:
+        return None
+    bounds = ends[1:]
+    entities, m = config.entities, config.m
+    layout = np.frombuffer(b"|" * 7 + b"," * (entities - 1) + b"|" + b"," * (m - 1) + b"\n", np.uint8)
+    rows = len(bounds) - 1
+    arrays = _empty_arrays(config, rows)
+    for lo in range(0, rows, _CHUNK):
+        hi = min(lo + _CHUNK, rows)
+        values = _bulk_chunk(data[bounds[lo] + 1 : bounds[hi]], hi - lo, layout)
+        if values is None:
+            return None
+        for target, part in zip(arrays, np.split(values, [len(Events.COLUMNS), len(Events.COLUMNS) + entities], axis=1)):
+            target[lo:hi] = part
+    return _log(config, *arrays)
 
 
 def load_trace(path: str | Path) -> ExecutionLog:
-    """Read a trace written by ``persist_trace``."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith(_CONFIG_PREFIX):
-        raise TraceParseError("line 1: missing config line")
-    try:
-        config = ExperimentConfig(**json.loads(lines[0][len(_CONFIG_PREFIX):]))
-    except (TypeError, ValueError) as exc:
-        raise TraceParseError(f"line 1: bad config: {exc}") from exc
-    if len(lines) < 2 or lines[1] != _HEADER:
-        raise TraceParseError(f"line 2: expected header {_HEADER!r}")
-    numbered = [(lineno, line) for lineno, line in enumerate(lines[2:], start=3) if line]
-    entities, m = config.entities, config.m
-    count = len(numbered)
-    scalars = np.empty((count, len(Events.COLUMNS)), np.int32)
-    vectors = np.empty((count, entities), np.int32)
-    blooms = np.empty((count, m), np.int32)
-    for lo in range(0, count, _CHUNK):
-        chunk = numbered[lo : lo + _CHUNK]
-        linenos = [lineno for lineno, _ in chunk]
-        parsed = [_parse_record(line, lineno, entities, m) for lineno, line in chunk]
-        hi = lo + len(chunk)
-        for target, rows in zip((scalars, vectors, blooms), zip(*parsed)):
-            _fill(target[lo:hi], list(rows), linenos)
-    return ExecutionLog(config=config, events=Events(list(scalars.T), vectors, blooms))
+    """Read a trace written by ``persist_trace``.
+
+    The bulk path reads a well-formed file; any other goes through the
+    line parser, whose ``TraceParseError`` names the first bad line.
+    """
+    data = Path(path).read_bytes()
+    log = _parse_bulk(data)
+    return log if log is not None else _parse_lines(data.decode())

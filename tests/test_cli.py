@@ -170,6 +170,31 @@ def test_trace_load_rejects_corrupt_file(tmp_path, capsys):
     assert main(["trace", "--load", str(path)]) == 2
 
 
+def test_trace_load_reports_a_malformed_line_as_a_trace_error(tmp_path, capsys):
+    out = tmp_path / "tr"
+    main(["trace", "--n", "6", "--m", "3", "--seed", "2", "--gsn-limit", "100", "--out", str(out)])
+    path = out / "trace.txt"
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].replace("|", ";", 2)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["trace", "--load", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: line 6: ") and err.count("\n") == 1
+
+
+def test_trace_load_rejects_a_truncated_trace(tmp_path, capsys):
+    out = tmp_path / "tr"
+    assert main(["trace", "--topology", "star", "--n", "6", "--m", "3", "--seed", "2", "--out", str(out)]) == 0
+    path = out / "trace.txt"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:20]))
+    capsys.readouterr()
+    assert main(["trace", "--load", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "trace error: trace holds 18 events, but its config runs 144\n"
+
+
 def test_trace_load_missing_file_exits_two(tmp_path, capsys):
     assert main(["trace", "--load", str(tmp_path / "no-such-trace.txt")]) == 2
     err = capsys.readouterr().err

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bloomclock.trace as trace_module
 from bloomclock import (
     BloomClock,
     EventRecord,
@@ -16,6 +22,7 @@ from bloomclock import (
     persist_trace,
     run,
 )
+from bloomclock.simulation import KINDS
 
 
 @pytest.mark.parametrize("topology,n", [("complete", 15), ("star", 8), ("broadcast", 10)])
@@ -141,3 +148,178 @@ def test_hand_written_trace_classifies_like_its_in_memory_twin(tmp_path):
     )
     assert loaded == twin
     assert confusion_counts(loaded.events) == confusion_counts(twin.events)
+
+
+# Small runs of every topology; the complete one has internal events, so
+# its records carry runs of three empty fields.
+MUTATED_CONFIGS = {
+    "complete": ExperimentConfig("complete", n=4, m=3, k=2, pr_i=0.3, seed=5, gsn_limit=30),
+    "star": ExperimentConfig("star", n=3, m=2, k=2, seed=5, messages_per_client=2),
+    "broadcast": ExperimentConfig("broadcast", n=4, m=2, k=1, seed=5),
+}
+MUTATION_BYTES = sorted(set(b"0123456789|,-\n\r " + "".join(KINDS).encode()))
+
+
+@pytest.fixture(scope="session")
+def persisted(tmp_path_factory):
+    """Bytes of each persisted MUTATED_CONFIGS trace, and a file to write mutants to."""
+    directory = tmp_path_factory.mktemp("mutants")
+    traces = {}
+    for topology, config in MUTATED_CONFIGS.items():
+        path = directory / f"{topology}.txt"
+        persist_trace(run(config), path)
+        traces[topology] = path.read_bytes()
+    return traces, directory / "mutant.txt"
+
+
+def _assert_same_log(actual, expected):
+    assert actual.config == expected.config
+    pairs = zip(
+        (*actual.events.columns(), actual.events.vectors, actual.events.blooms),
+        (*expected.events.columns(), expected.events.vectors, expected.events.blooms),
+    )
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def _assert_loads_like_the_line_parser(path):
+    """``load_trace`` equals the line parser's log or raises its message; returns that log or None."""
+    data = path.read_bytes()
+    bulk = trace_module._parse_bulk(data)
+    try:
+        reference = trace_module._parse_lines(data.decode())
+    except TraceParseError as exc:
+        assert bulk is None
+        with pytest.raises(TraceParseError) as caught:
+            load_trace(path)
+        assert str(caught.value) == str(exc)
+        return None
+    _assert_same_log(load_trace(path), reference)
+    if bulk is not None:
+        _assert_same_log(bulk, reference)
+    return reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    topology=st.sampled_from(sorted(MUTATED_CONFIGS)),
+    edits=st.lists(
+        st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 2**16), st.sampled_from(MUTATION_BYTES)),
+        min_size=1,
+        max_size=4,
+    ),
+    chunk=st.sampled_from([1, 2, 5, 1024]),
+)
+def test_bulk_path_agrees_with_line_parser_on_mutated_traces(persisted, topology, edits, chunk):
+    traces, path = persisted
+    data = bytearray(traces[topology])
+    for op, position, byte in edits:
+        position %= len(data) + (op == "insert")
+        if op == "replace":
+            data[position] = byte
+        elif op == "insert":
+            data.insert(position, byte)
+        else:
+            del data[position]
+    path.write_bytes(bytes(data))
+    with mock.patch.object(trace_module, "_CHUNK", chunk):
+        _assert_loads_like_the_line_parser(path)
+
+
+def _edit_field(lineno, field, edit):
+    """An edit that rewrites field ``field`` of file line ``lineno`` through ``edit``."""
+
+    def apply(lines):
+        parts = lines[lineno - 1].split("|")
+        parts[field] = edit(parts[field])
+        lines[lineno - 1] = "|".join(parts)
+        return "\n".join(lines) + "\n"
+
+    return apply
+
+
+def _swap_comma_and_pipe(lines):
+    line = lines[3]
+    comma, pipe = line.index(","), line.rindex("|")
+    lines[3] = line[:comma] + "|" + line[comma + 1 : pipe] + "," + line[pipe + 1 :]
+    return "\n".join(lines) + "\n"
+
+
+def _shift_one_field(lines):
+    lines[4] += "|5"
+    lines[5] = lines[5].replace("|", "", 1)
+    return "\n".join(lines) + "\n"
+
+
+def _shift_one_counter(lines):
+    lines[4] += ",0"
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    return "\n".join(lines) + "\n"
+
+
+SENTINEL_KIND = str(trace_module._SENTINEL + 1)
+SENTINEL_EMPTY = str(trace_module._EMPTY)
+
+
+@pytest.mark.parametrize(
+    "edit,expected",
+    [
+        (_edit_field(3, 2, lambda _: "1"), "line 3: unknown event kind '1'"),
+        (_edit_field(3, 2, lambda _: SENTINEL_KIND), f"line 3: unknown event kind '{SENTINEL_KIND}'"),
+        (_edit_field(4, 7, lambda v: "-" + v[v.index(","):]), "line 4: invalid literal for int() with base 10: '-'"),
+        (_edit_field(5, 4, lambda _: "-1"), "line 5: sender must be non-negative, got -1"),
+        (_edit_field(5, 4, lambda _: SENTINEL_EMPTY), f"line 5: value {SENTINEL_EMPTY} is outside the int32 range"),
+        (_swap_comma_and_pipe, "line 4: vector clock has 1 components, expected 4"),
+        (_shift_one_counter, "line 5: Bloom clock has 4 counters, expected m=3"),
+        (_shift_one_field, "line 5: expected 9 fields, got 10"),
+        (_edit_field(6, 8, lambda v: v.replace(",", ",\r", 1)), "line 6: invalid literal for int() with base 10: ''"),
+        (lambda lines: "\n".join([lines[0].replace("{", "{\r", 1)] + lines[1:]) + "\n", None),
+        (lambda lines: "\n".join(lines[:4] + ["", ""] + lines[4:]) + "\n", "same"),
+        (lambda lines: "\n".join(lines), "same"),
+        (lambda lines: "\r\n".join(lines) + "\r\n", "same"),
+        (lambda lines: "\n".join(lines[:2]) + "\n", "empty"),
+    ],
+    ids=[
+        "kind-code", "kind-sentinel", "bare-minus", "negative-sender", "empty-sentinel-in-sender",
+        "comma-pipe-swap", "balanced-counter-shift", "balanced-field-shift", "carriage-return-in-record",
+        "carriage-return-in-config", "blank-lines", "no-trailing-newline", "crlf", "header-only",
+    ],
+)
+def test_hand_edited_traces_load_like_the_line_parser(tmp_path, persisted, edit, expected):
+    traces, _ = persisted
+    original = traces["complete"]
+    path = tmp_path / "edited.txt"
+    path.write_text(edit(original.decode().splitlines()), newline="")
+    loaded = _assert_loads_like_the_line_parser(path)
+    if expected == "same":
+        _assert_same_log(loaded, trace_module._parse_lines(original.decode()))
+    elif expected == "empty":
+        assert loaded.config == MUTATED_CONFIGS["complete"] and len(loaded.events) == 0
+    else:
+        assert loaded is None
+        with pytest.raises(TraceParseError) as caught:
+            load_trace(path)
+        assert expected is None or str(caught.value) == expected
+
+
+@pytest.mark.parametrize(
+    "config,empty",
+    [
+        *((config, False) for config in MUTATED_CONFIGS.values()),
+        (ExperimentConfig("complete", n=4, m=3, k=1), True),
+        (ExperimentConfig("complete", n=40, m=4, k=2, pr_i=0.5, seed=3), False),  # 1600 events: two chunks
+    ],
+    ids=[*MUTATED_CONFIGS, "empty", "two-chunks"],
+)
+def test_clean_trace_never_reaches_the_line_parser(tmp_path, monkeypatch, config, empty):
+    def no_line_parser(text):
+        raise AssertionError("a clean trace went through the line parser")
+
+    log = ExecutionLog(config=config, events=()) if empty else run(config)
+    path = tmp_path / "trace.txt"
+    persist_trace(log, path)
+    monkeypatch.setattr(trace_module, "_parse_lines", no_line_parser)
+    assert load_trace(path) == log
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))  # a file whose last line has no newline
+    assert load_trace(path) == log
