@@ -157,7 +157,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     log = run(config)
     y_gsn = args.y_gsn if args.y_gsn is not None else 10 * config.n
     z_from = args.z_from if args.z_from is not None else y_gsn + 1
-    z_to = args.z_to if args.z_to is not None else len(log.events)
+    z_to = args.z_to if args.z_to is not None else len(log)
     rows = probability_curve(log, y_gsn, z_from, z_to)
     out = _out_dir(args)
     if out is not None:
@@ -173,14 +173,15 @@ def cmd_curve(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     if args.load is not None:
         log = load_trace(args.load)
-        if len(log.events) != log.config.event_count:
+        if len(log) != log.config.event_count:
             raise TraceParseError(
-                f"trace holds {len(log.events)} events, but its config runs {log.config.event_count}"
+                f"trace holds {len(log)} events, but its config runs {log.config.event_count}"
             )
         replay_timestamps(log)
-        kinds = dict(zip(KINDS, np.bincount(log.events.kinds, minlength=len(KINDS)).tolist()))
+        _, _, kind_codes, *_ = log.columns()
+        kinds = dict(zip(KINDS, np.bincount(kind_codes, minlength=len(KINDS)).tolist()))
         print(
-            f"loaded {len(log.events)} events ({kinds['internal']} internal, "
+            f"loaded {len(log)} events ({kinds['internal']} internal, "
             f"{kinds['send']} send, {kinds['receive']} receive); replay check passed"
         )
         return 0
@@ -189,7 +190,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     log = run(_single_config(args, args.seed))
     path = _out_dir(args) / "trace.txt"
     persist_trace(log, path)
-    print(f"wrote {len(log.events)} events to {path}")
+    print(f"wrote {len(log)} events to {path}")
     return 0
 
 

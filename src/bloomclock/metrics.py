@@ -9,7 +9,6 @@ produce false negatives, so recall is 1 whenever any positive exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +37,7 @@ class SliceSpec:
 
     def resolve(self, log: ExecutionLog) -> tuple[int, int, int]:
         start = self.start_gsn if self.start_gsn is not None else 10 * log.config.n
-        end = self.end_gsn if self.end_gsn is not None else len(log.events)
+        end = self.end_gsn if self.end_gsn is not None else len(log)
         return start, self.stride, end
 
 
@@ -87,16 +86,16 @@ class CurveRow:
 
 
 def sample_slice(log: ExecutionLog, spec: SliceSpec | None = None) -> Events:
-    """Events at gsn = start, start+stride, ... <= end, as a view of the log's columns."""
+    """Events at gsn = start, start+stride, ... <= end, through ``log.select``."""
     spec = spec if spec is not None else SliceSpec()
     start, stride, end = spec.resolve(log)
-    if end > len(log.events):
-        raise ValueError(f"end_gsn {end} beyond log end {len(log.events)}")
+    if end > len(log):
+        raise ValueError(f"end_gsn {end} beyond log end {len(log)}")
     if start > end:
         raise ValueError(f"empty slice: start_gsn {start} beyond end_gsn {end}")
-    sampled = log.events[start - 1 : end : stride]
-    grid = np.arange(start, end + 1, stride)
-    gaps = np.flatnonzero(sampled.gsns != grid)
+    grid = range(start, end + 1, stride)
+    sampled = log.select(grid)
+    gaps = np.flatnonzero(sampled.gsns != np.asarray(grid))
     if gaps.size:
         raise ValueError(f"log is not contiguous at gsn {grid[gaps[0]]}")
     return sampled
@@ -122,7 +121,7 @@ def _reaches(pid_y, own_y, vectors_z: np.ndarray) -> np.ndarray:
     return vectors_z[:, pid_y] >= own_y
 
 
-def confusion_counts(events: Sequence[EventRecord]) -> ConfusionCounts:
+def confusion_counts(events: Events) -> ConfusionCounts:
     """Classify every ordered pair of distinct events (both directions), vectorized.
 
     The oracle is the Fidge/Mattern test, which holds for timestamps of one
@@ -130,9 +129,6 @@ def confusion_counts(events: Sequence[EventRecord]) -> ConfusionCounts:
     """
     if len(events) < 2:
         raise ValueError(f"need at least two events to form pairs, got {len(events)}")
-    if not isinstance(events, Events):
-        # The widths only shape an empty log, and two events are required.
-        events = Events.from_records(events, entities=0, m=0)
     pids, vecs, blooms = events.pids, events.vectors, events.blooms
     count = len(pids)
     own = vecs[np.arange(count), pids]
@@ -205,12 +201,12 @@ def probability_curve(
     """Per-pair probabilities of a fixed event y against every z in a GSN window."""
     if not 1 <= y_gsn < z_from:
         raise ValueError(f"need 1 <= y_gsn < z_from, got y_gsn={y_gsn}, z_from={z_from}")
-    if not z_from <= z_to <= len(log.events):
+    if not z_from <= z_to <= len(log):
         raise ValueError(
-            f"need z_from <= z_to <= log end, got z_from={z_from}, z_to={z_to}, end={len(log.events)}"
+            f"need z_from <= z_to <= log end, got z_from={z_from}, z_to={z_to}, end={len(log)}"
         )
-    y = log.events[y_gsn - 1]
-    window = log.events[z_from - 1 : z_to]
+    y = log.select([y_gsn])[0]
+    window = log.select(range(z_from, z_to + 1))
     causal = _reaches(y.pid, y.vector_ts.counters[y.pid], window.vectors).tolist()
     dominates = (window.blooms >= np.asarray(y.bloom_ts.counters)).all(axis=1).tolist()
     probabilities = pr_positive_by_sum(y.bloom_ts, window.blooms.sum(axis=1).tolist())

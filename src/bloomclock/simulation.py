@@ -27,11 +27,18 @@ linkage (who executed what, and which send each receive consumed) and
 then ``_stamp`` applies the clock protocol to it.  ``replay_timestamps``
 feeds a recorded log's linkage to the same ``_stamp``.
 
-A log is columnar: integer columns per event plus one events x entities
-vector matrix and one events x m Bloom matrix, all int32, so an event costs
-``4 * (entities + m)`` bytes of clocks.  ``ExecutionLog.events`` is a lazy
-sequence over those columns that builds an ``EventRecord`` only when an
-item is read; its slices are views.
+A log from ``run`` holds only its int32 linkage columns.  Clocks are
+stamped for the rows a caller reads: ``ExecutionLog.events`` stamps every
+row once, on first access, into one events x entities vector matrix and
+one events x m Bloom matrix, and keeps them; ``ExecutionLog.select``
+stamps only the rows of the GSNs it is given.  A partial stamp keeps a
+row only while something needs it: requested rows, each process's latest
+row, and sends whose receives are still to come.  Its memory is
+O(entities**2 + live * entities + rows * entities) rather than
+O(events * entities), so a sweep cell that classifies a 381-row slice of
+an n=200 run holds a few MB of clocks, not 35 MB.  ``Events`` is a lazy
+sequence over columns that builds an ``EventRecord`` only when an item is
+read; its slices are views.
 """
 
 from __future__ import annotations
@@ -58,6 +65,8 @@ _ABSENT = -1
 _CHUNK = 256
 # _stamp hashes and builds Bloom tick rows this many events at a time.
 _STAMP_CHUNK = 512
+# _row_plan converts its arrays to Python ints this many at a time.
+_PLAN_CHUNK = 1 << 16
 
 
 class ReplayError(Exception):
@@ -179,7 +188,8 @@ class Events(Sequence[EventRecord]):
 
     Row ``i`` of every column belongs to one event.  Indexing or iterating
     builds records on demand; slicing returns another ``Events`` over numpy
-    views, so ``log.events[1999:]`` copies nothing.  ``kinds`` holds indices
+    views, so ``log.events[1999:]`` copies nothing, and an integer array
+    index returns a copy of its rows.  ``kinds`` holds indices
     into ``KINDS``; absent sender, receiver and send_gsn are -1.
     """
 
@@ -239,7 +249,7 @@ class Events(Sequence[EventRecord]):
             )
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
+        if isinstance(index, (slice, np.ndarray)):
             return Events([column[index] for column in self.columns()], self.vectors[index], self.blooms[index])
         count = len(self)
         position = index + count if index < 0 else index
@@ -252,94 +262,211 @@ class Events(Sequence[EventRecord]):
             yield from self._records(lo, lo + _CHUNK)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Events):
-            return all(
-                np.array_equal(a, b)
-                for a, b in zip(
-                    self.columns() + (self.vectors, self.blooms),
-                    other.columns() + (other.vectors, other.blooms),
-                )
+        if not isinstance(other, Events):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                self.columns() + (self.vectors, self.blooms),
+                other.columns() + (other.vectors, other.blooms),
             )
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
-
-    def __add__(self, other: Iterable[EventRecord]) -> tuple[EventRecord, ...]:
-        return tuple(self) + tuple(other)
-
-    def __radd__(self, other: Iterable[EventRecord]) -> tuple[EventRecord, ...]:
-        return tuple(other) + tuple(self)
+        )
 
     def __repr__(self) -> str:
         return f"Events(<{len(self)} events, {self.vectors.shape[1]} entities, m={self.blooms.shape[1]}>)"
 
 
-@dataclass(frozen=True)
 class ExecutionLog:
     """A run's configuration echo plus its events ordered by GSN (contiguous from 1).
 
-    ``events`` may be given as ``Events`` (kept as is, views included) or as
-    any iterable of ``EventRecord``, which is converted to columns.  Clock
-    widths must match the configuration.
+    The log holds the int32 linkage columns of ``Events.COLUMNS``;
+    ``len(log)`` and ``columns()`` read only those.  ``events`` stamps every
+    row on first access and keeps the result.  ``select`` returns the rows
+    of chosen GSNs: from the kept result if there is one, otherwise from a
+    stamping pass that stores only those rows.  A log built from ``Events``
+    (kept as is, views included) or from any iterable of ``EventRecord``
+    is stamped from the start; its clock widths must match the
+    configuration.
     """
 
-    config: ExperimentConfig
-    events: Events
+    __slots__ = ("config", "_columns", "_events")
 
-    def __post_init__(self) -> None:
-        config = self.config
-        events = self.events
+    def __init__(self, config: ExperimentConfig, events: Events | Iterable[EventRecord]):
         if not isinstance(events, Events):
             events = Events.from_records(events, config.entities, config.m)
-            object.__setattr__(self, "events", events)
         if events.vectors.shape[1] != config.entities or events.blooms.shape[1] != config.m:
             raise ConfigurationError(
                 f"clock widths {events.vectors.shape[1]}/{events.blooms.shape[1]} do not match "
                 f"the configuration's {config.entities} entities and m={config.m}"
             )
+        self.config = config
+        self._columns = events.columns()
+        self._events: Events | None = events
+
+    @classmethod
+    def _unstamped(cls, config: ExperimentConfig, columns: Sequence[np.ndarray]) -> ExecutionLog:
+        """A log of linkage columns alone; its clocks are stamped when read."""
+        log = cls.__new__(cls)
+        log.config, log._columns, log._events = config, tuple(columns), None
+        return log
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The linkage columns in ``Events.COLUMNS`` order; reading them never stamps."""
+        return self._columns
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._columns[0])
+
+    @property
+    def events(self) -> Events:
+        """Every event with its timestamps, stamped once on first access."""
+        if self._events is None:
+            self._events = Events(self._columns, *_stamp(self.config, self._columns))
+        return self._events
+
+    def select(self, gsns: Sequence[int]) -> Events:
+        """The events of ``gsns``, which must increase; a ``range`` over stamped events gives views."""
+        wanted = np.asarray(gsns, dtype=np.int64)
+        if wanted.ndim != 1 or (wanted.size and not (1 <= wanted[0] and wanted[-1] <= len(self))):
+            raise ValueError(f"gsns must lie in [1, {len(self)}]")
+        if (np.diff(wanted) <= 0).any():
+            raise ValueError("gsns must increase")
+        if self._events is not None:
+            if isinstance(gsns, range) and gsns:
+                return self._events[gsns[0] - 1 : gsns[-1] : max(gsns.step, 1)]
+            return self._events[wanted - 1]
+        vectors, blooms = _stamp(self.config, self._columns, wanted)
+        return Events([column[wanted - 1] for column in self._columns], vectors, blooms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutionLog):
+            return NotImplemented
+        return self.config == other.config and self.events == other.events
+
+    def __repr__(self) -> str:
+        return f"ExecutionLog({self.config!r}, <{len(self)} events>)"
+
+
+def _by_process(pids: np.ndarray) -> np.ndarray:
+    """Positions of the events grouped by process, in GSN order within each."""
+    # The keys are distinct, so the default sort is stable here and faster than a stable one.
+    return np.argsort(pids.astype(np.int64) * len(pids) + np.arange(len(pids)))
+
+
+def _ints(values: np.ndarray) -> Iterator[int]:
+    """The items of ``values`` as Python ints, converted ``_PLAN_CHUNK`` at a time."""
+    for lo in range(0, len(values), _PLAN_CHUNK):
+        yield from values[lo : lo + _PLAN_CHUNK].tolist()
+
+
+def _row_plan(
+    pids: np.ndarray, kinds: np.ndarray, send_gsns: np.ndarray, gsns: np.ndarray, entities: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row slots for stamping the events of ``pids`` when only the rows of ``gsns`` are kept.
+
+    Slot 0 holds the zero clock and slots 1 to ``len(gsns)`` the requested
+    rows in order.  Each process owns the next slot: its unrequested rows
+    overwrite one another there, since only the process's next event and
+    the receives before it read them.  A send row that a receive reads
+    after that takes a slot of the pool that follows, and gives it back
+    after its last receive.  Returns each event's slot, the slot each
+    receive merges from (0 for other kinds) and the number of slots.
+    """
+    count = len(pids)
+    by_pid = _by_process(pids)
+    same = pids[by_pid[1:]] == pids[by_pid[:-1]]
+    next_event = np.zeros(count, np.int64)
+    next_event[by_pid[:-1][same]] = by_pid[1:][same] + 1
+    receives = np.flatnonzero(kinds == RECEIVE)
+    last_receive = np.zeros(count, np.int64)
+    np.maximum.at(last_receive, send_gsns[receives] - 1, receives + 1)
+    slots = len(gsns) + 1 + pids.astype(np.int64)
+    slots[gsns - 1] = np.arange(1, len(gsns) + 1)
+    outlives = (last_receive > next_event) & (next_event > 0)
+    outlives[gsns - 1] = False
+    held = np.flatnonzero(outlives)
+    # Held row i takes a pool slot at time 2 * gsn (op i) and gives it back
+    # at 2 * last receive + 1, once that receive has run (op ~i).
+    times = np.concatenate((2 * held + 2, 2 * last_receive[held] + 1))
+    ops = np.concatenate((np.arange(len(held)), ~np.arange(len(held))))[np.argsort(times)]
+    free: list[int] = []
+    taken = [0] * len(held)
+    top = len(gsns) + 1 + entities
+    for op in _ints(ops):
+        if op < 0:
+            free.append(taken[~op])
+        elif free:
+            taken[op] = free.pop()
+        else:
+            taken[op] = top
+            top += 1
+    slots[held] = taken
+    sources = np.zeros(count, np.int64)
+    sources[receives] = slots[send_gsns[receives] - 1]
+    return slots, sources, top
 
 
 def _stamp(
-    config: ExperimentConfig, pids: Sequence[int], kinds: Sequence[int], xs: Sequence[int], send_gsns: Sequence[int]
+    config: ExperimentConfig, columns: Sequence[np.ndarray], gsns: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the clock protocol to a linkage; the one place where clocks tick and merge.
 
-    Event ``g`` (GSN order, from 1) at process ``pids[g-1]`` with event index
-    ``xs[g-1]`` starts from its process's last row, or the zero row; a
-    receive first takes the pointwise maximum with the row of send
-    ``send_gsns[g-1]``.  Then both clocks tick.  Returns the vector and
-    Bloom matrices, one row per event.
+    ``columns`` are a log's ``Events.COLUMNS``.  Event ``g`` (GSN order,
+    from 1) at process ``pids[g-1]`` with event index ``xs[g-1]`` starts
+    from its process's last row, or the zero row; a receive first takes the
+    pointwise maximum with the row of send ``send_gsns[g-1]``.  Then both
+    clocks tick.  Returns the vector and Bloom matrices, one row per event,
+    or one row per GSN of ``gsns`` (increasing) if given.
 
-    The events are walked ``_STAMP_CHUNK`` at a time.  Each chunk's Bloom
-    tick rows are built up front from one batch of hashes, so the
-    per-event work is one add of a tick row (a unit row for the vector
-    clock), after a pointwise maximum at a receive.
+    The events are walked ``_STAMP_CHUNK`` at a time, up to the last
+    requested one.  Each chunk's Bloom tick rows are built up front from
+    one batch of hashes, so the per-event work is one add of a tick row (a
+    unit row for the vector clock), after a pointwise maximum at a receive.
+    When every walked row is requested, each is written in place into the
+    returned matrices.  Otherwise ``_row_plan`` gives the other rows
+    scratch slots, each reused once no later event reads its row.
     """
+    _, pids, kinds, xs, _, _, send_gsns = columns
     count = len(pids)
+    if gsns is not None:
+        count = int(gsns[-1]) if len(gsns) else 0
+        if len(gsns) == count:  # every walked row is requested
+            gsns = None
     family = config.hash_family()
     add, maximum = np.add, np.maximum
-    # Row g holds the timestamps of GSN g; row 0 is the zero clock.
-    vectors = np.zeros((count + 1, config.entities), _DTYPE)
-    blooms = np.zeros((count + 1, config.m), _DTYPE)
+    # Row 0 is the zero clock; without gsns, row g holds the timestamps of GSN g.
+    kept = count if gsns is None else len(gsns)
+    vectors = np.zeros((kept + 1, config.entities), _DTYPE)
+    blooms = np.zeros((kept + 1, config.m), _DTYPE)
+    if gsns is None:
+        targets, sources = None, send_gsns
+        vector_slots, bloom_slots = vectors, blooms
+    else:
+        targets, sources, total = _row_plan(pids[:count], kinds[:count], send_gsns[:count], gsns, config.entities)
+        vector_slots = [*vectors, *np.zeros((total - kept - 1, config.entities), _DTYPE)]
+        bloom_slots = [*blooms, *np.zeros((total - kept - 1, config.m), _DTYPE)]
     units = list(np.eye(config.entities, dtype=_DTYPE))
-    last_vector = [vectors[0]] * config.entities
-    last_bloom = [blooms[0]] * config.entities
+    last_vector = [vector_slots[0]] * config.entities
+    last_bloom = [bloom_slots[0]] * config.entities
     for lo in range(0, count, _STAMP_CHUNK):
         hi = min(lo + _STAMP_CHUNK, count)
-        chunk_pids = pids[lo:hi]
+        chunk_pids = pids[lo:hi].tolist()
         ticks = np.zeros((hi - lo, config.m), _DTYPE)
         # np.add.at adds once per occurrence, so an index hit twice adds 2.
-        np.add.at(ticks, (np.arange(hi - lo)[:, None], family.index_rows(chunk_pids, xs[lo:hi])), 1)
-        rows = zip(chunk_pids, kinds[lo:hi], send_gsns[lo:hi], vectors[lo + 1 : hi + 1], blooms[lo + 1 : hi + 1], ticks)
+        np.add.at(ticks, (np.arange(hi - lo)[:, None], family.index_rows(chunk_pids, xs[lo:hi].tolist())), 1)
+        if targets is None:
+            chunk_vectors, chunk_blooms = vectors[lo + 1 : hi + 1], blooms[lo + 1 : hi + 1]
+        else:
+            chunk_slots = targets[lo:hi].tolist()
+            chunk_vectors = map(vector_slots.__getitem__, chunk_slots)
+            chunk_blooms = map(bloom_slots.__getitem__, chunk_slots)
+        rows = zip(chunk_pids, kinds[lo:hi].tolist(), sources[lo:hi].tolist(), chunk_vectors, chunk_blooms, ticks)
         # np.add takes its output positionally, which skips keyword parsing
         # (about a quarter of this loop); np.maximum deprecates that form.
-        for pid, kind, send_gsn, vector, bloom, tick in rows:
+        for pid, kind, source, vector, bloom, tick in rows:
             if kind == RECEIVE:
-                maximum(last_vector[pid], vectors[send_gsn], out=vector)
-                maximum(last_bloom[pid], blooms[send_gsn], out=bloom)
+                maximum(last_vector[pid], vector_slots[source], out=vector)
+                maximum(last_bloom[pid], bloom_slots[source], out=bloom)
                 add(vector, units[pid], vector)
                 add(bloom, tick, bloom)
             else:
@@ -350,50 +477,57 @@ def _stamp(
 
 
 class _Linkage:
-    """The columns a runner records, one append per executed event; messages are send GSNs."""
+    """What a runner records per executed event: its process, its kind and a link.
 
-    def __init__(self, entities: int):
-        self.xs_by_pid = [0] * entities
+    A send's link is its destination (-1 for a broadcast) and a receive's
+    the GSN of its send, which stands for the message in flight.  ``log``
+    derives the other columns from these three.
+    """
+
+    def __init__(self) -> None:
         self.pids: list[int] = []
         self.kinds: list[int] = []
-        self.xs: list[int] = []
-        self.senders: list[int] = []
-        self.receivers: list[int] = []
-        self.send_gsns: list[int] = []
-
-    def _append(self, pid: ProcessId, kind: int, sender: int, receiver: int, send_gsn: int) -> int:
-        self.xs_by_pid[pid] += 1
-        self.pids.append(pid)
-        self.kinds.append(kind)
-        self.xs.append(self.xs_by_pid[pid])
-        self.senders.append(sender)
-        self.receivers.append(receiver)
-        self.send_gsns.append(send_gsn)
-        return len(self.pids)
+        self.links: list[int] = []
 
     def internal(self, pid: ProcessId) -> None:
-        self._append(pid, INTERNAL, _ABSENT, _ABSENT, _ABSENT)
+        self.pids.append(pid)
+        self.kinds.append(INTERNAL)
+        self.links.append(_ABSENT)
 
     def send(self, pid: ProcessId, dest: ProcessId | None) -> int:
-        """Record a send and return its GSN, which stands for the message in flight."""
-        return self._append(pid, SEND, pid, _stored(dest), _ABSENT)
+        """Record a send and return its GSN."""
+        self.pids.append(pid)
+        self.kinds.append(SEND)
+        self.links.append(_stored(dest))
+        return len(self.pids)
 
     def receive(self, pid: ProcessId, send_gsn: int) -> None:
-        self._append(pid, RECEIVE, self.pids[send_gsn - 1], pid, send_gsn)
+        self.pids.append(pid)
+        self.kinds.append(RECEIVE)
+        self.links.append(send_gsn)
 
     def log(self, config: ExperimentConfig) -> ExecutionLog:
-        vectors, blooms = _stamp(config, self.pids, self.kinds, self.xs, self.send_gsns)
-        gsns = range(1, len(self.pids) + 1)
-        columns = [
-            np.array(values, dtype=_DTYPE)
-            for values in (gsns, self.pids, self.kinds, self.xs, self.senders, self.receivers, self.send_gsns)
-        ]
-        return ExecutionLog(config, Events(columns, vectors, blooms))
+        """The unstamped log of the recorded linkage."""
+        pids, kinds, links = (np.array(column, dtype=_DTYPE) for column in (self.pids, self.kinds, self.links))
+        count = len(pids)
+        sends, receives = kinds == SEND, kinds == RECEIVE
+        # Event indices count each process's events from 1.
+        by_pid = _by_process(pids)
+        starts = np.ones(count, bool)
+        starts[1:] = pids[by_pid[1:]] != pids[by_pid[:-1]]
+        position = np.arange(count)
+        xs = np.empty(count, _DTYPE)
+        xs[by_pid] = position - np.maximum.accumulate(np.where(starts, position, 0)) + 1
+        senders = np.where(sends, pids, np.where(receives, pids[np.where(receives, links - 1, 0)], _ABSENT))
+        receivers = np.where(sends, links, np.where(receives, pids, _ABSENT))
+        send_gsns = np.where(receives, links, _ABSENT)
+        gsns = np.arange(1, count + 1, dtype=_DTYPE)
+        return ExecutionLog._unstamped(config, [gsns, pids, kinds, xs, senders, receivers, send_gsns])
 
 
 def run(config: ExperimentConfig) -> ExecutionLog:
     """Run the topology named by the configuration; every draw comes from one ``random.Random(seed)``."""
-    linkage = _Linkage(config.entities)
+    linkage = _Linkage()
     _RUNNERS[config.topology](config, random.Random(config.seed), linkage)
     return linkage.log(config)
 
@@ -518,7 +652,7 @@ def replay_timestamps(log: ExecutionLog) -> None:
         xs_by_pid[pid] = x
         if kind == RECEIVE and not (1 <= send_gsn < gsn and kinds[send_gsn - 1] == SEND):
             raise ReplayError(f"gsn {gsn}: receive links to unknown send gsn {_optional(send_gsn)}")
-    vectors, blooms = _stamp(config, pids, kinds, xs, send_gsns)
+    vectors, blooms = _stamp(config, events.columns())
     differs = (vectors != events.vectors).any(axis=1) | (blooms != events.blooms).any(axis=1)
     if differs.any():
         gsn = int(np.argmax(differs)) + 1

@@ -276,4 +276,13 @@ def load_trace(path: str | Path) -> ExecutionLog:
     """
     data = Path(path).read_bytes()
     log = _parse_bulk(data)
-    return log if log is not None else _parse_lines(data.decode())
+    return log if log is not None else _parse_lines(_text(data))
+
+
+def _text(data: bytes) -> str:
+    """``data`` decoded as UTF-8; a byte that is not names its line."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise TraceParseError(f"line {lineno}: byte {data[exc.start]:#04x} is not UTF-8 text") from exc

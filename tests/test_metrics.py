@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from bloomclock import (
     sample_slice,
     slice_metrics,
 )
+from bloomclock.simulation import Events
 
 
 def _event(gsn, pid, vector, bloom, kind="internal", event_index=1):
@@ -111,13 +114,25 @@ def test_confusion_counts_match_scalar_classification():
 
 def test_confusion_counts_requires_two_events():
     with pytest.raises(ValueError):
-        confusion_counts([_event(1, 0, (1, 0), (1,))])
+        confusion_counts(Events.from_records([_event(1, 0, (1, 0), (1,))], entities=2, m=1))
 
 
 def test_no_false_negatives_over_full_run():
     for topology, n in [("complete", 40), ("star", 15), ("broadcast", 25)]:
         log = run(ExperimentConfig(topology, n=n, m=4, k=2, seed=3))
         assert confusion_counts(log.events).fn == 0
+
+
+def test_slice_metrics_stamps_only_the_slice():
+    # All 40,000 rows of this run's clocks take 35 MB; its 381-row slice
+    # and the rows still to be read while stamping it take a few.
+    tracemalloc.start()
+    try:
+        slice_metrics(run(ExperimentConfig("complete", n=200, m=20, k=2)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +174,8 @@ def test_alpha_half_for_a_chain():
 
 
 def test_alpha_zero_for_isolated_events():
-    events = [_event(pid + 1, pid, [1 if i == pid else 0 for i in range(4)], (1,)) for pid in range(4)]
-    counts = confusion_counts(events)
+    records = [_event(pid + 1, pid, [1 if i == pid else 0 for i in range(4)], (1,)) for pid in range(4)]
+    counts = confusion_counts(Events.from_records(records, entities=4, m=1))
     assert counts.tp + counts.fn == 0
     assert causality_spread(counts) == 0.0
 

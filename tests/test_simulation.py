@@ -25,7 +25,7 @@ from bloomclock import (
     replay_timestamps,
     run,
 )
-from bloomclock.simulation import _STAMP_CHUNK
+from bloomclock.simulation import _STAMP_CHUNK, RECEIVE, Events, _row_plan
 
 
 def test_config_validation():
@@ -223,24 +223,29 @@ def test_replay_reproduces_all_timestamps(topology, n):
     replay_timestamps(log)
 
 
+def _edited(log, column=None, values=None, blooms=None):
+    """A stamped copy of ``log`` with one linkage column or the Bloom matrix replaced."""
+    events = log.events
+    columns = [values if name == column else c for name, c in zip(Events.COLUMNS, events.columns())]
+    edited = Events(columns, events.vectors, events.blooms if blooms is None else blooms)
+    return ExecutionLog(log.config, edited)
+
+
 def test_replay_detects_tampered_counter():
     log = run(ExperimentConfig("complete", n=8, m=4, k=2, seed=9, gsn_limit=200))
-    target = log.events[120]
-    forged = replace(
-        target, bloom_ts=type(target.bloom_ts)(tuple(c + 1 for c in target.bloom_ts.counters))
-    )
-    bad = replace(log, events=log.events[:120] + (forged,) + log.events[121:])
-    with pytest.raises(ReplayError):
-        replay_timestamps(bad)
+    blooms = log.events.blooms.copy()
+    blooms[120] += 1
+    with pytest.raises(ReplayError, match="gsn 121"):
+        replay_timestamps(_edited(log, blooms=blooms))
 
 
 def test_replay_detects_broken_linkage():
     log = run(ExperimentConfig("complete", n=8, m=4, k=2, seed=9, gsn_limit=200))
-    idx, rec = next((i, e) for i, e in enumerate(log.events) if e.kind == "receive")
-    forged = replace(rec, send_gsn=10**6)
-    bad = replace(log, events=log.events[:idx] + (forged,) + log.events[idx + 1:])
-    with pytest.raises(ReplayError):
-        replay_timestamps(bad)
+    send_gsns = log.events.send_gsns.copy()
+    first_receive = int(np.argmax(log.events.kinds == RECEIVE))
+    send_gsns[first_receive] = 10**6
+    with pytest.raises(ReplayError, match="unknown send gsn 1000000"):
+        replay_timestamps(_edited(log, "send_gsns", send_gsns))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +307,8 @@ def test_engine_agrees_with_clock_value_types(config):
                 if i != j:
                     expected = expected + ConfusionCounts(**{classify_pair(y, z).lower(): 1})
         assert confusion_counts(log.events) == expected
-        assert confusion_counts(list(log.events)) == expected
+        records = Events.from_records(list(log.events), config.entities, config.m)
+        assert confusion_counts(records) == expected
 
 
 @pytest.mark.parametrize(
@@ -323,6 +329,55 @@ def test_engine_agrees_across_stamp_chunks(config):
     replay_timestamps(log)
 
 
+@st.composite
+def gsn_requests(draw, count):
+    """Increasing GSNs of a log of ``count`` events: a drawn set, or a ``range`` as the slice samplers pass."""
+    if draw(st.booleans()):
+        return sorted(draw(st.sets(st.integers(min_value=1, max_value=count), max_size=count)))
+    start = draw(st.integers(min_value=1, max_value=count))
+    return range(start, draw(st.integers(min_value=start, max_value=count + 1)), draw(st.integers(1, 5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_configs(), st.data())
+def test_selected_rows_equal_the_stamped_events(config, data):
+    log = run(config)
+    gsns = data.draw(gsn_requests(len(log)))
+    selected = log.select(gsns)  # one stamping pass that stores only these rows
+    rows = np.asarray(gsns, dtype=np.int64) - 1
+    assert selected == log.events[rows]
+    assert log.select(gsns) == selected  # read from the kept events
+
+
+@pytest.mark.parametrize(
+    "config,reused",
+    [
+        # Every broadcast is sent before the last receives of the first one.
+        (ExperimentConfig("broadcast", n=36, m=6, k=4, seed=23), False),
+        (ExperimentConfig("complete", n=9, m=5, k=3, pr_i=0.0, seed=21, gsn_limit=2 * _STAMP_CHUNK + 77), True),
+    ],
+    ids=["broadcast", "complete"],
+)
+def test_selected_rows_hold_live_sends_in_a_pool(config, reused):
+    log = run(config)
+    _, pids, kinds, _, _, _, send_gsns = log.columns()
+    gsns = np.arange(3, len(log) + 1, 7)
+    targets, _, slots = _row_plan(pids, kinds, send_gsns, gsns, config.entities)
+    # Sends read after their process's next event take pool slots, given back after their last receive.
+    pool = slots - len(gsns) - 1 - config.entities
+    held = np.count_nonzero(targets > len(gsns) + config.entities)
+    assert pool > 20 and (pool < held if reused else pool == held)
+    assert log.select(gsns) == log.events[gsns - 1]
+
+
+def test_select_rejects_gsns_out_of_order_or_range():
+    log = run(ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20))
+    for gsns in ([0, 3], [4, 21], [5, 5], [6, 2]):
+        with pytest.raises(ValueError, match="gsns must"):
+            log.select(gsns)
+    assert len(log.select([])) == 0
+
+
 def test_replay_accepts_an_empty_trace(tmp_path):
     path = tmp_path / "empty.txt"
     persist_trace(ExecutionLog(ExperimentConfig("complete", n=4, m=2, k=1), ()), path)
@@ -340,8 +395,9 @@ def test_events_are_a_lazy_sequence_with_view_slices():
     with pytest.raises(IndexError):
         events[60]
     records = tuple(events)
-    assert events == records and events[:5] + records[5:] == records
+    assert Events.from_records(records, log.config.entities, log.config.m) == events
+    assert tuple(events[:5]) + records[5:] == records
     assert ExecutionLog(log.config, records) == log
-    assert replace(log, events=events[:20]) == ExecutionLog(log.config, records[:20])
+    assert ExecutionLog(log.config, events[:20]) == ExecutionLog(log.config, records[:20])
     with pytest.raises(ConfigurationError):
         ExecutionLog(replace(log.config, m=4), events)

@@ -22,6 +22,7 @@ from bloomclock import (
     persist_trace,
     run,
 )
+from bloomclock.cli import main
 from bloomclock.simulation import KINDS
 
 
@@ -130,6 +131,20 @@ gsn|pid|kind|event_index|sender|receiver|send_gsn|vector_ts|bloom_ts
 2|1|receive|1|0|1|1|1,1|1,1
 3|0|internal|2||||2,0|2,1
 """
+
+
+def test_non_utf8_byte_names_its_line(tmp_path, capsys):
+    path = tmp_path / "trace.txt"
+    persist_trace(run(ExperimentConfig("star", n=3, m=2, k=2, seed=1, messages_per_client=2)), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[4] = lines[4][:3] + b"\xff" + lines[4][3:]
+    path.write_bytes(b"\n".join(lines))
+    message = "line 5: byte 0xff is not UTF-8 text"
+    with pytest.raises(TraceParseError) as caught:
+        load_trace(path)
+    assert str(caught.value) == message
+    assert main(["trace", "--load", str(path)]) == 2
+    assert capsys.readouterr().err == f"trace error: {message}\n"
 
 
 def test_hand_written_trace_classifies_like_its_in_memory_twin(tmp_path):
