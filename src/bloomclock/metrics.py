@@ -132,8 +132,9 @@ def confusion_counts(events: Events) -> ConfusionCounts:
     pids, vecs, blooms = events.pids, events.vectors, events.blooms
     count = len(pids)
     own = vecs[np.arange(count), pids]
-    # Chunk rows so the broadcast Bloom buffer stays around tens of megabytes.
-    rows = max(1, (1 << 26) // max(1, count * blooms.shape[1]))
+    # Chunk rows so the broadcast Bloom comparison holds at most 4M cells (a
+    # few MB); larger chunks only cost memory once a chunk is this wide.
+    rows = max(1, (1 << 22) // max(1, count * blooms.shape[1]))
     both = oracle_total = predicted_total = 0
     for lo in range(0, count, rows):
         hi = min(count, lo + rows)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +111,21 @@ def test_confusion_counts_match_scalar_classification():
                 outcome = classify_pair(y, z)
                 expected = expected + ConfusionCounts(**{outcome.lower(): 1})
     assert confusion_counts(events) == expected
+
+
+def test_confusion_counts_agree_across_chunks():
+    # 1,600 events at m=4 take three row chunks of the Bloom comparison.
+    events = run(ExperimentConfig("complete", n=40, m=4, k=2, pr_i=0.2, seed=5)).events
+    own = events.vectors[np.arange(len(events)), events.pids]
+    oracle = events.vectors[:, events.pids] >= own  # [z, y]: y -> z
+    predicted = (events.blooms[None, :, :] <= events.blooms[:, None, :]).all(axis=2)  # [z, y]
+    np.fill_diagonal(oracle, False)
+    np.fill_diagonal(predicted, False)
+    tp = int(np.count_nonzero(oracle & predicted))
+    fp = int(np.count_nonzero(predicted & ~oracle))
+    fn = int(np.count_nonzero(oracle & ~predicted))
+    tn = len(events) * (len(events) - 1) - tp - fp - fn
+    assert confusion_counts(events) == ConfusionCounts(tp, fp, tn, fn)
 
 
 def test_confusion_counts_requires_two_events():

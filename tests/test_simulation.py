@@ -329,6 +329,39 @@ def test_engine_agrees_across_stamp_chunks(config):
     replay_timestamps(log)
 
 
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig("complete", n=9, m=5, k=3, pr_i=0.3, seed=21, gsn_limit=300),
+        ExperimentConfig("star", n=4, m=4, k=2, seed=22, messages_per_client=6),
+        ExperimentConfig("broadcast", n=12, m=6, k=4, seed=23),
+    ],
+    ids=lambda config: config.topology,
+)
+def test_engine_agrees_when_tick_chunks_end_inside_levels(config, chunk, monkeypatch):
+    # Levels here are wider than a chunk of one or three events, so a chunk's
+    # nominal end falls inside a level and the chunk runs on to the level's end.
+    monkeypatch.setattr("bloomclock.simulation._STAMP_CHUNK", chunk)
+    log = run(config)
+    for e, (vector, bloom) in zip(log.events, _reference_timestamps(log), strict=True):
+        assert e.vector_ts == vector and e.bloom_ts == bloom, f"gsn {e.gsn}"
+    gsns = np.arange(2, len(log) + 1, 3)
+    assert run(config).select(gsns) == log.events[gsns - 1]
+
+
+def test_engine_agrees_on_a_level_wider_than_a_tick_chunk():
+    config = ExperimentConfig("complete", n=700, m=8, k=2, pr_i=0.3, seed=24, gsn_limit=1500)
+    log = run(config)
+    _, pids, kinds, _, _, _, send_gsns = log.columns()
+    levels = _row_plan(pids, kinds, send_gsns, np.arange(1, len(log) + 1), config.entities)[1][0]
+    assert np.bincount(levels).max() > _STAMP_CHUNK
+    for e, (vector, bloom) in zip(log.events, _reference_timestamps(log), strict=True):
+        assert e.vector_ts == vector and e.bloom_ts == bloom, f"gsn {e.gsn}"
+    gsns = np.arange(1, len(log) + 1, 2)
+    assert run(config).select(gsns) == log.events[gsns - 1]
+
+
 @st.composite
 def gsn_requests(draw, count):
     """Increasing GSNs of a log of ``count`` events: a drawn set, or a ``range`` as the slice samplers pass."""
@@ -368,6 +401,17 @@ def test_selected_rows_hold_live_sends_in_a_pool(config, reused):
     held = np.count_nonzero(targets > len(gsns) + config.entities)
     assert pool > 20 and (pool < held if reused else pool == held)
     assert log.select(gsns) == log.events[gsns - 1]
+
+
+def test_selected_rows_keep_a_send_until_the_level_of_its_last_receive():
+    # Broadcasts 2 and 5 are at level 1, and GSN 4 receives 2 at level 2.
+    # Counted in GSNs, 2's last receive up to GSN 8 comes before 5 is sent, so
+    # 5 would take 2's pool slot; walked by level, 5 is written before GSN 4
+    # reads 2, and GSN 8, which follows GSN 4 at process 0, would be wrong.
+    config = ExperimentConfig("broadcast", n=3, m=6, k=4, seed=3810234659)
+    log = run(config)
+    assert log.columns()[6][:8].tolist() == [-1, -1, 1, 2, -1, 5, 1, 5]
+    assert run(config).select([1, 8]) == log.events[np.array([0, 7])]
 
 
 def test_select_rejects_gsns_out_of_order_or_range():
