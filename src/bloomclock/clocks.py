@@ -18,6 +18,7 @@ import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 from hashlib import blake2b
+from typing import TypeVar
 
 import numpy as np
 
@@ -94,16 +95,44 @@ class HashFamily:
         return (h1[:, None] + np.arange(self.k, dtype=np.uint64) * h2[:, None]) % m
 
 
+_C = TypeVar("_C", bound="_Counters")
+
+
 @dataclass(frozen=True)
-class BloomClock:
+class _Counters:
+    """An immutable counter tuple with the width check, merge and order both clock types share."""
+
+    counters: tuple[int, ...]
+
+    @property
+    def width(self) -> int:
+        return len(self.counters)
+
+    def _check_width(self, other: _Counters) -> None:
+        if len(self.counters) != len(other.counters):
+            raise ConfigurationError(
+                f"clock width mismatch: {len(self.counters)} vs {len(other.counters)}"
+            )
+
+    def merge(self: _C, other: _C) -> _C:
+        """Pointwise maximum, as executed before the tick at a receive event."""
+        self._check_width(other)
+        return type(self)(tuple(map(max, self.counters, other.counters)))
+
+    def leq(self: _C, other: _C) -> bool:
+        """True when every counter of ``self`` is <= the matching counter of ``other``."""
+        self._check_width(other)
+        return all(a <= b for a, b in zip(self.counters, other.counters))
+
+
+@dataclass(frozen=True)
+class BloomClock(_Counters):
     """Width-``m`` counting timestamp: the probabilistic causality clock.
 
     ``leq`` implements the causality test: ``B_y.leq(B_z)`` declares
     ``y -> z``.  The declaration is complete (no false negatives) but not
     sound (concurrent events may still satisfy it).
     """
-
-    counters: tuple[int, ...]
 
     @classmethod
     def zero(cls, m: int) -> BloomClock:
@@ -112,19 +141,9 @@ class BloomClock:
         return cls((0,) * m)
 
     @property
-    def width(self) -> int:
-        return len(self.counters)
-
-    @property
     def total(self) -> int:
         """Sum of all counters; grows by exactly ``k`` per tick."""
         return sum(self.counters)
-
-    def _check_width(self, other: BloomClock) -> None:
-        if len(self.counters) != len(other.counters):
-            raise ConfigurationError(
-                f"clock width mismatch: {len(self.counters)} vs {len(other.counters)}"
-            )
 
     def tick(self, family: HashFamily, pid: ProcessId, x: EventIndex) -> BloomClock:
         """Apply the local tick for event ``x`` at ``pid``: increment the k derived indices."""
@@ -137,38 +156,16 @@ class BloomClock:
             counters[i] += 1
         return BloomClock(tuple(counters))
 
-    def merge(self, other: BloomClock) -> BloomClock:
-        """Pointwise maximum, as executed before the tick at a receive event."""
-        self._check_width(other)
-        return BloomClock(tuple(map(max, self.counters, other.counters)))
-
-    def leq(self, other: BloomClock) -> bool:
-        """True when every counter of ``self`` is <= the matching counter of ``other``."""
-        self._check_width(other)
-        return all(a <= b for a, b in zip(self.counters, other.counters))
-
 
 @dataclass(frozen=True)
-class VectorClock:
+class VectorClock(_Counters):
     """Width-``n`` exact timestamp: ``V_y < V_z`` iff ``y`` happened before ``z``."""
-
-    counters: tuple[int, ...]
 
     @classmethod
     def zero(cls, n: int) -> VectorClock:
         if n < 1:
             raise ConfigurationError(f"vector clock needs at least 1 component, got n={n}")
         return cls((0,) * n)
-
-    @property
-    def width(self) -> int:
-        return len(self.counters)
-
-    def _check_width(self, other: VectorClock) -> None:
-        if len(self.counters) != len(other.counters):
-            raise ConfigurationError(
-                f"clock width mismatch: {len(self.counters)} vs {len(other.counters)}"
-            )
 
     def tick(self, pid: ProcessId) -> VectorClock:
         """Increment the owning process's component by one."""
@@ -177,15 +174,6 @@ class VectorClock:
         counters = list(self.counters)
         counters[pid] += 1
         return VectorClock(tuple(counters))
-
-    def merge(self, other: VectorClock) -> VectorClock:
-        """Pointwise maximum, as executed before the tick at a receive event."""
-        self._check_width(other)
-        return VectorClock(tuple(map(max, self.counters, other.counters)))
-
-    def leq(self, other: VectorClock) -> bool:
-        self._check_width(other)
-        return all(a <= b for a, b in zip(self.counters, other.counters))
 
     def happened_before(self, other: VectorClock) -> bool:
         """Strict componentwise order: ``self <= other`` and ``self != other``."""

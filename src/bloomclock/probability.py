@@ -57,9 +57,7 @@ def binom_pmf(hits: int, trials: int, width: int) -> float:
     return _as_probability(math.exp(log_choose + hits * log_hit + (trials - hits) * log_miss))
 
 
-def count_threshold_cdf(
-    threshold: int, trials: int, width: int, *, exact_cutoff: int = EXACT_CUTOFF
-) -> float:
+def count_threshold_cdf(threshold: int, trials: int, width: int) -> float:
     """P[X < threshold] for X ~ Binomial(trials, 1/width).
 
     This is the per-cell failure probability of the dominance test: the
@@ -75,7 +73,7 @@ def count_threshold_cdf(
         return 0.0
     if threshold > trials:
         return 1.0
-    if trials <= exact_cutoff:
+    if trials <= EXACT_CUTOFF:
         return _as_probability(sum(binom_pmf(h, trials, width) for h in range(threshold)))
     return poisson_cdf_via_gamma(threshold, trials / width)
 

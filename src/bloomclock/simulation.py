@@ -22,10 +22,12 @@ per destination and a receive consumes a uniformly random element.
 
 Runs are pure functions of the configuration: the scheduler, destination
 choices, pool draws and hash family all derive from one 64-bit seed.  No
-random draw depends on a clock value, so a runner first records the
-linkage (who executed what, and which send each receive consumed) and
-then ``_stamp`` applies the clock protocol to it.  ``replay_timestamps``
-feeds a recorded log's linkage to the same ``_stamp``.
+random draw depends on a clock value, so a runner records only the linkage
+(each event's process and kind, a send's destination, a receive's send);
+``_linkage_log`` derives the other columns and ``_stamp`` the clocks.
+``replay_timestamps`` rebuilds every column and timestamp of a recorded
+log from its linkage through both, and checks that each receive happens
+at its message's destination and that no process receives a send twice.
 
 ``_stamp`` applies the protocol level by level rather than event by
 event.  An event's level is 1 + the larger of the levels of its process's
@@ -55,7 +57,7 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -525,8 +527,8 @@ class _Linkage:
     """What a runner records per executed event: its process, its kind and a link.
 
     A send's link is its destination (-1 for a broadcast) and a receive's
-    the GSN of its send, which stands for the message in flight.  ``log``
-    derives the other columns from these three.
+    the GSN of its send, which stands for the message in flight.
+    ``_linkage_log`` derives the other columns from these three.
     """
 
     def __init__(self) -> None:
@@ -534,47 +536,40 @@ class _Linkage:
         self.kinds: list[int] = []
         self.links: list[int] = []
 
-    def internal(self, pid: ProcessId) -> None:
+    def record(self, pid: ProcessId, kind: int, link: int = _ABSENT) -> int:
+        """Record an event and return its GSN."""
         self.pids.append(pid)
-        self.kinds.append(INTERNAL)
-        self.links.append(_ABSENT)
-
-    def send(self, pid: ProcessId, dest: ProcessId | None) -> int:
-        """Record a send and return its GSN."""
-        self.pids.append(pid)
-        self.kinds.append(SEND)
-        self.links.append(_stored(dest))
+        self.kinds.append(kind)
+        self.links.append(link)
         return len(self.pids)
 
-    def receive(self, pid: ProcessId, send_gsn: int) -> None:
-        self.pids.append(pid)
-        self.kinds.append(RECEIVE)
-        self.links.append(send_gsn)
 
-    def log(self, config: ExperimentConfig) -> ExecutionLog:
-        """The unstamped log of the recorded linkage."""
-        pids, kinds, links = (np.array(column, dtype=_DTYPE) for column in (self.pids, self.kinds, self.links))
-        count = len(pids)
-        sends, receives = kinds == SEND, kinds == RECEIVE
-        # Event indices count each process's events from 1.
-        by_pid = _by_process(pids)
-        starts = np.ones(count, bool)
-        starts[1:] = pids[by_pid[1:]] != pids[by_pid[:-1]]
-        position = np.arange(count)
-        xs = np.empty(count, _DTYPE)
-        xs[by_pid] = position - np.maximum.accumulate(np.where(starts, position, 0)) + 1
-        senders = np.where(sends, pids, np.where(receives, pids[np.where(receives, links - 1, 0)], _ABSENT))
-        receivers = np.where(sends, links, np.where(receives, pids, _ABSENT))
-        send_gsns = np.where(receives, links, _ABSENT)
-        gsns = np.arange(1, count + 1, dtype=_DTYPE)
-        return ExecutionLog._unstamped(config, [gsns, pids, kinds, xs, senders, receivers, send_gsns])
+def _linkage_log(
+    config: ExperimentConfig, pids: Sequence[int], kinds: Sequence[int], links: Sequence[int]
+) -> ExecutionLog:
+    """The unstamped log of a linkage (see ``_Linkage``): the one place its other columns are derived."""
+    pids, kinds, links = (np.asarray(column, dtype=_DTYPE) for column in (pids, kinds, links))
+    count = len(pids)
+    sends, receives = kinds == SEND, kinds == RECEIVE
+    # Event indices count each process's events from 1.
+    by_pid = _by_process(pids)
+    starts = np.ones(count, bool)
+    starts[1:] = pids[by_pid[1:]] != pids[by_pid[:-1]]
+    position = np.arange(count)
+    xs = np.empty(count, _DTYPE)
+    xs[by_pid] = position - np.maximum.accumulate(np.where(starts, position, 0)) + 1
+    senders = np.where(sends, pids, np.where(receives, pids[np.where(receives, links - 1, 0)], _ABSENT))
+    receivers = np.where(sends, links, np.where(receives, pids, _ABSENT))
+    send_gsns = np.where(receives, links, _ABSENT)
+    gsns = np.arange(1, count + 1, dtype=_DTYPE)
+    return ExecutionLog._unstamped(config, [gsns, pids, kinds, xs, senders, receivers, send_gsns])
 
 
 def run(config: ExperimentConfig) -> ExecutionLog:
     """Run the topology named by the configuration; every draw comes from one ``random.Random(seed)``."""
     linkage = _Linkage()
     _RUNNERS[config.topology](config, random.Random(config.seed), linkage)
-    return linkage.log(config)
+    return _linkage_log(config, linkage.pids, linkage.kinds, linkage.links)
 
 
 def _run_complete(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -> None:
@@ -591,15 +586,15 @@ def _run_complete(config: ExperimentConfig, rng: random.Random, linkage: _Linkag
         pid = rng.randrange(n)
         u = rng.random()
         if u < config.pr_i:
-            linkage.internal(pid)
+            linkage.record(pid, INTERNAL)
         elif u < send_cut:
             dest = rng.randrange(n - 1)
             if dest >= pid:
                 dest += 1
-            pending[dest].append(linkage.send(pid, dest))
+            pending[dest].append(linkage.record(pid, SEND, dest))
         elif pending[pid]:
             pool = pending[pid]
-            linkage.receive(pid, pool.pop(rng.randrange(len(pool))))
+            linkage.record(pid, RECEIVE, pool.pop(rng.randrange(len(pool))))
         # else: a receive draw with an empty pool yields the step.
 
 
@@ -628,16 +623,16 @@ def _run_star(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -
         if actor == server:
             request = requests.pop(rng.randrange(len(requests)))
             client = linkage.pids[request - 1]
-            linkage.receive(server, request)
-            replies[client] = linkage.send(server, client)
+            linkage.record(server, RECEIVE, request)
+            replies[client] = linkage.record(server, SEND, client)
         elif replies[actor] is not None:
             reply = replies[actor]
             replies[actor] = None
-            linkage.receive(actor, reply)
+            linkage.record(actor, RECEIVE, reply)
             awaiting[actor] = False
             remaining[actor] -= 1
         else:
-            requests.append(linkage.send(actor, server))
+            requests.append(linkage.record(actor, SEND, server))
             awaiting[actor] = True
 
 
@@ -658,47 +653,60 @@ def _run_broadcast(config: ExperimentConfig, rng: random.Random, linkage: _Linka
         pid = ready[rng.randrange(len(ready))]
         if not sent[pid]:
             sent[pid] = True
-            message = linkage.send(pid, None)
+            message = linkage.record(pid, SEND)
             for other in range(n):
                 if other != pid:
                     pending[other].append(message)
         else:
             pool = pending[pid]
-            linkage.receive(pid, pool.pop(rng.randrange(len(pool))))
+            linkage.record(pid, RECEIVE, pool.pop(rng.randrange(len(pool))))
 
 
 _RUNNERS = {"complete": _run_complete, "star": _run_star, "broadcast": _run_broadcast}
 
 
-def replay_timestamps(log: ExecutionLog) -> None:
-    """Recompute every timestamp in the log from the protocol rules alone.
+def _refuse(bad: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise ``ReplayError`` with the message of the first true row of ``bad``, if there is one."""
+    if bad.any():
+        raise ReplayError(message(int(np.argmax(bad))))
 
-    Checks the sequencing (contiguous GSNs, pids in range, event indices in
-    process order, receives linked to earlier sends), then drives ``_stamp``
-    with the recorded linkage and compares its matrices with the recorded
-    ones.  Raises ``ReplayError`` on the first sequencing problem or the
-    first GSN whose timestamps differ; a clean return certifies the log is
-    protocol-consistent bit for bit.
+
+def replay_timestamps(log: ExecutionLog) -> None:
+    """Rebuild the log from its linkage alone and check that it equals the recorded one.
+
+    A send's link is read back as its receiver and a receive's as its send
+    GSN.  Guards check that pids lie in range and that each receive links to
+    an earlier send, happens at its message's destination, if any, and is the
+    only receive of that send at its process.  Then ``_linkage_log`` and
+    ``_stamp`` rebuild every column and timestamp.  ``ReplayError`` names the
+    GSN of the first failed guard, or the first GSN where anything differs.
     """
-    config = log.config
+    config, recorded = log.config, log.events
     entities = config.entities
-    events = log.events
-    gsns, pids, kinds, xs, _, _, send_gsns = (column.tolist() for column in events.columns())
-    xs_by_pid = [0] * entities
-    for position, (gsn, pid, kind, x, send_gsn) in enumerate(zip(gsns, pids, kinds, xs, send_gsns), start=1):
-        if gsn != position:
-            raise ReplayError(f"gsn {gsn} at position {position}: log is not contiguous")
-        if not 0 <= pid < entities:
-            raise ReplayError(f"gsn {gsn}: pid {pid} outside [0, {entities})")
-        if x != xs_by_pid[pid] + 1:
-            raise ReplayError(
-                f"gsn {gsn}: event index {x} breaks process order (expected {xs_by_pid[pid] + 1})"
-            )
-        xs_by_pid[pid] = x
-        if kind == RECEIVE and not (1 <= send_gsn < gsn and kinds[send_gsn - 1] == SEND):
-            raise ReplayError(f"gsn {gsn}: receive links to unknown send gsn {_optional(send_gsn)}")
-    vectors, blooms = _stamp(config, events.columns())
-    differs = (vectors != events.vectors).any(axis=1) | (blooms != events.blooms).any(axis=1)
+    _, pids, kinds, _, _, receivers, send_gsns = recorded.columns()
+    _refuse((pids < 0) | (pids >= entities), lambda r: f"gsn {r + 1}: pid {pids[r]} outside [0, {entities})")
+    at = np.flatnonzero(kinds == RECEIVE)
+    sent = send_gsns[at].astype(np.int64)
+    # The receive at row i has GSN i + 1, so its send's GSN lies in [1, i].
+    known = (sent >= 1) & (sent <= at)
+    known[known] = kinds[sent[known] - 1] == SEND
+    _refuse(~known, lambda r: f"gsn {at[r] + 1}: receive links to unknown send gsn {_optional(sent[r])}")
+    addressed = receivers[sent - 1]
+    _refuse(
+        (addressed >= 0) & (addressed != pids[at]),
+        lambda r: f"gsn {at[r] + 1}: process {pids[at[r]]} receives send gsn {sent[r]}, addressed to {addressed[r]}",
+    )
+    repeated = np.ones(len(at), bool)
+    repeated[np.unique(sent * entities + pids[at], return_index=True)[1]] = False
+    _refuse(repeated, lambda r: f"gsn {at[r] + 1}: process {pids[at[r]]} receives send gsn {sent[r]} again")
+    rebuilt = _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).events
+    pairs = list(zip(recorded.columns(), rebuilt.columns()))
+    clocks = (recorded.vectors != rebuilt.vectors).any(axis=1) | (recorded.blooms != rebuilt.blooms).any(axis=1)
+    differs = np.stack([held != derived for held, derived in pairs] + [clocks])
     if differs.any():
-        gsn = int(np.argmax(differs)) + 1
-        raise ReplayError(f"gsn {gsn}: replayed timestamps differ from the recorded ones")
+        row = int(np.argmax(differs.any(axis=0)))
+        field = int(np.argmax(differs[:, row]))
+        if field == len(pairs):
+            raise ReplayError(f"gsn {row + 1}: replayed timestamps differ from the recorded ones")
+        held, derived = (_optional(int(column[row])) for column in pairs[field])
+        raise ReplayError(f"gsn {row + 1}: column {Events.COLUMNS[field]} holds {held}, replay derives {derived}")

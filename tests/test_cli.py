@@ -210,21 +210,32 @@ def test_out_directory_that_cannot_be_made_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("I/O error:")
 
 
-def test_trace_load_rejects_tampered_timestamps(tmp_path, capsys):
-    out = tmp_path / "tr"
-    assert main(["trace", "--topology", "star", "--n", "10", "--m", "3", "--seed", "2", "--out", str(out)]) == 0
-    path = out / "trace.txt"
-    lines = path.read_text().splitlines()
-    parts = lines[7].split("|")
+def _bump_bloom(parts):
     bloom = parts[8].split(",")
     bloom[0] = str(int(bloom[0]) + 1)
     parts[8] = ",".join(bloom)
-    lines[7] = "|".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["trace", "--load", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "gsn 6" in err
+
+
+def _bump_sender(parts):
+    parts[4] = str((int(parts[4]) + 1) % 11)
+
+
+def test_trace_load_rejects_tampered_timestamps(tmp_path, capsys):
+    out = tmp_path / "tr"
+    assert main(["trace", "--topology", "star", "--n", "10", "--m", "3", "--seed", "2", "--out", str(out)]) == 0
+    text = (out / "trace.txt").read_text()
+    # Line 8 holds gsn 6; a Bloom counter and the sender field are edited in turn.
+    for edit in (_bump_bloom, _bump_sender):
+        lines = text.splitlines()
+        parts = lines[7].split("|")
+        edit(parts)
+        lines[7] = "|".join(parts)
+        path = tmp_path / f"{edit.__name__}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["trace", "--load", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "gsn 6" in err, (edit.__name__, err)
 
 
 def test_trace_without_mode_exits_two(capsys):

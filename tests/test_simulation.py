@@ -25,7 +25,7 @@ from bloomclock import (
     replay_timestamps,
     run,
 )
-from bloomclock.simulation import _STAMP_CHUNK, RECEIVE, Events, _row_plan
+from bloomclock.simulation import _STAMP_CHUNK, RECEIVE, SEND, Events, _linkage_log, _row_plan
 
 
 def test_config_validation():
@@ -246,6 +246,55 @@ def test_replay_detects_broken_linkage():
     send_gsns[first_receive] = 10**6
     with pytest.raises(ReplayError, match="unknown send gsn 1000000"):
         replay_timestamps(_edited(log, "send_gsns", send_gsns))
+
+
+def _nth(kind, i=10):
+    """Picks the row of the ``i``-th event of ``kind`` in a stamped log."""
+    return lambda events: int(np.flatnonzero(events.kinds == kind)[i])
+
+
+def _next_pid(value, entities):
+    return (value + 1) % entities
+
+
+# Each edit: a column, the row it changes, and the new value from the old one.
+_TAMPERS = {
+    "gsn": ("gsns", _nth(RECEIVE), lambda value, _: value + 1),
+    "event_index": ("event_indices", _nth(SEND), lambda value, _: value + 1),
+    "sender": ("senders", _nth(RECEIVE), _next_pid),
+    "receiver_of_send": ("receivers", lambda events: int(events.send_gsns[_nth(RECEIVE)(events)]) - 1, _next_pid),
+    "receiver_of_receive": ("receivers", _nth(RECEIVE), _next_pid),
+    "send_gsn_on_send": ("send_gsns", _nth(SEND), lambda value, _: 1),
+}
+
+
+@pytest.mark.parametrize("tamper", list(_TAMPERS))
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig("complete", n=8, m=4, k=2, pr_i=0.3, seed=9, gsn_limit=200),
+        ExperimentConfig("star", n=4, m=3, k=2, seed=7),
+    ],
+    ids=["complete", "star"],
+)
+def test_replay_detects_one_tampered_linkage_column(config, tamper):
+    log = run(config)
+    column, pick, edit = _TAMPERS[tamper]
+    row = pick(log.events)
+    values = getattr(log.events, column).copy()
+    values[row] = edit(values[row], config.entities)
+    with pytest.raises(ReplayError, match=rf"\bgsn {row + 1}\b"):
+        replay_timestamps(_edited(log, column, values))
+
+
+def test_replay_detects_a_send_received_twice():
+    # Process 1 receives send 1 twice; the clocks are stamped from that same
+    # linkage, so every column and timestamp replays and only delivery is wrong.
+    config = ExperimentConfig("complete", n=2, m=2, k=1, gsn_limit=3)
+    log = _linkage_log(config, [0, 1, 1], [SEND, RECEIVE, RECEIVE], [1, 1, 1])
+    assert [e.send_gsn for e in log.events] == [None, 1, 1]
+    with pytest.raises(ReplayError, match=r"^gsn 3: process 1 receives send gsn 1 again$"):
+        replay_timestamps(log)
 
 
 # ---------------------------------------------------------------------------
