@@ -27,7 +27,8 @@ random draw depends on a clock value, so a runner records only the linkage
 ``_linkage_log`` derives the other columns and ``_stamp`` the clocks.
 ``replay_timestamps`` rebuilds every column and timestamp of a recorded
 log from its linkage through both, and checks that each receive happens
-at its message's destination and that no process receives a send twice.
+at its message's destination, that no process receives its own send or
+a send twice, and that each send's receiver is a process or absent.
 
 ``_stamp`` applies the protocol level by level rather than event by
 event.  An event's level is 1 + the larger of the levels of its process's
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -519,7 +520,9 @@ def _stamp(
             clocks[targets[level]] = rows
     # The requested rows are slots 1 to kept: dropping the slots after them
     # in place frees the scratch rows without a copy of the requested ones.
-    clocks.resize((kept + 1, clocks.shape[1]))
+    # Nothing views clocks here; the reference check would count a tracer's
+    # or profiler's snapshot of this frame's locals and refuse.
+    clocks.resize((kept + 1, clocks.shape[1]), refcheck=False)
     return clocks[1:, :entities], clocks[1:, entities:]
 
 
@@ -604,62 +607,71 @@ def _run_star(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -
     The server is entity ``n`` and owns the single shared clock pair.  The
     scheduler picks uniformly among clients that can act and, when requests
     are queued, the server; one server slot handles a uniformly chosen
-    pending request atomically (receive, then reply send).
+    pending request atomically (receive, then reply send).  The clients
+    that can act are kept in pid order as the run goes, not rebuilt per
+    step: a client leaves the list when it sends a request, comes back when
+    the server replies, and leaves for good after receiving its last reply.
+    The ready list is that list with the server after it.
     """
     n = config.n
     server = n
     remaining = [config.rounds_per_client] * n
-    awaiting = [False] * n
     replies: list[int | None] = [None] * n
     requests: list[int] = []
+    clients = list(range(n))
 
-    while True:
-        ready = [c for c in range(n) if replies[c] is not None or (not awaiting[c] and remaining[c] > 0)]
-        if requests:
-            ready.append(server)
-        if not ready:
-            break
-        actor = ready[rng.randrange(len(ready))]
-        if actor == server:
+    while clients or requests:
+        pick = rng.randrange(len(clients) + (1 if requests else 0))
+        if pick == len(clients):
             request = requests.pop(rng.randrange(len(requests)))
             client = linkage.pids[request - 1]
             linkage.record(server, RECEIVE, request)
             replies[client] = linkage.record(server, SEND, client)
-        elif replies[actor] is not None:
-            reply = replies[actor]
-            replies[actor] = None
-            linkage.record(actor, RECEIVE, reply)
-            awaiting[actor] = False
-            remaining[actor] -= 1
+            insort(clients, client)
+        elif replies[clients[pick]] is None:
+            requests.append(linkage.record(clients.pop(pick), SEND, server))
         else:
-            requests.append(linkage.record(actor, SEND, server))
-            awaiting[actor] = True
+            actor = clients[pick]
+            linkage.record(actor, RECEIVE, replies[actor])
+            replies[actor] = None
+            remaining[actor] -= 1
+            if not remaining[actor]:
+                del clients[pick]
 
 
 def _run_broadcast(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -> None:
     """Broadcast run: every process sends once to all others, then drains its pool.
 
     The log holds exactly ``n`` send events and ``n*(n-1)`` receive events;
-    a process always broadcasts before consuming any incoming message.
+    a process always broadcasts before consuming any incoming message.  The
+    processes that can act are kept in pid order as the run goes: all of
+    them until the first broadcast, and after each broadcast all but the
+    sender if its own pool is empty.  A receive that empties its process's
+    pool drops that process.
     """
     n = config.n
     pending: list[list[int]] = [[] for _ in range(n)]
     sent = [False] * n
+    ready = list(range(n))
 
-    while True:
-        ready = [p for p in range(n) if not sent[p] or pending[p]]
-        if not ready:
-            break
-        pid = ready[rng.randrange(len(ready))]
+    while ready:
+        pick = rng.randrange(len(ready))
+        pid = ready[pick]
         if not sent[pid]:
             sent[pid] = True
             message = linkage.record(pid, SEND)
             for other in range(n):
                 if other != pid:
                     pending[other].append(message)
+            # Every other process now has this message pending.
+            ready = list(range(n))
+            if not pending[pid]:
+                del ready[pid]
         else:
             pool = pending[pid]
             linkage.record(pid, RECEIVE, pool.pop(rng.randrange(len(pool))))
+            if not pool:
+                del ready[pick]
 
 
 _RUNNERS = {"complete": _run_complete, "star": _run_star, "broadcast": _run_broadcast}
@@ -675,9 +687,10 @@ def replay_timestamps(log: ExecutionLog) -> None:
     """Rebuild the log from its linkage alone and check that it equals the recorded one.
 
     A send's link is read back as its receiver and a receive's as its send
-    GSN.  Guards check that pids lie in range and that each receive links to
-    an earlier send, happens at its message's destination, if any, and is the
-    only receive of that send at its process.  Then ``_linkage_log`` and
+    GSN.  Guards check that pids lie in range, that each send's receiver
+    lies in [-1, entities), and that each receive links to an earlier send
+    of another process, happens at its message's destination, if any, and is
+    the only receive of that send at its process.  Then ``_linkage_log`` and
     ``_stamp`` rebuild every column and timestamp.  ``ReplayError`` names the
     GSN of the first failed guard, or the first GSN where anything differs.
     """
@@ -685,12 +698,20 @@ def replay_timestamps(log: ExecutionLog) -> None:
     entities = config.entities
     _, pids, kinds, _, _, receivers, send_gsns = recorded.columns()
     _refuse((pids < 0) | (pids >= entities), lambda r: f"gsn {r + 1}: pid {pids[r]} outside [0, {entities})")
+    _refuse(
+        (kinds == SEND) & ((receivers < _ABSENT) | (receivers >= entities)),
+        lambda r: f"gsn {r + 1}: send to receiver {receivers[r]} outside [-1, {entities})",
+    )
     at = np.flatnonzero(kinds == RECEIVE)
     sent = send_gsns[at].astype(np.int64)
     # The receive at row i has GSN i + 1, so its send's GSN lies in [1, i].
     known = (sent >= 1) & (sent <= at)
     known[known] = kinds[sent[known] - 1] == SEND
     _refuse(~known, lambda r: f"gsn {at[r] + 1}: receive links to unknown send gsn {_optional(sent[r])}")
+    _refuse(
+        pids[sent - 1] == pids[at],
+        lambda r: f"gsn {at[r] + 1}: process {pids[at[r]]} receives its own send gsn {sent[r]}",
+    )
     addressed = receivers[sent - 1]
     _refuse(
         (addressed >= 0) & (addressed != pids[at]),

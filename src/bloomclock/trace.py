@@ -8,8 +8,9 @@ The format is deliberately plain so traces diff well:
 
 Clock vectors are comma-joined inside their field; optional fields
 (sender, receiver, send_gsn) are left empty when absent.  An empty log
-persists as just the two header lines.  Persisting works on the log's
-columns a chunk of rows at a time, without building event records.
+persists as just the two header lines.  Persisting formats the log's
+columns as bytes in numpy, a chunk of rows at a time, and writes each
+chunk once, without building event records or strings.
 
 Loading reads the file once.  A body of ASCII digits, ``-``, ``|``,
 ``,``, newlines and the kind names goes through numpy's C text parser a
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -36,10 +36,15 @@ _HEADER = "|".join(_FIELDS)
 _CONFIG_PREFIX = "#config "
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
 _CHUNK = 1024
-# Counters below this print through a table of their decimal strings,
-# twice as fast as str(); clocks of runs with up to ~10**5 events fit.
-_TABLE_SIZE = 1 << 17
 _INT32 = np.iinfo(np.int32)
+# The writer gives each value one cell of byte slots.  A record's cells are
+# gsn and pid, three that hold the kind name and its pipe, then
+# event_index, sender, receiver, send_gsn and the clock counters.
+_KIND_CELL, _KIND_CELLS = 2, 3
+_SCALAR_CELLS = (0, 1, 5, 6, 7, 8)
+_OPTIONAL_CELLS = slice(6, 9)
+_CLOCK_CELL = 9
+_POWERS_OF_TEN = 10 ** np.arange(1, 10, dtype=np.int64)
 # The bulk path rewrites each kind name as the sentinel plus its code and
 # each empty field as the sentinel plus len(KINDS), integers outside int32.
 # It counts its rewrites, so a sentinel written as digits is caught.
@@ -49,7 +54,7 @@ _KIND_TOKENS = tuple((f"|{kind}|".encode(), f"|{_SENTINEL + code}|".encode()) fo
 _EMPTY_TOKEN = f"|{_EMPTY}|".encode()
 _BULK_BYTES = b"0123456789-|,\n"
 _TO_COMMA = bytes.maketrans(b"|\n", b",,")
-_NEWLINE, _PIPE, _COMMA, _MINUS = b"\n|,-"
+_NEWLINE, _PIPE, _COMMA, _MINUS, _ZERO = b"\n|,-0"
 _SEPARATOR_BYTES = np.frombuffer(b"\n|,", np.uint8)
 _DIGITS = np.frombuffer(b"0123456789", np.uint8)
 # Other bytes str.splitlines breaks at; a head holding one goes to the line parser.
@@ -60,39 +65,72 @@ class TraceParseError(ValueError):
     """A trace file could not be parsed (the message names the line) or does not hold its config's run."""
 
 
-def _counter_text(events: Events) -> Callable[[int], str]:
-    """``str`` for clock counters, through a lookup table when they all lie in [0, _TABLE_SIZE)."""
-    clocks = (events.vectors, events.blooms)
-    if min(c.min(initial=0) for c in clocks) < 0:
-        return str
-    top = max(c.max(initial=0) for c in clocks)
-    if top >= _TABLE_SIZE:
-        return str
-    return [str(value) for value in range(top + 1)].__getitem__
+def _kind_cells(cell: int) -> np.ndarray:
+    """Each kind's name and pipe, NUL-padded in front, as ``_KIND_CELLS`` cells of ``cell`` slots."""
+    size = _KIND_CELLS * cell
+    names = b"".join(kind.encode().rjust(size - 1, b"\0") + b"|" for kind in KINDS)
+    return np.frombuffer(names, np.uint8).reshape(len(KINDS), _KIND_CELLS, cell)
 
 
-def _format_rows(events: Events, text: Callable[[int], str]) -> list[str]:
-    def opt(value: int) -> str:
-        return "" if value < 0 else str(value)
+def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
+    """The trace lines of ``events``; ``separators`` holds the byte that ends each cell.
 
-    gsns, pids, kinds, xs, senders, receivers, send_gsns = (column.tolist() for column in events.columns())
-    return [
-        f"{gsn}|{pid}|{KINDS[kind]}|{x}|{opt(sender)}|{opt(receiver)}|{opt(send_gsn)}|"
-        f"{','.join(map(text, vector))}|{','.join(map(text, bloom))}"
-        for gsn, pid, kind, x, sender, receiver, send_gsn, vector, bloom in zip(
-            gsns, pids, kinds, xs, senders, receivers, send_gsns, events.vectors.tolist(), events.blooms.tolist()
-        )
-    ]
+    Every cell has D digit slots and one separator slot, D being the digit
+    count of the chunk's widest value plus a sign slot if a value is
+    negative, and at least 2 so that a kind name fits its cells.  A value's
+    digits end at the separator; the slots before them, and every digit
+    slot of an absent optional field, hold NUL, which one mask compress
+    drops at the end.  The digits come from uint32 floor division by 10,
+    one contiguous plane per slot, each then written into its slot of the
+    cells.
+    """
+    gsns, pids, kinds, *linkage = events.columns()
+    rows, entities = events.vectors.shape
+    values = np.zeros((rows, len(separators)), np.int32)
+    for cell, column in zip(_SCALAR_CELLS, (gsns, pids, *linkage)):
+        values[:, cell] = column
+    values[:, _CLOCK_CELL : _CLOCK_CELL + entities] = events.vectors
+    values[:, _CLOCK_CELL + entities :] = events.blooms
+    optional = values[:, _OPTIONAL_CELLS]
+    absent = optional < 0
+    optional[absent] = 0
+    negative = values < 0
+    # abs maps the int32 minimum to itself, which reads as 2**31 in uint32.
+    magnitudes = np.abs(values, out=values).view(np.uint32)
+    width = max(len(str(magnitudes.max())) + bool(negative.any()), 2)
+    cells = np.empty((rows, len(separators), width + 1), np.uint8)
+    cells[:, :, width] = separators
+    plane = np.empty(values.shape, np.uint8)
+    quotients = magnitudes
+    for slot in reversed(range(width)):
+        tens = quotients // 10
+        np.subtract(quotients, tens * 10, out=plane, casting="unsafe")
+        if slot == width - 1:  # a value's last digit, written even when it is 0
+            plane += _ZERO
+            plane[:, _OPTIONAL_CELLS][absent] = 0
+        else:  # a leading digit, written while the quotient is nonzero
+            plane += (quotients > 0).view(np.uint8) * np.uint8(_ZERO)
+        cells[:, :, slot] = plane
+        quotients = tens
+    if negative.any():
+        row, cell = np.nonzero(negative)
+        digits = 1 + (magnitudes[row, cell, None] >= _POWERS_OF_TEN).sum(axis=1)
+        cells[row, cell, width - 1 - digits] = _MINUS
+    cells[:, _KIND_CELL : _KIND_CELL + _KIND_CELLS] = _kind_cells(width + 1)[kinds]
+    return np.compress((cells != 0).ravel(), cells).tobytes()
 
 
 def persist_trace(log: ExecutionLog, path: str | Path) -> None:
     """Write the log to ``path``; ``load_trace`` reproduces an equal log."""
     events = log.events
-    text = _counter_text(events)
-    with open(path, "w") as handle:
-        handle.write(_CONFIG_PREFIX + json.dumps(asdict(log.config), sort_keys=True) + "\n" + _HEADER + "\n")
+    entities, m = events.vectors.shape[1], events.blooms.shape[1]
+    # The kind cells' separator slots are overwritten with the kind names.
+    ends = b"||" + b"\0" * _KIND_CELLS + b"||||" + b"," * (entities - 1) + b"|" + b"," * (m - 1) + b"\n"
+    separators = np.frombuffer(ends, np.uint8)
+    with open(path, "wb") as handle:
+        handle.write(f"{_CONFIG_PREFIX}{json.dumps(asdict(log.config), sort_keys=True)}\n{_HEADER}\n".encode())
         for lo in range(0, len(events), _CHUNK):
-            handle.write("\n".join(_format_rows(events[lo : lo + _CHUNK], text)) + "\n")
+            handle.write(_chunk_bytes(events[lo : lo + _CHUNK], separators))
 
 
 def _read_config(lines: list[str]) -> ExperimentConfig:

@@ -238,6 +238,25 @@ def test_trace_load_rejects_tampered_timestamps(tmp_path, capsys):
         assert err.count("\n") == 1 and "gsn 6" in err, (edit.__name__, err)
 
 
+def test_trace_load_rejects_a_send_to_a_receiver_out_of_range(tmp_path, capsys):
+    out = tmp_path / "tr"
+    args = ["trace", "--n", "8", "--m", "4", "--seed", "9", "--gsn-limit", "200", "--out", str(out)]
+    assert main(args) == 0
+    lines = (out / "trace.txt").read_text().splitlines()
+    records = [line.split("|") for line in lines[2:]]
+    received = {parts[6] for parts in records if parts[2] == "receive"}
+    # The last send that is never received; its receiver is read back by no receive.
+    row = max(i for i, parts in enumerate(records) if parts[2] == "send" and parts[0] not in received)
+    records[row][5] = "999"
+    path = tmp_path / "tampered.txt"
+    path.write_text("\n".join(lines[:2] + ["|".join(parts) for parts in records]) + "\n")
+    capsys.readouterr()
+    assert main(["trace", "--load", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"trace error: gsn {row + 1}: send to receiver 999 outside [-1, 8)\n"
+
+
 def test_trace_without_mode_exits_two(capsys):
     assert main(["trace"]) == 2
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cProfile
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -24,8 +26,18 @@ from bloomclock import (
     persist_trace,
     replay_timestamps,
     run,
+    slice_metrics,
 )
-from bloomclock.simulation import _STAMP_CHUNK, RECEIVE, SEND, Events, _linkage_log, _row_plan
+from bloomclock.simulation import (
+    _RUNNERS,
+    _STAMP_CHUNK,
+    RECEIVE,
+    SEND,
+    Events,
+    _Linkage,
+    _linkage_log,
+    _row_plan,
+)
 
 
 def test_config_validation():
@@ -203,6 +215,83 @@ def test_broadcast_processes_send_before_receiving():
             assert e.pid in sent
 
 
+# The star and broadcast runners as they were when they rebuilt the ready
+# list on every step: the reference the incremental ready lists must match.
+
+
+def _reference_star(config, rng, linkage):
+    n = config.n
+    server = n
+    remaining = [config.rounds_per_client] * n
+    awaiting = [False] * n
+    replies = [None] * n
+    requests = []
+
+    while True:
+        ready = [c for c in range(n) if replies[c] is not None or (not awaiting[c] and remaining[c] > 0)]
+        if requests:
+            ready.append(server)
+        if not ready:
+            break
+        actor = ready[rng.randrange(len(ready))]
+        if actor == server:
+            request = requests.pop(rng.randrange(len(requests)))
+            client = linkage.pids[request - 1]
+            linkage.record(server, RECEIVE, request)
+            replies[client] = linkage.record(server, SEND, client)
+        elif replies[actor] is not None:
+            reply = replies[actor]
+            replies[actor] = None
+            linkage.record(actor, RECEIVE, reply)
+            awaiting[actor] = False
+            remaining[actor] -= 1
+        else:
+            requests.append(linkage.record(actor, SEND, server))
+            awaiting[actor] = True
+
+
+def _reference_broadcast(config, rng, linkage):
+    n = config.n
+    pending = [[] for _ in range(n)]
+    sent = [False] * n
+
+    while True:
+        ready = [p for p in range(n) if not sent[p] or pending[p]]
+        if not ready:
+            break
+        pid = ready[rng.randrange(len(ready))]
+        if not sent[pid]:
+            sent[pid] = True
+            message = linkage.record(pid, SEND)
+            for other in range(n):
+                if other != pid:
+                    pending[other].append(message)
+        else:
+            pool = pending[pid]
+            linkage.record(pid, RECEIVE, pool.pop(rng.randrange(len(pool))))
+
+
+_REFERENCE_RUNNERS = {"star": _reference_star, "broadcast": _reference_broadcast}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    topology=st.sampled_from(sorted(_REFERENCE_RUNNERS)),
+    n=st.integers(min_value=1, max_value=12),
+    rounds=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_runners_record_the_linkage_of_the_rebuilt_ready_lists(topology, n, rounds, seed):
+    if topology == "star":
+        config = ExperimentConfig("star", n=n, m=2, k=1, seed=seed, messages_per_client=rounds)
+    else:
+        config = ExperimentConfig("broadcast", n=n + 1, m=2, k=1, seed=seed)
+    linkage, reference = _Linkage(), _Linkage()
+    _RUNNERS[topology](config, random.Random(seed), linkage)
+    _REFERENCE_RUNNERS[topology](config, random.Random(seed), reference)
+    assert (linkage.pids, linkage.kinds, linkage.links) == (reference.pids, reference.kinds, reference.links)
+
+
 def test_broadcast_slice_metrics_hit_targets(broadcast100_m5):
     # One send followed by n-1 receives per process spreads almost no
     # causality, so the dominance test misfires on most positives.
@@ -294,6 +383,27 @@ def test_replay_detects_a_send_received_twice():
     log = _linkage_log(config, [0, 1, 1], [SEND, RECEIVE, RECEIVE], [1, 1, 1])
     assert [e.send_gsn for e in log.events] == [None, 1, 1]
     with pytest.raises(ReplayError, match=r"^gsn 3: process 1 receives send gsn 1 again$"):
+        replay_timestamps(log)
+
+
+def test_replay_rejects_a_send_to_a_receiver_out_of_range():
+    # A send that is never received: only a range check can catch its receiver.
+    log = run(ExperimentConfig("complete", n=8, m=4, k=2, seed=9, gsn_limit=200))
+    events = log.events
+    received = set(events.send_gsns[events.kinds == RECEIVE].tolist())
+    row = max(int(i) for i in np.flatnonzero(events.kinds == SEND) if i + 1 not in received)
+    for receiver in (999, -2):
+        receivers = events.receivers.copy()
+        receivers[row] = receiver
+        with pytest.raises(ReplayError, match=rf"^gsn {row + 1}: send to receiver {receiver} outside \[-1, 8\)$"):
+            replay_timestamps(_edited(log, "receivers", receivers))
+
+
+def test_replay_rejects_a_process_receiving_its_own_send():
+    # Process 0 receives its own broadcast; the clocks are stamped from that same linkage.
+    config = ExperimentConfig("broadcast", n=2, m=2, k=1)
+    log = _linkage_log(config, [0, 0, 1, 1], [SEND, RECEIVE, SEND, RECEIVE], [-1, 1, -1, 1])
+    with pytest.raises(ReplayError, match=r"^gsn 2: process 0 receives its own send gsn 1$"):
         replay_timestamps(log)
 
 
@@ -409,6 +519,14 @@ def test_engine_agrees_on_a_level_wider_than_a_tick_chunk():
         assert e.vector_ts == vector and e.bloom_ts == bloom, f"gsn {e.gsn}"
     gsns = np.arange(1, len(log) + 1, 2)
     assert run(config).select(gsns) == log.events[gsns - 1]
+
+
+def test_stamp_runs_under_a_profiler():
+    # A profiler holds references to the frame locals of _stamp, which a
+    # reference-checked resize of its working matrix would refuse.
+    log = run(ExperimentConfig("complete", n=20, m=4, k=2))
+    report = cProfile.Profile().runcall(slice_metrics, log)
+    assert report == slice_metrics(run(ExperimentConfig("complete", n=20, m=4, k=2)))
 
 
 @st.composite

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -23,7 +25,7 @@ from bloomclock import (
     run,
 )
 from bloomclock.cli import main
-from bloomclock.simulation import KINDS
+from bloomclock.simulation import KINDS, Events
 
 
 @pytest.mark.parametrize("topology,n", [("complete", 15), ("star", 8), ("broadcast", 10)])
@@ -42,6 +44,81 @@ def test_empty_log_round_trip(tmp_path):
     assert path.read_text().count("\n") == 2
     loaded = load_trace(path)
     assert loaded == empty
+
+
+def _reference_trace(log):
+    """The bytes of ``log``'s trace built with ``str``, one line at a time."""
+
+    def opt(value):
+        return "" if value < 0 else str(value)
+
+    events = log.events
+    lines = [f"#config {json.dumps(asdict(log.config), sort_keys=True)}", trace_module._HEADER]
+    for gsn, pid, kind, x, sender, receiver, send_gsn, vector, bloom in zip(
+        *(column.tolist() for column in events.columns()), events.vectors.tolist(), events.blooms.tolist()
+    ):
+        lines.append(
+            f"{gsn}|{pid}|{KINDS[kind]}|{x}|{opt(sender)}|{opt(receiver)}|{opt(send_gsn)}|"
+            f"{','.join(map(str, vector))}|{','.join(map(str, bloom))}"
+        )
+    return "".join(line + "\n" for line in lines).encode()
+
+
+INT32_MIN, INT32_MAX = int(np.iinfo(np.int32).min), int(np.iinfo(np.int32).max)
+# Small values, decimal length boundaries, negatives and the int32 extremes.
+WRITER_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([9, 10, 99, 100, 9999, 10**5, 10**9 - 1, 10**9, -10, -99999, INT32_MIN, INT32_MAX]),
+    st.integers(INT32_MIN, INT32_MAX),
+)
+
+
+@st.composite
+def hand_built_logs(draw):
+    """A log of drawn int32 columns and clocks, empty or of a few rows."""
+    entities, m = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rows = draw(st.integers(0, 8))
+    config = ExperimentConfig("complete", n=entities, m=m, k=1, gsn_limit=max(rows, 1))
+
+    def matrix(width):
+        values = draw(st.lists(WRITER_VALUES, min_size=rows * width, max_size=rows * width))
+        return np.array(values, np.int32).reshape(rows, width)
+
+    gsns, pids, xs, senders, receivers, send_gsns = matrix(6).T
+    kinds = np.array(draw(st.lists(st.integers(0, len(KINDS) - 1), min_size=rows, max_size=rows)), np.int32)
+    columns = [gsns, pids, kinds, xs, senders, receivers, send_gsns]
+    return ExecutionLog(config, Events(columns, matrix(entities), matrix(m)))
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer") / "trace.txt"
+
+
+@settings(max_examples=120, deadline=None)
+@given(log=hand_built_logs(), chunk=st.sampled_from([1, 2, 5, 1024]))
+def test_writer_matches_str_formatting(trace_path, log, chunk):
+    with mock.patch.object(trace_module, "_CHUNK", chunk):
+        persist_trace(log, trace_path)
+    assert trace_path.read_bytes() == _reference_trace(log)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig("complete", n=12, m=1, k=3, pr_i=0.4, seed=3, gsn_limit=2500),  # three chunks
+        ExperimentConfig("star", n=1, m=1, k=1, seed=4),
+        ExperimentConfig("star", n=6, m=3, k=2, seed=5),
+        ExperimentConfig("broadcast", n=2, m=2, k=1, seed=6),
+        ExperimentConfig("broadcast", n=20, m=4, k=2, seed=7),
+    ],
+    ids=["complete", "star-one-client", "star", "broadcast-two", "broadcast"],
+)
+def test_writer_matches_str_formatting_on_runs(tmp_path, config):
+    log = run(config)
+    path = tmp_path / "trace.txt"
+    persist_trace(log, path)
+    assert path.read_bytes() == _reference_trace(log)
 
 
 def test_missing_config_line(tmp_path):
