@@ -59,6 +59,14 @@ def _add_seed_flags(parser: argparse.ArgumentParser, repeatable: bool) -> None:
         parser.add_argument("--seed", type=int, default=1, help="seed of the run (default 1)")
 
 
+class _NoteGiven(argparse.Action):
+    """``store`` that also adds its flag to ``args.given``, so a flag given explicitly is told from a default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
+
+
 def _seeds(args: argparse.Namespace) -> tuple[int, ...]:
     if args.seed:
         return tuple(args.seed)
@@ -172,6 +180,11 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     if args.load is not None:
+        ignored = [flag for flag in args.given if flag != "--load"]
+        if ignored:
+            raise argparse.ArgumentTypeError(
+                f"trace --load takes its configuration from the trace and writes nothing; drop {ignored[0]}"
+            )
         log = load_trace(args.load)
         if len(log) != log.config.event_count:
             raise TraceParseError(
@@ -224,6 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=cmd_curve)
 
     p_trace = sub.add_parser("trace", help="persist a run's event log, or load and verify one")
+    # Every flag of trace notes itself in args.given: --load refuses the
+    # others, including those with defaults, when they are given.
+    p_trace.register("action", None, _NoteGiven)
+    p_trace.set_defaults(given=())
     _add_config_flags(p_trace, many=False, required=False)
     _add_seed_flags(p_trace, repeatable=False)
     p_trace.add_argument("--load", help="load this trace file and verify it by replay")

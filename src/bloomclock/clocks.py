@@ -15,7 +15,7 @@ so snapshots can be stored in event logs and shared freely across threads.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import TypeVar
@@ -29,6 +29,8 @@ EventIndex = int
 
 # A hashed (pid, x) pair: two little-endian signed 64-bit integers.
 _PAIR = struct.Struct("<qq")
+# One packed pair as a 16-byte string, to read a buffer of them back pair by pair.
+_PACKED_PAIR = struct.Struct(f"{_PAIR.size}s")
 
 
 @dataclass(frozen=True)
@@ -77,17 +79,23 @@ class HashFamily:
         m = self.m
         return tuple((h1 + i * h2) % m for i in range(self.k))
 
-    def index_rows(self, pids: Iterable[ProcessId], xs: Iterable[EventIndex]) -> np.ndarray:
+    def index_rows(
+        self, pids: Sequence[ProcessId] | np.ndarray, xs: Sequence[EventIndex] | np.ndarray
+    ) -> np.ndarray:
         """Indices of many events: row ``r`` of the ``(events, k)`` uint64 array is ``indices(pids[r], xs[r])``."""
+        # Each (pid, x) as _PAIR packs it, all in one buffer.
+        packed = np.empty((len(pids), 2), "<i8")
+        packed[:, 0] = pids
+        packed[:, 1] = xs
         # A copy of a keyed hasher skips the key block that a keyed
         # constructor compresses on every call.
-        keyed = blake2b(digest_size=16, key=self._key())
-        pack = _PAIR.pack
-        digests = []
-        for pid, x in zip(pids, xs):
-            h = keyed.copy()
-            h.update(pack(pid, x))
-            digests.append(h.digest())
+        copy = blake2b(digest_size=16, key=self._key()).copy
+        digests: list[bytes] = []
+        add = digests.append
+        for (pair,) in _PACKED_PAIR.iter_unpack(packed.tobytes()):
+            h = copy()
+            h.update(pair)
+            add(h.digest())
         halves = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 2)
         m = np.uint64(self.m)
         h1 = halves[:, 0] % m

@@ -21,9 +21,15 @@ the log is a linearization of the run: ``y`` happened-before ``z`` implies
 per destination and a receive consumes a uniformly random element.
 
 Runs are pure functions of the configuration: the scheduler, destination
-choices, pool draws and hash family all derive from one 64-bit seed.  No
-random draw depends on a clock value, so a runner records only the linkage
-(each event's process and kind, a send's destination, a receive's send);
+choices, pool draws and hash family all derive from one 64-bit seed.
+Every draw comes from one ``random.Random(seed)``: ``random()`` for a
+complete run's event kind, and ``_below`` for each choice among
+processes, destinations and pending messages.  ``_below`` draws from
+``getrandbits`` by ``randrange``'s own rejection rule, so it consumes
+the same words and returns the same values as ``randrange``, and a seed
+gives the same run on CPython 3.10 to 3.13.  No random draw depends on a
+clock value, so a runner records only the linkage (each event's process
+and kind, a send's destination, a receive's send);
 ``_linkage_log`` derives the other columns and ``_stamp`` the clocks.
 ``replay_timestamps`` rebuilds every column and timestamp of a recorded
 log from its linkage through both, and checks that each receive happens
@@ -399,9 +405,7 @@ def _row_plan(
     merged = np.where(is_receive, send_gsns, 0)
     # level_of[0] stands for "no send", so every event reads one entry.
     level_of = array("i", [0]) * (count + 1)
-    previous = array("i", [0]) * count
     last_level = [0] * entities
-    last_gsn = [0] * entities
     for lo in range(0, count, _STAMP_CHUNK):
         hi = lo + _STAMP_CHUNK
         for gsn, pid, send in zip(range(lo + 1, hi + 1), pids[lo:hi].tolist(), merged[lo:hi].tolist()):
@@ -409,15 +413,18 @@ def _row_plan(
             if level_of[send] > level:
                 level = level_of[send]
             level_of[gsn] = last_level[pid] = level + 1
-            previous[gsn - 1] = last_gsn[pid]
-            last_gsn[pid] = gsn
     del merged
     reads = np.zeros((3, count), _DTYPE)
     levels = reads[0]
     levels[:] = np.frombuffer(level_of, _DTYPE)[1:]
     del level_of
-    # The GSN of each process's previous event, 0 for its first.
-    previous = np.frombuffer(previous, _DTYPE)
+    # The GSN of each process's previous event, 0 for its first: in the
+    # events grouped by process, the one before it if that is at its process.
+    by_pid = _by_process(pids)
+    follows = pids[by_pid[1:]] == pids[by_pid[:-1]]
+    previous = np.zeros(count, _DTYPE)
+    previous[by_pid[1:][follows]] = by_pid[:-1][follows] + 1
+    del by_pid, follows
     has_previous = previous > 0
     next_level = np.zeros(count, _DTYPE)
     next_level[previous[has_previous] - 1] = levels[has_previous]
@@ -456,7 +463,10 @@ def _row_plan(
 
 
 def _stamp(
-    config: ExperimentConfig, columns: Sequence[np.ndarray], gsns: np.ndarray | None = None
+    config: ExperimentConfig,
+    columns: Sequence[np.ndarray],
+    gsns: np.ndarray | None = None,
+    visit: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the clock protocol to a linkage; the one place where clocks tick and merge.
 
@@ -474,9 +484,13 @@ def _stamp(
     rows (a unit row for the vector clock, the hashed indices for the Bloom
     clock) and scatter the results, so every read of a level comes before
     its writes.  Tick rows are built for whole levels, ``_STAMP_CHUNK`` or
-    more events at a time, from one batch of hashes.  The requested rows
-    are the first slots after the zero row; the matrix is cut back to them
-    in place and the two clocks are returned as column views of it.
+    more events at a time, from one batch of hashes, and each level's rows
+    are stamped into its part of that batch.  If ``visit`` is given, it is
+    called once per batch with the positions of the batch's events and
+    their stamped rows; ``replay_timestamps`` checks every row that way
+    without keeping it.  The requested rows are the first slots after the
+    zero row; the matrix is cut back to them in place and the two clocks
+    are returned as column views of it.
     """
     _, pids, kinds, xs, _, _, send_gsns = columns
     if gsns is None:
@@ -510,14 +524,17 @@ def _stamp(
         local = np.arange(hi - lo)
         ticks[local, chunk_pids] = 1
         # One add per hash function: an index hit by two of them adds 2.
-        for column in family.index_rows(chunk_pids.tolist(), chunk_xs.tolist()).T:
+        for column in family.index_rows(chunk_pids, chunk_xs).T:
             ticks[local, entities + column] += 1
         for start, end in zip(bounds[first:last], bounds[first + 1 : last + 1]):
             level = slice(start - lo, end - lo)
             rows = clocks.take(previous[level], axis=0)
             np.maximum(rows, clocks.take(sources[level], axis=0), out=rows)
-            rows += ticks[level]
-            clocks[targets[level]] = rows
+            stamped = ticks[level]
+            stamped += rows
+            clocks[targets[level]] = stamped
+        if visit is not None:
+            visit(order[lo:hi], ticks)
     # The requested rows are slots 1 to kept: dropping the slots after them
     # in place frees the scratch rows without a copy of the requested ones.
     # Nothing views clocks here; the reference check would count a tracer's
@@ -569,36 +586,70 @@ def _linkage_log(
 
 
 def run(config: ExperimentConfig) -> ExecutionLog:
-    """Run the topology named by the configuration; every draw comes from one ``random.Random(seed)``."""
+    """Run the topology named by the configuration.
+
+    Every draw comes from one ``random.Random(seed)``: ``random()`` for a
+    complete run's event kind, and ``_below`` for every choice among
+    processes, destinations and pending messages.  ``_below`` draws from
+    ``getrandbits`` by ``randrange``'s own rejection rule, so a seed gives
+    the same run on CPython 3.10 to 3.13.
+    """
     linkage = _Linkage()
     _RUNNERS[config.topology](config, random.Random(config.seed), linkage)
     return _linkage_log(config, linkage.pids, linkage.kinds, linkage.links)
+
+
+def _below(getrandbits: Callable[[int], int], bound: int) -> int:
+    """A uniform draw from [0, ``bound``): the words and value of ``random.Random.randrange(bound)``.
+
+    ``randrange`` draws ``bound.bit_length()`` bits until the value falls
+    below ``bound``; this is that loop without the method frames that
+    ``randrange`` passes through on the way to it.
+    """
+    bits = bound.bit_length()
+    value = getrandbits(bits)
+    while value >= bound:
+        value = getrandbits(bits)
+    return value
 
 
 def _run_complete(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -> None:
     """Decentralized complete-graph run, terminating when the GSN hits the budget.
 
     Scheduler steps that draw a receive for a process with an empty pending
-    pool execute nothing; the GSN only advances on executed events.
+    pool execute nothing; the GSN only advances on executed events.  The
+    loop appends to the linkage's lists and counts GSNs itself rather than
+    making a ``record`` call per event.
     """
     n = config.n
     pending: list[list[int]] = [[] for _ in range(n)]
-    send_cut = config.pr_i + (1.0 - config.pr_i) / 2.0
+    pr_i = config.pr_i
+    send_cut = pr_i + (1.0 - pr_i) / 2.0
+    getrandbits, uniform = rng.getrandbits, rng.random
+    add_pid, add_kind, add_link = linkage.pids.append, linkage.kinds.append, linkage.links.append
+    gsn, budget = len(linkage.pids), config.event_budget
 
-    while len(linkage.pids) < config.event_budget:
-        pid = rng.randrange(n)
-        u = rng.random()
-        if u < config.pr_i:
-            linkage.record(pid, INTERNAL)
+    while gsn < budget:
+        pid = _below(getrandbits, n)
+        u = uniform()
+        if u < pr_i:
+            kind, link = INTERNAL, _ABSENT
         elif u < send_cut:
-            dest = rng.randrange(n - 1)
-            if dest >= pid:
-                dest += 1
-            pending[dest].append(linkage.record(pid, SEND, dest))
+            link = _below(getrandbits, n - 1)
+            if link >= pid:
+                link += 1
+            kind = SEND
+            pending[link].append(gsn + 1)
         elif pending[pid]:
             pool = pending[pid]
-            linkage.record(pid, RECEIVE, pool.pop(rng.randrange(len(pool))))
-        # else: a receive draw with an empty pool yields the step.
+            kind, link = RECEIVE, pool.pop(_below(getrandbits, len(pool)))
+        else:
+            # A receive draw with an empty pool yields the step.
+            continue
+        add_pid(pid)
+        add_kind(kind)
+        add_link(link)
+        gsn += 1
 
 
 def _run_star(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -> None:
@@ -619,11 +670,12 @@ def _run_star(config: ExperimentConfig, rng: random.Random, linkage: _Linkage) -
     replies: list[int | None] = [None] * n
     requests: list[int] = []
     clients = list(range(n))
+    getrandbits = rng.getrandbits
 
     while clients or requests:
-        pick = rng.randrange(len(clients) + (1 if requests else 0))
+        pick = _below(getrandbits, len(clients) + (1 if requests else 0))
         if pick == len(clients):
-            request = requests.pop(rng.randrange(len(requests)))
+            request = requests.pop(_below(getrandbits, len(requests)))
             client = linkage.pids[request - 1]
             linkage.record(server, RECEIVE, request)
             replies[client] = linkage.record(server, SEND, client)
@@ -653,9 +705,10 @@ def _run_broadcast(config: ExperimentConfig, rng: random.Random, linkage: _Linka
     pending: list[list[int]] = [[] for _ in range(n)]
     sent = [False] * n
     ready = list(range(n))
+    getrandbits = rng.getrandbits
 
     while ready:
-        pick = rng.randrange(len(ready))
+        pick = _below(getrandbits, len(ready))
         pid = ready[pick]
         if not sent[pid]:
             sent[pid] = True
@@ -669,7 +722,7 @@ def _run_broadcast(config: ExperimentConfig, rng: random.Random, linkage: _Linka
                 del ready[pid]
         else:
             pool = pending[pid]
-            linkage.record(pid, RECEIVE, pool.pop(rng.randrange(len(pool))))
+            linkage.record(pid, RECEIVE, pool.pop(_below(getrandbits, len(pool))))
             if not pool:
                 del ready[pick]
 
@@ -690,9 +743,10 @@ def replay_timestamps(log: ExecutionLog) -> None:
     GSN.  Guards check that pids lie in range, that each send's receiver
     lies in [-1, entities), and that each receive links to an earlier send
     of another process, happens at its message's destination, if any, and is
-    the only receive of that send at its process.  Then ``_linkage_log`` and
-    ``_stamp`` rebuild every column and timestamp.  ``ReplayError`` names the
-    GSN of the first failed guard, or the first GSN where anything differs.
+    the only receive of that send at its process.  Then ``_linkage_log``
+    rebuilds every column and ``_stamp`` every timestamp, which is compared
+    with the recorded one as it is stamped.  ``ReplayError`` names the GSN
+    of the first failed guard, or the first GSN where anything differs.
     """
     config, recorded = log.config, log.events
     entities = config.entities
@@ -720,9 +774,17 @@ def replay_timestamps(log: ExecutionLog) -> None:
     repeated = np.ones(len(at), bool)
     repeated[np.unique(sent * entities + pids[at], return_index=True)[1]] = False
     _refuse(repeated, lambda r: f"gsn {at[r] + 1}: process {pids[at[r]]} receives send gsn {sent[r]} again")
-    rebuilt = _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).events
-    pairs = list(zip(recorded.columns(), rebuilt.columns()))
-    clocks = (recorded.vectors != rebuilt.vectors).any(axis=1) | (recorded.blooms != rebuilt.blooms).any(axis=1)
+    rebuilt = _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).columns()
+    pairs = list(zip(recorded.columns(), rebuilt))
+    clocks = np.zeros(len(pids), bool)
+
+    def compare(events: np.ndarray, rows: np.ndarray) -> None:
+        vectors, blooms = rows[:, :entities], rows[:, entities:]
+        clocks[events] = (vectors != recorded.vectors[events]).any(axis=1) | (blooms != recorded.blooms[events]).any(axis=1)
+
+    # Stamping through the last event, the one row kept, compares every row
+    # as it is made, so replay holds the live rows, not a second copy.
+    _stamp(config, rebuilt, np.arange(max(len(pids), 1), len(pids) + 1), compare)
     differs = np.stack([held != derived for held, derived in pairs] + [clocks])
     if differs.any():
         row = int(np.argmax(differs.any(axis=0)))

@@ -160,6 +160,31 @@ def test_trace_write_then_verify(tmp_path, capsys):
     assert "replay check passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    ("flags", "named"),
+    [
+        (["--n", "99", "--m", "1", "--seed", "5", "--pri", "0.5"], "--n"),
+        # Flags whose value equals the default, and an abbreviated one.
+        (["--topology", "complete"], "--topology"),
+        (["--k", "2"], "--k"),
+        (["--se", "1"], "--seed"),
+        (["--m-ratio", "0.5"], "--m-ratio"),
+        (["--gsn-limit=100"], "--gsn-limit"),
+        (["--messages-per-client", "3"], "--messages-per-client"),
+        (["--out", "elsewhere"], "--out"),
+    ],
+)
+def test_trace_load_rejects_run_flags(tmp_path, capsys, flags, named):
+    out = tmp_path / "tr"
+    assert main(["trace", "--n", "6", "--m", "3", "--gsn-limit", "100", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["trace", "--load", str(out / "trace.txt"), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(f"drop {named}\n")
+
+
 def test_trace_load_rejects_corrupt_file(tmp_path, capsys):
     out = tmp_path / "tr"
     main(["trace", "--n", "6", "--m", "3", "--seed", "2", "--gsn-limit", "100", "--out", str(out)])

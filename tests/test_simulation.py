@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cProfile
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -31,9 +32,11 @@ from bloomclock import (
 from bloomclock.simulation import (
     _RUNNERS,
     _STAMP_CHUNK,
+    INTERNAL,
     RECEIVE,
     SEND,
     Events,
+    _below,
     _Linkage,
     _linkage_log,
     _row_plan,
@@ -215,8 +218,30 @@ def test_broadcast_processes_send_before_receiving():
             assert e.pid in sent
 
 
-# The star and broadcast runners as they were when they rebuilt the ready
-# list on every step: the reference the incremental ready lists must match.
+# The runners as they were when they drew through rng.randrange, recorded
+# through _Linkage.record, and (star and broadcast) rebuilt the ready list on
+# every step: the reference the _below draws, the complete runner's direct
+# appends and the incremental ready lists must match.
+
+
+def _reference_complete(config, rng, linkage):
+    n = config.n
+    pending = [[] for _ in range(n)]
+    send_cut = config.pr_i + (1.0 - config.pr_i) / 2.0
+
+    while len(linkage.pids) < config.event_budget:
+        pid = rng.randrange(n)
+        u = rng.random()
+        if u < config.pr_i:
+            linkage.record(pid, INTERNAL)
+        elif u < send_cut:
+            dest = rng.randrange(n - 1)
+            if dest >= pid:
+                dest += 1
+            pending[dest].append(linkage.record(pid, SEND, dest))
+        elif pending[pid]:
+            pool = pending[pid]
+            linkage.record(pid, RECEIVE, pool.pop(rng.randrange(len(pool))))
 
 
 def _reference_star(config, rng, linkage):
@@ -271,18 +296,22 @@ def _reference_broadcast(config, rng, linkage):
             linkage.record(pid, RECEIVE, pool.pop(rng.randrange(len(pool))))
 
 
-_REFERENCE_RUNNERS = {"star": _reference_star, "broadcast": _reference_broadcast}
+_REFERENCE_RUNNERS = {"complete": _reference_complete, "star": _reference_star, "broadcast": _reference_broadcast}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     topology=st.sampled_from(sorted(_REFERENCE_RUNNERS)),
     n=st.integers(min_value=1, max_value=12),
     rounds=st.integers(min_value=1, max_value=6),
+    pr_i=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    gsn_limit=st.integers(min_value=1, max_value=400),
     seed=st.integers(min_value=0, max_value=2**64 - 1),
 )
-def test_runners_record_the_linkage_of_the_rebuilt_ready_lists(topology, n, rounds, seed):
-    if topology == "star":
+def test_runners_record_the_linkage_of_the_rebuilt_ready_lists(topology, n, rounds, pr_i, gsn_limit, seed):
+    if topology == "complete":
+        config = ExperimentConfig("complete", n=max(n, 2), m=2, k=1, pr_i=pr_i, seed=seed, gsn_limit=gsn_limit)
+    elif topology == "star":
         config = ExperimentConfig("star", n=n, m=2, k=1, seed=seed, messages_per_client=rounds)
     else:
         config = ExperimentConfig("broadcast", n=n + 1, m=2, k=1, seed=seed)
@@ -290,6 +319,20 @@ def test_runners_record_the_linkage_of_the_rebuilt_ready_lists(topology, n, roun
     _RUNNERS[topology](config, random.Random(seed), linkage)
     _REFERENCE_RUNNERS[topology](config, random.Random(seed), reference)
     assert (linkage.pids, linkage.kinds, linkage.links) == (reference.pids, reference.kinds, reference.links)
+
+
+# Powers of two and 2**j - 1 sit on both sides of a bit-length step, where
+# the rejection loop draws most often.
+_BOUNDS = sorted(set(range(1, 5000)) | {2**j for j in range(40)} | {2**j - 1 for j in range(1, 40)})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**64 - 1, -3])
+def test_below_draws_what_randrange_draws(seed):
+    drawn, reference = random.Random(seed), random.Random(seed)
+    getrandbits = drawn.getrandbits
+    assert [_below(getrandbits, bound) for bound in _BOUNDS] == [reference.randrange(bound) for bound in _BOUNDS]
+    # Both generators consumed the same words, so the next draws agree too.
+    assert drawn.getstate() == reference.getstate()
 
 
 def test_broadcast_slice_metrics_hit_targets(broadcast100_m5):
@@ -593,6 +636,24 @@ def test_replay_accepts_an_empty_trace(tmp_path):
     path = tmp_path / "empty.txt"
     persist_trace(ExecutionLog(ExperimentConfig("complete", n=4, m=2, k=1), ()), path)
     replay_timestamps(load_trace(path))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [ExperimentConfig("complete", n=100, m=10, k=2, seed=1), ExperimentConfig("broadcast", n=100, m=10, k=2, seed=1)],
+    ids=["complete", "broadcast"],
+)
+def test_replay_checks_rows_without_a_second_copy_of_the_clocks(config):
+    log = run(config)
+    clock_bytes = log.events.vectors.nbytes + log.events.blooms.nbytes
+    tracemalloc.start()
+    try:
+        replay_timestamps(log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Stamping a full copy to compare against would alone take clock_bytes.
+    assert peak < clock_bytes / 2
 
 
 def test_events_are_a_lazy_sequence_with_view_slices():
