@@ -172,9 +172,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         experiments.write_curve_csv(rows, out / "curve.csv")
         print(f"wrote {len(rows)} rows to {out / 'curve.csv'}")
     else:
-        print(",".join(experiments.CURVE_HEADER))
-        for row in rows:
-            print(",".join(map(str, experiments.curve_fields(row))))
+        sys.stdout.writelines(experiments.curve_lines(rows, "\n"))
     return 0
 
 

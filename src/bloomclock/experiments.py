@@ -10,12 +10,14 @@ reruns stay byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import struct
 from dataclasses import asdict, dataclass, replace
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError
 from .metrics import CurveRow, MetricsReport, SliceSpec, slice_metrics
@@ -197,27 +199,63 @@ def write_csv(rows: Sequence[dict], path: str | Path) -> None:
         writer.writerows(rows)
 
 
-def write_curve_csv(rows: Sequence[CurveRow], path: str | Path) -> None:
+_pack_floats = struct.Struct("<3d").pack
+
+
+def write_curve_csv(rows: Iterable[CurveRow], path: str | Path) -> None:
     """Curve CSV with header z_gsn,pr_p,pr_fp_step,pr_fp_smooth,outcome."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CURVE_HEADER)
-        writer.writerows(curve_fields(row) for row in rows)
+        handle.writelines(curve_lines(rows, "\r\n"))
 
 
-def curve_fields(row: CurveRow) -> list:
-    """One curve row's CSV fields; floats use ``repr`` so the file round-trips losslessly."""
-    return [row.z_gsn, repr(row.pr_p), repr(row.pr_fp_step), repr(row.pr_fp_smooth), row.outcome]
+def curve_lines(rows: Iterable[CurveRow], ending: str) -> Iterator[str]:
+    """The curve CSV's header and rows as ``csv.writer`` writes them, each line ending in ``ending``.
+
+    Floats are written with ``repr`` so the file round-trips losslessly.  A
+    curve has few distinct (pr_p, pr_fp_step, pr_fp_smooth, outcome) tails,
+    so each tail goes through the csv writer once and is reused after the
+    row's z_gsn.  The tails are keyed by the floats' bit patterns, which
+    tell -0.0 from 0.0 and let a NaN match itself.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=ending)
+
+    def line(fields) -> str:
+        writer.writerow(fields)
+        text = buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+        return text
+
+    yield line(CURVE_HEADER)
+    tails: dict[tuple[bytes, str], str] = {}
+    for row in rows:
+        key = (_pack_floats(row.pr_p, row.pr_fp_step, row.pr_fp_smooth), row.outcome)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = line((repr(row.pr_p), repr(row.pr_fp_step), repr(row.pr_fp_smooth), row.outcome))
+        yield f"{row.z_gsn},{tail}"
 
 
 def read_curve_csv(path: str | Path) -> list[CurveRow]:
-    """Parse a curve CSV back into rows (lossless round trip with ``write_curve_csv``)."""
+    """Parse a curve CSV back into rows (lossless round trip with ``write_curve_csv``).
+
+    A malformed header or row raises ``ValueError`` naming its line.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != CURVE_HEADER:
-            raise ValueError(f"unexpected curve header {header}")
-        return [
-            CurveRow(int(gsn), float(pr_p), float(fp_step), float(fp_smooth), outcome)
-            for gsn, pr_p, fp_step, fp_smooth, outcome in reader
-        ]
+            raise ValueError(f"line 1: expected header {','.join(CURVE_HEADER)}, got {header}")
+        rows = []
+        for fields in reader:
+            if len(fields) != len(CURVE_HEADER):
+                raise ValueError(
+                    f"line {reader.line_num}: expected {len(CURVE_HEADER)} fields, got {len(fields)}"
+                )
+            gsn, pr_p, fp_step, fp_smooth, outcome = fields
+            try:
+                rows.append(CurveRow(int(gsn), float(pr_p), float(fp_step), float(fp_smooth), outcome))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from exc
+        return rows

@@ -208,10 +208,15 @@ def probability_curve(
         )
     y = log.select([y_gsn])[0]
     window = log.select(range(z_from, z_to + 1))
-    causal = _reaches(y.pid, y.vector_ts.counters[y.pid], window.vectors).tolist()
-    dominates = (window.blooms >= np.asarray(y.bloom_ts.counters)).all(axis=1).tolist()
-    probabilities = pr_positive_by_sum(y.bloom_ts, window.blooms.sum(axis=1).tolist())
-    return [
-        CurveRow(gsn, p, *false_positive_probabilities(p, delta), _outcome(oracle, delta))
-        for gsn, p, delta, oracle in zip(window.gsns.tolist(), probabilities, dominates, causal)
-    ]
+    causal = _reaches(y.pid, y.vector_ts.counters[y.pid], window.vectors)
+    dominates = (window.blooms >= np.asarray(y.bloom_ts.counters)).all(axis=1)
+    # A row's values depend only on z's Bloom sum, the dominance bit and the
+    # oracle bit, so each (sum, dominance, oracle) class is evaluated once.
+    keys = (window.blooms.sum(axis=1, dtype=np.int64) * 2 + dominates) * 2 + causal
+    classes, row_class = np.unique(keys, return_inverse=True)
+    sums, bit_pairs = np.divmod(classes, 4)
+    tails = []
+    for p, bit_pair in zip(pr_positive_by_sum(y.bloom_ts, sums.tolist()), bit_pairs.tolist()):
+        delta, oracle = divmod(bit_pair, 2)
+        tails.append((p, *false_positive_probabilities(p, delta), _outcome(oracle, delta)))
+    return [CurveRow(gsn, *tails[c]) for gsn, c in zip(window.gsns.tolist(), row_class.tolist())]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .clocks import BloomClock
 from .errors import ConfigurationError, NumericError
@@ -69,13 +69,38 @@ def count_threshold_cdf(threshold: int, trials: int, width: int) -> float:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    if threshold == 0:
-        return 0.0
-    if threshold > trials:
-        return 1.0
-    if trials <= EXACT_CUTOFF:
-        return _as_probability(sum(binom_pmf(h, trials, width) for h in range(threshold)))
-    return poisson_cdf_via_gamma(threshold, trials / width)
+    return _threshold_cdfs((threshold,), trials, width)[threshold]
+
+
+def _threshold_cdfs(thresholds: Iterable[int], trials: int, width: int) -> dict[int, float]:
+    """``count_threshold_cdf`` of every distinct threshold in ``thresholds``, keyed by threshold.
+
+    On the exact path the binomial terms of ``trials`` are computed once and
+    added left to right in one running sum; each threshold's tail is the
+    prefix of that sum below it.  The explicit loop, not the built-in
+    ``sum``, fixes the rounding: from CPython 3.12 on ``sum`` of floats
+    compensates its rounding errors, which would make the tails, and the
+    curve files printed from them, depend on the interpreter.
+    """
+    cdfs: dict[int, float] = {}
+    exact = []
+    for threshold in set(thresholds):
+        if threshold == 0:
+            cdfs[threshold] = 0.0
+        elif threshold > trials:
+            cdfs[threshold] = 1.0
+        elif trials > EXACT_CUTOFF:
+            cdfs[threshold] = poisson_cdf_via_gamma(threshold, trials / width)
+        else:
+            exact.append(threshold)
+    total = 0.0
+    hits = 0
+    for threshold in sorted(exact):
+        while hits < threshold:
+            total += binom_pmf(hits, trials, width)
+            hits += 1
+        cdfs[threshold] = _as_probability(total)
+    return cdfs
 
 
 def poisson_cdf_via_gamma(threshold: int, mean: float) -> float:
@@ -158,17 +183,14 @@ def pr_positive_by_sum(by: BloomClock, trials: Sequence[int]) -> list[float]:
 def _pr_positive_at_sum(thresholds: tuple[int, ...], trials: int) -> float:
     """``pr_p`` for reference counters ``thresholds`` against a z whose Bloom sum is ``trials``.
 
-    Each distinct threshold's factor is evaluated once.  The factors are
-    accumulated in log space, in counter order, so that widths in the
+    Every distinct threshold's tail comes from one ``_threshold_cdfs`` pass
+    over the binomial terms of ``trials``.  The factors are accumulated in log space, in counter order, so that widths in the
     hundreds cannot underflow the running product.
     """
-    width = len(thresholds)
-    factors: dict[int, float] = {}
+    cdfs = _threshold_cdfs(thresholds, trials, len(thresholds))
     log_product = 0.0
     for threshold in thresholds:
-        if threshold not in factors:
-            factors[threshold] = 1.0 - count_threshold_cdf(threshold, trials, width)
-        factor = factors[threshold]
+        factor = 1.0 - cdfs[threshold]
         if factor <= 0.0:
             return 0.0
         log_product += math.log(factor)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bloomclock import (
     ConfigurationError,
@@ -21,7 +26,8 @@ from bloomclock import (
     write_curve_csv,
     write_sweep_csv,
 )
-from bloomclock.experiments import read_curve_csv, sweep_table
+from bloomclock.experiments import CURVE_HEADER, read_curve_csv, sweep_table
+from bloomclock.metrics import CurveRow
 
 SMALL = ExperimentConfig("complete", n=10, m=3, k=2, gsn_limit=400)
 
@@ -144,3 +150,68 @@ def test_curve_csv_round_trip(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header == "z_gsn,pr_p,pr_fp_step,pr_fp_smooth,outcome"
     assert read_curve_csv(path) == rows
+
+
+def _write_curve_csv_per_row(rows, path):
+    """The curve CSV written one ``csv.writer`` row at a time: the reference."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CURVE_HEADER)
+        for row in rows:
+            writer.writerow([row.z_gsn, repr(row.pr_p), repr(row.pr_fp_step), repr(row.pr_fp_smooth), row.outcome])
+
+
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1.0, 0.25]),
+    st.floats(),
+)
+outcomes = st.one_of(
+    st.sampled_from(["TP", "FP", "TN", "FN", "", "a,b", 'say "hi"', "two\r\nlines"]),
+    st.text(alphabet=' ,"\r\nTPFN', max_size=5),
+)
+
+
+@st.composite
+def curve_rows(draw):
+    # Rows drawn from a small pool of tails repeat classes, as a curve does.
+    pool = draw(st.lists(st.tuples(edge_floats, edge_floats, edge_floats, outcomes), min_size=1, max_size=5))
+    tails = draw(st.lists(st.sampled_from(pool), max_size=30))
+    return [CurveRow(draw(st.integers(min_value=-(2**63), max_value=2**63)), *tail) for tail in tails]
+
+
+@settings(max_examples=200, deadline=None)
+@given(curve_rows())
+@example([CurveRow(1, 0.0, -0.0, 0.0, "TN"), CurveRow(2, -0.0, 0.0, -0.0, "TN"), CurveRow(3, 0.0, -0.0, 0.0, "TN")])
+@example([CurveRow(1, math.nan, math.inf, -math.inf, "FP"), CurveRow(2, 5e-324, math.nan, math.nan, 'q"a,b')])
+def test_curve_csv_matches_per_row_writer(rows):
+    with tempfile.TemporaryDirectory() as scratch:
+        expected, written = Path(scratch, "expected.csv"), Path(scratch, "written.csv")
+        _write_curve_csv_per_row(rows, expected)
+        write_curve_csv(rows, written)
+        assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "bad_line, line, message",
+    [
+        ("101,0.5,0.1", 3, "expected 5 fields, got 3"),
+        ("101,0.5,0.1,0.2,TP,extra", 3, "expected 5 fields, got 6"),
+        ("101,x,0.1,0.2,TP", 3, "could not convert string to float: 'x'"),
+        ("10.5,0.5,0.1,0.2,TP", 3, "invalid literal for int"),
+        # An outcome quoted across two lines: the bad row after it is on line 5.
+        ('101,0.5,0.1,0.2,"T\nP"\n102,y,0,0,TN', 5, "could not convert string to float: 'y'"),
+    ],
+)
+def test_read_curve_csv_names_the_bad_line(tmp_path, bad_line, line, message):
+    path = tmp_path / "curve.csv"
+    path.write_text("z_gsn,pr_p,pr_fp_step,pr_fp_smooth,outcome\n100,0.5,0.5,0.25,FP\n" + bad_line + "\n")
+    with pytest.raises(ValueError, match=f"^line {line}: {message}"):
+        read_curve_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "z_gsn,pr_p,outcome\n100,0.5,FP\n"])
+def test_read_curve_csv_checks_the_header_line(tmp_path, text):
+    path = tmp_path / "curve.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^line 1: expected header"):
+        read_curve_csv(path)
