@@ -184,8 +184,9 @@ def _pr_positive_at_sum(thresholds: tuple[int, ...], trials: int) -> float:
     """``pr_p`` for reference counters ``thresholds`` against a z whose Bloom sum is ``trials``.
 
     Every distinct threshold's tail comes from one ``_threshold_cdfs`` pass
-    over the binomial terms of ``trials``.  The factors are accumulated in log space, in counter order, so that widths in the
-    hundreds cannot underflow the running product.
+    over the binomial terms of ``trials``.  The factors are accumulated in
+    log space, in counter order, so that widths in the hundreds cannot
+    underflow the running product.
     """
     cdfs = _threshold_cdfs(thresholds, trials, len(thresholds))
     log_product = 0.0

@@ -271,8 +271,9 @@ def test_batch_evaluator_edge_cases():
 @st.composite
 def batch_cases(draw):
     width = draw(st.integers(min_value=1, max_value=8))
-    # Counters from a small pool repeat thresholds, whose tails share one pass.
-    thresholds = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4))
+    # A pool as large as the clock still allows width distinct thresholds;
+    # smaller pools repeat thresholds, whose tails share one pass.
+    thresholds = draw(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=width))
     counters = draw(st.lists(st.sampled_from(thresholds), min_size=width, max_size=width))
     sums = st.one_of(
         st.integers(min_value=0, max_value=60),
