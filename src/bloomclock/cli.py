@@ -68,6 +68,8 @@ class _NoteGiven(argparse.Action):
 
 
 def _seeds(args: argparse.Namespace) -> tuple[int, ...]:
+    if args.runs is not None and args.runs < 1:
+        raise argparse.ArgumentTypeError("--runs must be at least 1")
     if args.seed:
         return tuple(args.seed)
     return tuple(range(1, (args.runs or 3) + 1))

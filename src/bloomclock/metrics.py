@@ -21,24 +21,20 @@ from .simulation import EventRecord, Events, ExecutionLog
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """GSN grid for sampling: start (default 10*n), stride, end (default log end)."""
+    """GSN grid for sampling: start (default 10*n) and stride, up to the log's end."""
 
     start_gsn: int | None = None
     stride: int = 100
-    end_gsn: int | None = None
 
     def __post_init__(self) -> None:
         if self.start_gsn is not None and self.start_gsn < 1:
             raise ValueError(f"start_gsn must be at least 1, got {self.start_gsn}")
         if self.stride < 1:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
-        if self.end_gsn is not None and self.end_gsn < 1:
-            raise ValueError(f"end_gsn must be at least 1, got {self.end_gsn}")
 
     def resolve(self, log: ExecutionLog) -> tuple[int, int, int]:
         start = self.start_gsn if self.start_gsn is not None else 10 * log.config.n
-        end = self.end_gsn if self.end_gsn is not None else len(log)
-        return start, self.stride, end
+        return start, self.stride, len(log)
 
 
 @dataclass(frozen=True)
@@ -86,13 +82,11 @@ class CurveRow:
 
 
 def sample_slice(log: ExecutionLog, spec: SliceSpec | None = None) -> Events:
-    """Events at gsn = start, start+stride, ... <= end, through ``log.select``."""
+    """Events at gsn = start, start+stride, ... <= the log's end, through ``log.select``."""
     spec = spec if spec is not None else SliceSpec()
     start, stride, end = spec.resolve(log)
-    if end > len(log):
-        raise ValueError(f"end_gsn {end} beyond log end {len(log)}")
     if start > end:
-        raise ValueError(f"empty slice: start_gsn {start} beyond end_gsn {end}")
+        raise ValueError(f"empty slice: start_gsn {start} beyond log end {end}")
     grid = range(start, end + 1, stride)
     sampled = log.select(grid)
     gaps = np.flatnonzero(sampled.gsns != np.asarray(grid))

@@ -48,8 +48,9 @@ run, whose server serializes it, has about one level per two events.
 A log from ``run`` holds only its int32 linkage columns.  Clocks are
 stamped for the rows a caller reads: ``ExecutionLog.events`` stamps every
 row once, on first access, into one events x (entities + m) matrix whose
-vector and Bloom columns it keeps as two views; ``ExecutionLog.select``
-stamps only the rows of the GSNs it is given.  A partial stamp keeps a
+rows are ``[vector | bloom]``; ``Events.vectors`` and ``Events.blooms``
+are views of its two column ranges.  ``ExecutionLog.select`` stamps only
+the rows of the GSNs it is given.  A partial stamp keeps a
 row only while something needs it: requested rows, each process's latest
 row, and sends whose receives are still to come.  Its memory is
 O(entities**2 + live * entities + rows * entities) rather than
@@ -64,8 +65,9 @@ from __future__ import annotations
 import random
 from array import array
 from bisect import bisect_left, insort
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -116,6 +118,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.topology not in TOPOLOGIES:
             raise ConfigurationError(f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}")
+        # A trace's JSON config line can hold any type; a float or bool here would run or fail mid-run.
+        for name in ("n", "m", "k", "seed", "gsn_limit", "messages_per_client"):
+            value = getattr(self, name)
+            if (value is not None or name in ("n", "m", "k", "seed")) and type(value) is not int:
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.pr_i, Real) or isinstance(self.pr_i, bool):
+            raise ConfigurationError(f"pr_i must be a real number, got {self.pr_i!r}")
         # A star run with one client still has two clock-bearing entities
         # (client plus server); the peer topologies need two processes.
         min_n = 1 if self.topology == "star" else 2
@@ -200,10 +209,6 @@ def _optional(value: int) -> int | None:
     return None if value == _ABSENT else value
 
 
-def _stored(value: int | None) -> int:
-    return _ABSENT if value is None else value
-
-
 class Events(Sequence[EventRecord]):
     """Columnar events in GSN order: a lazy sequence of ``EventRecord``.
 
@@ -211,39 +216,21 @@ class Events(Sequence[EventRecord]):
     builds records on demand; slicing returns another ``Events`` over numpy
     views, so ``log.events[1999:]`` copies nothing, and an integer array
     index returns a copy of its rows.  ``kinds`` holds indices
-    into ``KINDS``; absent sender, receiver and send_gsn are -1.
+    into ``KINDS``; absent sender, receiver and send_gsn are -1.  Row ``i``
+    of ``clocks`` is event ``i``'s ``[vector | bloom]``, its first
+    ``entities`` counters the vector clock; ``vectors`` and ``blooms`` are
+    views of the two parts.
     """
 
     COLUMNS = ("gsns", "pids", "kinds", "event_indices", "senders", "receivers", "send_gsns")
-    __slots__ = COLUMNS + ("vectors", "blooms")
+    __slots__ = COLUMNS + ("clocks", "vectors", "blooms")
 
-    def __init__(self, columns: Sequence[np.ndarray], vectors: np.ndarray, blooms: np.ndarray):
+    def __init__(self, columns: Sequence[np.ndarray], clocks: np.ndarray, entities: int):
         for name, column in zip(self.COLUMNS, columns, strict=True):
             setattr(self, name, column)
-        self.vectors = vectors
-        self.blooms = blooms
-
-    @classmethod
-    def from_records(cls, records: Iterable[EventRecord], entities: int, m: int) -> Events:
-        """Columns from records; ``entities`` and ``m`` give the clock widths of an empty log."""
-        records = list(records)
-        columns = [
-            np.array(values, dtype=_DTYPE)
-            for values in (
-                [r.gsn for r in records],
-                [r.pid for r in records],
-                [KINDS.index(r.kind) for r in records],
-                [r.event_index for r in records],
-                [_stored(r.sender) for r in records],
-                [_stored(r.receiver) for r in records],
-                [_stored(r.send_gsn) for r in records],
-            )
-        ]
-        if not records:
-            return cls(columns, np.zeros((0, entities), _DTYPE), np.zeros((0, m), _DTYPE))
-        vectors = np.array([r.vector_ts.counters for r in records], dtype=_DTYPE)
-        blooms = np.array([r.bloom_ts.counters for r in records], dtype=_DTYPE)
-        return cls(columns, vectors, blooms)
+        self.clocks = clocks
+        self.vectors = clocks[:, :entities]
+        self.blooms = clocks[:, entities:]
 
     def columns(self) -> tuple[np.ndarray, ...]:
         return tuple(getattr(self, name) for name in self.COLUMNS)
@@ -271,7 +258,7 @@ class Events(Sequence[EventRecord]):
 
     def __getitem__(self, index):
         if isinstance(index, (slice, np.ndarray)):
-            return Events([column[index] for column in self.columns()], self.vectors[index], self.blooms[index])
+            return Events([column[index] for column in self.columns()], self.clocks[index], self.vectors.shape[1])
         count = len(self)
         position = index + count if index < 0 else index
         if not 0 <= position < count:
@@ -285,12 +272,8 @@ class Events(Sequence[EventRecord]):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Events):
             return NotImplemented
-        return all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                self.columns() + (self.vectors, self.blooms),
-                other.columns() + (other.vectors, other.blooms),
-            )
+        return self.vectors.shape[1] == other.vectors.shape[1] and all(
+            np.array_equal(a, b) for a, b in zip(self.columns() + (self.clocks,), other.columns() + (other.clocks,))
         )
 
     def __repr__(self) -> str:
@@ -305,16 +288,13 @@ class ExecutionLog:
     row on first access and keeps the result.  ``select`` returns the rows
     of chosen GSNs: from the kept result if there is one, otherwise from a
     stamping pass that stores only those rows.  A log built from ``Events``
-    (kept as is, views included) or from any iterable of ``EventRecord``
-    is stamped from the start; its clock widths must match the
-    configuration.
+    (kept as is, views included) is stamped from the start; its clock
+    widths must match the configuration.
     """
 
     __slots__ = ("config", "_columns", "_events")
 
-    def __init__(self, config: ExperimentConfig, events: Events | Iterable[EventRecord]):
-        if not isinstance(events, Events):
-            events = Events.from_records(events, config.entities, config.m)
+    def __init__(self, config: ExperimentConfig, events: Events):
         if events.vectors.shape[1] != config.entities or events.blooms.shape[1] != config.m:
             raise ConfigurationError(
                 f"clock widths {events.vectors.shape[1]}/{events.blooms.shape[1]} do not match "
@@ -342,7 +322,7 @@ class ExecutionLog:
     def events(self) -> Events:
         """Every event with its timestamps, stamped once on first access."""
         if self._events is None:
-            self._events = Events(self._columns, *_stamp(self.config, self._columns))
+            self._events = Events(self._columns, _stamp(self.config, self._columns), self.config.entities)
         return self._events
 
     def select(self, gsns: Sequence[int]) -> Events:
@@ -356,8 +336,8 @@ class ExecutionLog:
             if isinstance(gsns, range) and gsns:
                 return self._events[gsns[0] - 1 : gsns[-1] : max(gsns.step, 1)]
             return self._events[wanted - 1]
-        vectors, blooms = _stamp(self.config, self._columns, wanted)
-        return Events([column[wanted - 1] for column in self._columns], vectors, blooms)
+        clocks = _stamp(self.config, self._columns, wanted)
+        return Events([column[wanted - 1] for column in self._columns], clocks, self.config.entities)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecutionLog):
@@ -467,15 +447,15 @@ def _stamp(
     columns: Sequence[np.ndarray],
     gsns: np.ndarray | None = None,
     visit: Callable[[np.ndarray, np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Apply the clock protocol to a linkage; the one place where clocks tick and merge.
 
     ``columns`` are a log's ``Events.COLUMNS``.  Event ``g`` (GSN order,
     from 1) at process ``pids[g-1]`` with event index ``xs[g-1]`` starts
     from its process's last row, or the zero row; a receive first takes the
     pointwise maximum with the row of send ``send_gsns[g-1]``.  Then both
-    clocks tick.  Returns the vector and Bloom matrices, one row per event,
-    or one row per GSN of ``gsns`` (increasing) if given.
+    clocks tick.  Returns one ``[vector | bloom]`` matrix, one row per
+    event, or one row per GSN of ``gsns`` (increasing) if given.
 
     The events up to the last requested one are walked level by level
     (see ``_row_plan``), in the slots of one working matrix whose rows are
@@ -489,8 +469,8 @@ def _stamp(
     called once per batch with the positions of the batch's events and
     their stamped rows; ``replay_timestamps`` checks every row that way
     without keeping it.  The requested rows are the first slots after the
-    zero row; the matrix is cut back to them in place and the two clocks
-    are returned as column views of it.
+    zero row; the matrix is cut back to them in place and returned without
+    its zero row.
     """
     _, pids, kinds, xs, _, _, send_gsns = columns
     if gsns is None:
@@ -540,7 +520,7 @@ def _stamp(
     # Nothing views clocks here; the reference check would count a tracer's
     # or profiler's snapshot of this frame's locals and refuse.
     clocks.resize((kept + 1, clocks.shape[1]), refcheck=False)
-    return clocks[1:, :entities], clocks[1:, entities:]
+    return clocks[1:]
 
 
 class _Linkage:
@@ -776,16 +756,15 @@ def replay_timestamps(log: ExecutionLog) -> None:
     _refuse(repeated, lambda r: f"gsn {at[r] + 1}: process {pids[at[r]]} receives send gsn {sent[r]} again")
     rebuilt = _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).columns()
     pairs = list(zip(recorded.columns(), rebuilt))
-    clocks = np.zeros(len(pids), bool)
+    stamps = np.zeros(len(pids), bool)
 
     def compare(events: np.ndarray, rows: np.ndarray) -> None:
-        vectors, blooms = rows[:, :entities], rows[:, entities:]
-        clocks[events] = (vectors != recorded.vectors[events]).any(axis=1) | (blooms != recorded.blooms[events]).any(axis=1)
+        stamps[events] = (rows != recorded.clocks[events]).any(axis=1)
 
     # Stamping through the last event, the one row kept, compares every row
     # as it is made, so replay holds the live rows, not a second copy.
     _stamp(config, rebuilt, np.arange(max(len(pids), 1), len(pids) + 1), compare)
-    differs = np.stack([held != derived for held, derived in pairs] + [clocks])
+    differs = np.stack([held != derived for held, derived in pairs] + [stamps])
     if differs.any():
         row = int(np.argmax(differs.any(axis=0)))
         field = int(np.argmax(differs[:, row]))

@@ -9,15 +9,17 @@ The format is deliberately plain so traces diff well:
 Clock vectors are comma-joined inside their field; optional fields
 (sender, receiver, send_gsn) are left empty when absent.  An empty log
 persists as just the two header lines.  Persisting formats the log's
-columns as bytes in numpy, a chunk of rows at a time, and writes each
-chunk once, without building event records or strings.
+columns and its ``[vector | bloom]`` clock matrix as bytes in numpy, a
+chunk of rows at a time, and writes each chunk once, without building
+event records or strings.
 
 Loading reads the file once.  A body of ASCII digits, ``-``, ``|``,
 ``,``, newlines and the kind names goes through numpy's C text parser a
 chunk of lines at a time, after checks that numpy reads it exactly as
 the line parser would.  A file that fails any check, anywhere, goes
 whole through the line parser, which is the only source of
-``TraceParseError`` and names the first bad line.
+``TraceParseError`` and names the first bad line.  Either parser fills
+one int32 matrix, a row per line in field order, and the log views it.
 """
 
 from __future__ import annotations
@@ -85,12 +87,10 @@ def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
     cells.
     """
     gsns, pids, kinds, *linkage = events.columns()
-    rows, entities = events.vectors.shape
-    values = np.zeros((rows, len(separators)), np.int32)
+    values = np.zeros((len(events), len(separators)), np.int32)
     for cell, column in zip(_SCALAR_CELLS, (gsns, pids, *linkage)):
         values[:, cell] = column
-    values[:, _CLOCK_CELL : _CLOCK_CELL + entities] = events.vectors
-    values[:, _CLOCK_CELL + entities :] = events.blooms
+    values[:, _CLOCK_CELL:] = events.clocks
     optional = values[:, _OPTIONAL_CELLS]
     absent = optional < 0
     optional[absent] = 0
@@ -98,7 +98,7 @@ def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
     # abs maps the int32 minimum to itself, which reads as 2**31 in uint32.
     magnitudes = np.abs(values, out=values).view(np.uint32)
     width = max(len(str(magnitudes.max())) + bool(negative.any()), 2)
-    cells = np.empty((rows, len(separators), width + 1), np.uint8)
+    cells = np.empty((len(events), len(separators), width + 1), np.uint8)
     cells[:, :, width] = separators
     plane = np.empty(values.shape, np.uint8)
     quotients = magnitudes
@@ -146,8 +146,8 @@ def _read_config(lines: list[str]) -> ExperimentConfig:
     return config
 
 
-def _parse_record(line: str, lineno: int, entities: int, m: int) -> tuple[list[int], list[int], list[int]]:
-    """Scalar fields (kind as its code, absent fields as -1), vector and Bloom counters of one line."""
+def _parse_record(line: str, lineno: int, entities: int, m: int) -> list[int]:
+    """The values of one line in field order: kind as its code, absent fields as -1, then the counters."""
     parts = line.split("|")
     if len(parts) != len(_FIELDS):
         raise TraceParseError(f"line {lineno}: expected {len(_FIELDS)} fields, got {len(parts)}")
@@ -181,23 +181,17 @@ def _parse_record(line: str, lineno: int, entities: int, m: int) -> tuple[list[i
         raise TraceParseError(f"line {lineno}: vector clock has {len(vector)} components, expected {entities}")
     if len(bloom) != m:
         raise TraceParseError(f"line {lineno}: Bloom clock has {len(bloom)} counters, expected m={m}")
-    for value in (min(*scalars, *vector, *bloom), max(*scalars, *vector, *bloom)):
+    values = scalars + vector + bloom
+    for value in (min(values), max(values)):
         if not _INT32.min <= value <= _INT32.max:
             raise TraceParseError(f"line {lineno}: value {value} is outside the int32 range")
-    return scalars, vector, bloom
+    return values
 
 
-def _empty_arrays(config: ExperimentConfig, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialised int32 scalar, vector and Bloom arrays of ``rows`` events."""
-    return (
-        np.empty((rows, len(Events.COLUMNS)), np.int32),
-        np.empty((rows, config.entities), np.int32),
-        np.empty((rows, config.m), np.int32),
-    )
-
-
-def _log(config: ExperimentConfig, scalars: np.ndarray, vectors: np.ndarray, blooms: np.ndarray) -> ExecutionLog:
-    return ExecutionLog(config=config, events=Events(list(scalars.T), vectors, blooms))
+def _log(config: ExperimentConfig, rows: np.ndarray) -> ExecutionLog:
+    """The log whose events are the int32 ``rows``, one per event in field order."""
+    width = len(Events.COLUMNS)
+    return ExecutionLog(config, Events(list(rows[:, :width].T), rows[:, width:], config.entities))
 
 
 def _parse_lines(text: str) -> ExecutionLog:
@@ -205,12 +199,11 @@ def _parse_lines(text: str) -> ExecutionLog:
     lines = text.splitlines()
     config = _read_config(lines)
     numbered = [(lineno, line) for lineno, line in enumerate(lines[2:], start=3) if line]
-    arrays = _empty_arrays(config, len(numbered))
+    rows = np.empty((len(numbered), len(Events.COLUMNS) + config.entities + config.m), np.int32)
     for lo in range(0, len(numbered), _CHUNK):
         parsed = [_parse_record(line, lineno, config.entities, config.m) for lineno, line in numbered[lo : lo + _CHUNK]]
-        for target, rows in zip(arrays, zip(*parsed)):
-            target[lo : lo + len(parsed)] = rows
-    return _log(config, *arrays)
+        rows[lo : lo + len(parsed)] = parsed
+    return _log(config, rows)
 
 
 def _well_laid_out(chunk: bytes, rows: int, layout: np.ndarray) -> bool:
@@ -292,18 +285,15 @@ def _parse_bulk(data: bytes) -> ExecutionLog | None:
     except TraceParseError:
         return None
     bounds = ends[1:]
-    entities, m = config.entities, config.m
-    layout = np.frombuffer(b"|" * 7 + b"," * (entities - 1) + b"|" + b"," * (m - 1) + b"\n", np.uint8)
-    rows = len(bounds) - 1
-    arrays = _empty_arrays(config, rows)
-    for lo in range(0, rows, _CHUNK):
-        hi = min(lo + _CHUNK, rows)
+    layout = np.frombuffer(b"|" * 7 + b"," * (config.entities - 1) + b"|" + b"," * (config.m - 1) + b"\n", np.uint8)
+    rows = np.empty((len(bounds) - 1, len(layout)), np.int32)
+    for lo in range(0, len(rows), _CHUNK):
+        hi = min(lo + _CHUNK, len(rows))
         values = _bulk_chunk(data[bounds[lo] + 1 : bounds[hi]], hi - lo, layout)
         if values is None:
             return None
-        for target, part in zip(arrays, np.split(values, [len(Events.COLUMNS), len(Events.COLUMNS) + entities], axis=1)):
-            target[lo:hi] = part
-    return _log(config, *arrays)
+        rows[lo:hi] = values
+    return _log(config, rows)
 
 
 def load_trace(path: str | Path) -> ExecutionLog:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from bloomclock import NumericError
@@ -50,6 +52,15 @@ def test_run_rejects_width_conflict(capsys):
 def test_bad_config_exits_two(capsys):
     assert main(["run", "--topology", "complete", "--n", "1", "--m", "2", "--runs", "1"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("runs", ["0", "-2"])
+def test_runs_must_be_at_least_one(capsys, command, runs):
+    assert main([command, "--n", "10", "--m", "3", "--runs", runs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: --runs must be at least 1\n"
 
 
 def test_numeric_error_exits_three(monkeypatch, capsys):
@@ -183,6 +194,24 @@ def test_trace_load_rejects_run_flags(tmp_path, capsys, flags, named):
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ") and captured.err.count("\n") == 1
     assert captured.err.endswith(f"drop {named}\n")
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("n", 4.5), ("seed", 1.5), ("k", 2.0), ("gsn_limit", 20.0), ("m", True), ("pr_i", "0"), ("topology", 1)],
+)
+def test_trace_load_rejects_a_config_field_of_the_wrong_type(tmp_path, capsys, field, value):
+    out = tmp_path / "tr"
+    assert main(["trace", "--n", "4", "--m", "2", "--gsn-limit", "20", "--out", str(out)]) == 0
+    path = out / "trace.txt"
+    head, body = path.read_text().split("\n", 1)
+    config = json.loads(head.removeprefix("#config "))
+    config[field] = value
+    path.write_text(f"#config {json.dumps(config)}\n{body}")
+    capsys.readouterr()
+    assert main(["trace", "--load", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: line 1: bad config:") and err.count("\n") == 1
 
 
 def test_trace_load_rejects_corrupt_file(tmp_path, capsys):

@@ -55,9 +55,18 @@ def test_slice_spec_validation():
         SliceSpec(stride=0)
 
 
+def _internal_events(pids, vectors, blooms):
+    """Events built from columns: each pid's internal event in GSN order, stamped with the given clocks."""
+    count = len(pids)
+    absent = np.full(count, -1, np.int32)
+    gsns, kinds, xs = np.arange(1, count + 1, dtype=np.int32), np.zeros(count, np.int32), np.ones(count, np.int32)
+    columns = [gsns, np.array(pids, np.int32), kinds, xs, absent, absent, absent]
+    return Events(columns, np.hstack([vectors, blooms]).astype(np.int32), len(vectors[0]))
+
+
 def test_sample_slice_grid():
-    log = run(ExperimentConfig("complete", n=3, m=2, k=1, seed=1, gsn_limit=30))
-    events = sample_slice(log, SliceSpec(start_gsn=10, stride=5, end_gsn=25))
+    log = run(ExperimentConfig("complete", n=3, m=2, k=1, seed=1, gsn_limit=25))
+    events = sample_slice(log, SliceSpec(start_gsn=10, stride=5))
     assert [e.gsn for e in events] == [10, 15, 20, 25]
 
 
@@ -74,8 +83,6 @@ def test_sample_slice_empty_or_out_of_range():
     log = run(ExperimentConfig("complete", n=3, m=2, k=1, seed=1, gsn_limit=30))
     with pytest.raises(ValueError):
         sample_slice(log, SliceSpec(start_gsn=40))
-    with pytest.raises(ValueError):
-        sample_slice(log, SliceSpec(start_gsn=5, end_gsn=50))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +137,7 @@ def test_confusion_counts_agree_across_chunks():
 
 def test_confusion_counts_requires_two_events():
     with pytest.raises(ValueError):
-        confusion_counts(Events.from_records([_event(1, 0, (1, 0), (1,))], entities=2, m=1))
+        confusion_counts(_internal_events([0], [[1, 0]], [[1]]))
 
 
 def test_no_false_negatives_over_full_run():
@@ -190,8 +197,7 @@ def test_alpha_half_for_a_chain():
 
 
 def test_alpha_zero_for_isolated_events():
-    records = [_event(pid + 1, pid, [1 if i == pid else 0 for i in range(4)], (1,)) for pid in range(4)]
-    counts = confusion_counts(Events.from_records(records, entities=4, m=1))
+    counts = confusion_counts(_internal_events(range(4), np.eye(4), [[1]] * 4))
     assert counts.tp + counts.fn == 0
     assert causality_spread(counts) == 0.0
 

@@ -13,12 +13,9 @@ from hypothesis import strategies as st
 
 import bloomclock.trace as trace_module
 from bloomclock import (
-    BloomClock,
-    EventRecord,
     ExecutionLog,
     ExperimentConfig,
     TraceParseError,
-    VectorClock,
     confusion_counts,
     load_trace,
     persist_trace,
@@ -38,12 +35,32 @@ def test_round_trip(tmp_path, topology, n):
 
 def test_empty_log_round_trip(tmp_path):
     config = ExperimentConfig("complete", n=4, m=2, k=1)
-    empty = ExecutionLog(config=config, events=())
+    empty = ExecutionLog(config, run(config).events[:0])
     path = tmp_path / "empty.txt"
     persist_trace(empty, path)
     assert path.read_text().count("\n") == 2
     loaded = load_trace(path)
     assert loaded == empty
+
+
+def test_clock_views_share_one_matrix(tmp_path):
+    config = ExperimentConfig("complete", n=6, m=3, k=2, pr_i=0.2, seed=4, gsn_limit=60)
+    path = tmp_path / "trace.txt"
+    persist_trace(run(config), path)
+    stamped = run(config).events
+    for events, expected in [
+        (stamped, stamped),
+        (run(config).select(range(5, 50, 3)), stamped[4:49:3]),
+        (load_trace(path).events, stamped),
+        (trace_module._parse_lines(path.read_text()).events, stamped),
+    ]:
+        assert events == expected
+        for part in (events, events[1:9:2], events[np.array([0, 2])]):
+            assert part.clocks.shape[1] == config.entities + config.m
+            assert np.shares_memory(part.vectors, part.clocks) and np.shares_memory(part.blooms, part.clocks)
+            assert np.array_equal(part.clocks, np.hstack([part.vectors, part.blooms]))
+    # The same counters split at another width are other clocks.
+    assert Events(stamped.columns(), stamped.clocks, config.entities + 1) != stamped
 
 
 def _reference_trace(log):
@@ -87,7 +104,7 @@ def hand_built_logs(draw):
     gsns, pids, xs, senders, receivers, send_gsns = matrix(6).T
     kinds = np.array(draw(st.lists(st.integers(0, len(KINDS) - 1), min_size=rows, max_size=rows)), np.int32)
     columns = [gsns, pids, kinds, xs, senders, receivers, send_gsns]
-    return ExecutionLog(config, Events(columns, matrix(entities), matrix(m)))
+    return ExecutionLog(config, Events(columns, matrix(entities + m), entities))
 
 
 @pytest.fixture(scope="module")
@@ -230,14 +247,13 @@ def test_hand_written_trace_classifies_like_its_in_memory_twin(tmp_path):
     loaded = load_trace(path)
 
     config = ExperimentConfig("complete", n=2, m=2, k=1, gsn_limit=3)
-    twin = ExecutionLog(
-        config=config,
-        events=(
-            EventRecord(1, 0, "send", 1, 0, 1, None, VectorClock((1, 0)), BloomClock((1, 0))),
-            EventRecord(2, 1, "receive", 1, 0, 1, 1, VectorClock((1, 1)), BloomClock((1, 1))),
-            EventRecord(3, 0, "internal", 2, None, None, None, VectorClock((2, 0)), BloomClock((2, 1))),
-        ),
-    )
+    # One column per field, a row per line; absent fields are -1.
+    gsns, pids, kinds, xs, senders, receivers, send_gsns = np.array(
+        [[1, 0, 1, 1, 0, 1, -1], [2, 1, 2, 1, 0, 1, 1], [3, 0, 0, 2, -1, -1, -1]], np.int32
+    ).T
+    clocks = np.array([[1, 0, 1, 0], [1, 1, 1, 1], [2, 0, 2, 1]], np.int32)
+    twin = ExecutionLog(config, Events([gsns, pids, kinds, xs, senders, receivers, send_gsns], clocks, 2))
+    assert [e.kind for e in twin.events] == ["send", "receive", "internal"]
     assert loaded == twin
     assert confusion_counts(loaded.events) == confusion_counts(twin.events)
 
@@ -408,7 +424,7 @@ def test_clean_trace_never_reaches_the_line_parser(tmp_path, monkeypatch, config
     def no_line_parser(text):
         raise AssertionError("a clean trace went through the line parser")
 
-    log = ExecutionLog(config=config, events=()) if empty else run(config)
+    log = ExecutionLog(config, run(config).events[:0]) if empty else run(config)
     path = tmp_path / "trace.txt"
     persist_trace(log, path)
     monkeypatch.setattr(trace_module, "_parse_lines", no_line_parser)
