@@ -74,8 +74,8 @@ def run_experiment(
 
 def ratio_to_width(ratio: float, n: int) -> int:
     """Clock width from a ratio of n, rounded half-up with a floor of 1."""
-    if ratio <= 0:
-        raise ConfigurationError(f"width ratio must be positive, got {ratio}")
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ConfigurationError(f"width ratio must be a positive finite number, got {ratio}")
     return max(1, int(math.floor(ratio * n + 0.5)))
 
 

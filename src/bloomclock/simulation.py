@@ -125,6 +125,9 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.pr_i, Real) or isinstance(self.pr_i, bool):
             raise ConfigurationError(f"pr_i must be a real number, got {self.pr_i!r}")
+        # random.Random takes the whole seed but HashFamily keys blake2b with its low 64 bits.
+        if not 0 <= self.seed < 1 << 64:
+            raise ConfigurationError(f"seed must lie in [0, 2**64), got {self.seed}")
         # A star run with one client still has two clock-bearing entities
         # (client plus server); the peer topologies need two processes.
         min_n = 1 if self.topology == "star" else 2

@@ -13,13 +13,14 @@ columns and its ``[vector | bloom]`` clock matrix as bytes in numpy, a
 chunk of rows at a time, and writes each chunk once, without building
 event records or strings.
 
-Loading reads the file once.  A body of ASCII digits, ``-``, ``|``,
-``,``, newlines and the kind names goes through numpy's C text parser a
-chunk of lines at a time, after checks that numpy reads it exactly as
-the line parser would.  A file that fails any check, anywhere, goes
-whole through the line parser, which is the only source of
-``TraceParseError`` and names the first bad line.  Either parser fills
-one int32 matrix, a row per line in field order, and the log views it.
+Loading reads the file once.  A file as ``persist_trace`` writes it for
+a run goes through numpy's C text parser a chunk of lines at a time: its
+first two lines are byte for byte the ones persist writes for its config,
+every record holds its separators in persist's layout, and its body
+holds no ``-``.  Any other file goes whole through the line parser,
+which is the only source of ``TraceParseError`` and names the first bad
+line.  Either parser fills one int32 matrix, a row per line in field
+order, and the log views it.
 """
 
 from __future__ import annotations
@@ -47,20 +48,15 @@ _SCALAR_CELLS = (0, 1, 5, 6, 7, 8)
 _OPTIONAL_CELLS = slice(6, 9)
 _CLOCK_CELL = 9
 _POWERS_OF_TEN = 10 ** np.arange(1, 10, dtype=np.int64)
-# The bulk path rewrites each kind name as the sentinel plus its code and
-# each empty field as the sentinel plus len(KINDS), integers outside int32.
-# It counts its rewrites, so a sentinel written as digits is caught.
-_SENTINEL = 1 << 40
-_EMPTY = _SENTINEL + len(KINDS)
-_KIND_TOKENS = tuple((f"|{kind}|".encode(), f"|{_SENTINEL + code}|".encode()) for code, kind in enumerate(KINDS))
+# A run's body holds no '-', so the bulk path can rewrite each kind name as
+# -1 - code and each empty field as -1 - len(KINDS): every negative value
+# it then parses came from a rewrite.
+_EMPTY = -1 - len(KINDS)
+_KIND_TOKENS = tuple((f"|{kind}|".encode(), f"|{-1 - code}|".encode()) for code, kind in enumerate(KINDS))
 _EMPTY_TOKEN = f"|{_EMPTY}|".encode()
 _BULK_BYTES = b"0123456789-|,\n"
 _TO_COMMA = bytes.maketrans(b"|\n", b",,")
 _NEWLINE, _PIPE, _COMMA, _MINUS, _ZERO = b"\n|,-0"
-_SEPARATOR_BYTES = np.frombuffer(b"\n|,", np.uint8)
-_DIGITS = np.frombuffer(b"0123456789", np.uint8)
-# Other bytes str.splitlines breaks at; a head holding one goes to the line parser.
-_OTHER_BREAKS = b"\r\v\f\x1c\x1d\x1e"
 
 
 class TraceParseError(ValueError):
@@ -120,15 +116,25 @@ def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
     return np.compress((cells != 0).ravel(), cells).tobytes()
 
 
+def _head(config: ExperimentConfig) -> bytes:
+    """The config line and the header line, joined by a newline, as ``persist_trace`` writes them."""
+    return f"{_CONFIG_PREFIX}{json.dumps(asdict(config), sort_keys=True)}\n{_HEADER}".encode()
+
+
+def _layout(entities: int, m: int) -> bytes:
+    """The separators of one record line in order: seven pipes, the clocks' commas and pipe, the newline."""
+    return b"|" * 7 + b"," * (entities - 1) + b"|" + b"," * (m - 1) + b"\n"
+
+
 def persist_trace(log: ExecutionLog, path: str | Path) -> None:
     """Write the log to ``path``; ``load_trace`` reproduces an equal log."""
     events = log.events
-    entities, m = events.vectors.shape[1], events.blooms.shape[1]
-    # The kind cells' separator slots are overwritten with the kind names.
-    ends = b"||" + b"\0" * _KIND_CELLS + b"||||" + b"," * (entities - 1) + b"|" + b"," * (m - 1) + b"\n"
+    layout = _layout(events.vectors.shape[1], events.blooms.shape[1])
+    # The kind's pipe is written with its name, in the kind cells.
+    ends = layout[:_KIND_CELL] + b"\0" * _KIND_CELLS + layout[_KIND_CELL + 1 :]
     separators = np.frombuffer(ends, np.uint8)
     with open(path, "wb") as handle:
-        handle.write(f"{_CONFIG_PREFIX}{json.dumps(asdict(log.config), sort_keys=True)}\n{_HEADER}\n".encode())
+        handle.write(_head(log.config) + b"\n")
         for lo in range(0, len(events), _CHUNK):
             handle.write(_chunk_bytes(events[lo : lo + _CHUNK], separators))
 
@@ -207,23 +213,12 @@ def _parse_lines(text: str) -> ExecutionLog:
 
 
 def _well_laid_out(chunk: bytes, rows: int, layout: np.ndarray) -> bool:
-    """Whether every line of ``chunk`` holds its separators in ``layout`` order and each ``-`` is a sign.
-
-    ``layout`` is one line's pipes, commas and closing newline, so every
-    value lands in its own field.  numpy reads a bare ``-`` as 0 and
-    stops quietly inside ``1-2``, where ``int()`` rejects both.
-    """
+    """Whether every line of ``chunk`` holds its separators in ``layout`` order, so each value lands in its field."""
     text = np.frombuffer(chunk, np.uint8)
     separators = text[(text == _PIPE) | (text == _COMMA) | (text == _NEWLINE)]
     if len(separators) != rows * len(layout) - 1:  # the chunk holds no closing newline
         return False
-    if not (np.append(separators, _NEWLINE).reshape(rows, -1) == layout).all():
-        return False
-    minus = np.flatnonzero(text == _MINUS)
-    if minus.size:
-        padded = np.concatenate(([_NEWLINE], text, [_NEWLINE]))
-        return bool(np.isin(padded[minus], _SEPARATOR_BYTES).all() and np.isin(padded[minus + 2], _DIGITS).all())
-    return True
+    return bool((np.append(separators, _NEWLINE).reshape(rows, -1) == layout).all())
 
 
 def _bulk_chunk(chunk: bytes, rows: int, layout: np.ndarray) -> np.ndarray | None:
@@ -232,21 +227,17 @@ def _bulk_chunk(chunk: bytes, rows: int, layout: np.ndarray) -> np.ndarray | Non
     The result is int64, one row of the record's fields per line, kinds
     as codes and absent fields as -1.  None means the line parser might
     reject or read the lines differently; each check closes one way in
-    which numpy would accept what ``int()`` does not.
+    which numpy would accept what ``int()`` does not.  A chunk holding a
+    ``-`` is declined, since a run never writes one: numpy reads a bare
+    ``-`` as 0 and stops quietly inside ``1-2``.
     """
-    if not _well_laid_out(chunk, rows, layout):
+    if b"-" in chunk or not _well_laid_out(chunk, rows, layout):
         return None
-    # Replacements are counted from the growth they cause, each token being longer than what it replaces.
-    kinds = 0
     for name, token in _KIND_TOKENS:
-        size = len(chunk)
         chunk = chunk.replace(name, token)
-        kinds += (len(chunk) - size) // (len(token) - len(name))
-    size = len(chunk)
     # The first pass fills every other field of a run of empty ones, the second the rest.
     chunk = chunk.replace(b"||", _EMPTY_TOKEN).replace(b"||", _EMPTY_TOKEN)
-    empties = (len(chunk) - size) // (len(_EMPTY_TOKEN) - 2)
-    if kinds != rows or chunk.translate(None, _BULK_BYTES):
+    if chunk.translate(None, _BULK_BYTES):
         return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -257,35 +248,34 @@ def _bulk_chunk(chunk: bytes, rows: int, layout: np.ndarray) -> np.ndarray | Non
     if values.size != rows * len(layout):
         return None
     values = values.reshape(rows, -1)
-    # Every sentinel came from a replacement: none was written as digits.
-    codes = values[:, 2] - _SENTINEL
+    # Each negative is a rewrite: the kind column must hold kind tokens,
+    # and only the optional columns may hold empty ones.
+    values[:, 2] = -1 - values[:, 2]
     optional = values[:, 4:7]
     empty = optional == _EMPTY
-    if not ((codes >= 0) & (codes < len(KINDS))).all() or np.count_nonzero(empty) != empties or (optional < 0).any():
+    optional[empty] = 0
+    if values[:, 2].max() >= len(KINDS) or values.min() < 0 or values.max() > _INT32.max:
         return None
-    values[:, 2] = codes
     optional[empty] = -1
-    if values.min() < _INT32.min or values.max() > _INT32.max:
-        return None
     return values
 
 
 def _parse_bulk(data: bytes) -> ExecutionLog | None:
-    """The log of a well-formed trace through numpy's C text parser, or None to use the line parser."""
+    """The log of a trace as ``persist_trace`` writes it, through numpy's C text parser, or None for the line parser."""
     ends = np.flatnonzero(np.frombuffer(data, np.uint8) == _NEWLINE)
     if not data.endswith(b"\n"):  # a last line without a newline ends with the file
         ends = np.append(ends, len(data))
     if len(ends) < 2:
         return None
     head = data[: ends[1]]
-    if not head.isascii() or head.translate(None, _OTHER_BREAKS) != head:
-        return None
     try:
         config = _read_config(head.decode().split("\n"))
-    except TraceParseError:
+    except (UnicodeDecodeError, TraceParseError):
+        return None
+    if head != _head(config):
         return None
     bounds = ends[1:]
-    layout = np.frombuffer(b"|" * 7 + b"," * (config.entities - 1) + b"|" + b"," * (config.m - 1) + b"\n", np.uint8)
+    layout = np.frombuffer(_layout(config.entities, config.m), np.uint8)
     rows = np.empty((len(bounds) - 1, len(layout)), np.int32)
     for lo in range(0, len(rows), _CHUNK):
         hi = min(lo + _CHUNK, len(rows))

@@ -54,6 +54,22 @@ def test_bad_config_exits_two(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_seed_outside_64_bits_exits_two(capsys):
+    code = main(["run", "--n", "4", "--m", "2", "--runs", "1", "--gsn-limit", "50",
+                 "--slice-start", "5", "--slice-stride", "5", f"--seed={2**64}"])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: seed must lie in [0, 2**64), got {2**64}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("ratio", ["inf", "nan"])
+def test_non_finite_width_ratio_exits_two(capsys, command, ratio):
+    assert main([command, "--n", "10", "--m-ratio", ratio, "--runs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: width ratio must be a positive finite number, got {ratio}\n"
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("runs", ["0", "-2"])
 def test_runs_must_be_at_least_one(capsys, command, runs):

@@ -58,6 +58,11 @@ def test_config_validation():
         ExperimentConfig("star", n=4, m=2, k=1, pr_i=0.5)
     with pytest.raises(ConfigurationError):
         ExperimentConfig("complete", n=4, m=2, k=1, gsn_limit=0)
+    # random.Random would take every bit of the seed, the hash family only its low 64.
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigurationError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            ExperimentConfig("complete", n=4, m=2, k=1, seed=seed)
+    assert ExperimentConfig("complete", n=4, m=2, k=1, seed=2**64 - 1).seed == 2**64 - 1
     # A field the topology would ignore is rejected, not silently dropped.
     for topology in ("star", "broadcast"):
         with pytest.raises(ConfigurationError, match="gsn_limit"):

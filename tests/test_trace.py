@@ -366,18 +366,14 @@ def _shift_one_counter(lines):
     return "\n".join(lines) + "\n"
 
 
-SENTINEL_KIND = str(trace_module._SENTINEL + 1)
-SENTINEL_EMPTY = str(trace_module._EMPTY)
-
-
 @pytest.mark.parametrize(
     "edit,expected",
     [
         (_edit_field(3, 2, lambda _: "1"), "line 3: unknown event kind '1'"),
-        (_edit_field(3, 2, lambda _: SENTINEL_KIND), f"line 3: unknown event kind '{SENTINEL_KIND}'"),
+        (_edit_field(3, 2, lambda _: "-2"), "line 3: unknown event kind '-2'"),
         (_edit_field(4, 7, lambda v: "-" + v[v.index(","):]), "line 4: invalid literal for int() with base 10: '-'"),
         (_edit_field(5, 4, lambda _: "-1"), "line 5: sender must be non-negative, got -1"),
-        (_edit_field(5, 4, lambda _: SENTINEL_EMPTY), f"line 5: value {SENTINEL_EMPTY} is outside the int32 range"),
+        (_edit_field(5, 4, lambda _: "-4"), "line 5: sender must be non-negative, got -4"),
         (_swap_comma_and_pipe, "line 4: vector clock has 1 components, expected 4"),
         (_shift_one_counter, "line 5: Bloom clock has 4 counters, expected m=3"),
         (_shift_one_field, "line 5: expected 9 fields, got 10"),
@@ -409,6 +405,36 @@ def test_hand_edited_traces_load_like_the_line_parser(tmp_path, persisted, edit,
         with pytest.raises(TraceParseError) as caught:
             load_trace(path)
         assert expected is None or str(caught.value) == expected
+
+
+def _with_negative_values(log):
+    """``log`` with a negative gsn, pid and counter, which persist writes with a ``-``."""
+    columns = [column.copy() for column in log.events.columns()]
+    clocks = log.events.clocks.copy()
+    columns[0][3], columns[1][4], clocks[5, -1] = -7, -1, INT32_MIN
+    return ExecutionLog(log.config, Events(columns, clocks, log.config.entities))
+
+
+@pytest.mark.parametrize("variant", ["two-spaces-after-config", "config-keys-in-field-order", "negative-values"])
+def test_files_unlike_a_persisted_run_go_to_the_line_parser(tmp_path, variant):
+    log = run(MUTATED_CONFIGS["complete"])
+    path = tmp_path / "trace.txt"
+    if variant == "negative-values":
+        log = _with_negative_values(log)
+        persist_trace(log, path)
+    else:
+        persist_trace(log, path)
+        config_line, rest = path.read_bytes().split(b"\n", 1)
+        if variant == "two-spaces-after-config":
+            config_line = config_line.replace(b"#config {", b"#config  {")
+        else:
+            config_line = f"#config {json.dumps(asdict(log.config))}".encode()
+        path.write_bytes(config_line + b"\n" + rest)
+    data = path.read_bytes()
+    assert trace_module._parse_bulk(data) is None
+    loaded = load_trace(path)
+    _assert_same_log(loaded, trace_module._parse_lines(data.decode()))
+    assert loaded == log
 
 
 @pytest.mark.parametrize(
