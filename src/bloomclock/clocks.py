@@ -15,7 +15,6 @@ so snapshots can be stored in event logs and shared freely across threads.
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import TypeVar
@@ -31,6 +30,8 @@ EventIndex = int
 _PAIR = struct.Struct("<qq")
 # One packed pair as a 16-byte string, to read a buffer of them back pair by pair.
 _PACKED_PAIR = struct.Struct(f"{_PAIR.size}s")
+# DigestTable hashes the pairs it lacks this many at a time.
+_HASH_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -45,12 +46,8 @@ class HashFamily:
     identical index sequences, which is what makes whole simulations
     reproducible.
 
-    ``indices`` is the scalar reference.  ``index_rows`` derives the same
-    indices for many events from one digest each, in uint64 numpy
-    arithmetic.  It relies on ``(h1 + i*h2) mod m == (h1 mod m + i*(h2 mod
-    m)) mod m``: reducing each half mod m first keeps every term below
-    ``k*m``, so nothing wraps, whereas uint64 arithmetic on the raw halves
-    would.
+    ``indices`` is the scalar reference.  ``DigestTable`` holds the same
+    digests for many events, so a simulation hashes each pair once.
     """
 
     k: int
@@ -63,9 +60,6 @@ class HashFamily:
         if self.m < 1:
             raise ConfigurationError(f"clock width must be at least 1, got m={self.m}")
 
-    def _key(self) -> bytes:
-        return (self.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-
     def indices(self, pid: ProcessId, x: EventIndex) -> tuple[int, ...]:
         """Return the ``k`` counter indices to increment for event ``x`` at ``pid``.
 
@@ -73,34 +67,97 @@ class HashFamily:
         incremented twice, so one tick always adds exactly ``k`` to the
         counter sum.
         """
-        digest = blake2b(_PAIR.pack(pid, x), digest_size=16, key=self._key()).digest()
+        digest = blake2b(_PAIR.pack(pid, x), digest_size=16, key=_key(self.seed)).digest()
         h1 = int.from_bytes(digest[:8], "little")
         h2 = int.from_bytes(digest[8:], "little") | 1
         m = self.m
         return tuple((h1 + i * h2) % m for i in range(self.k))
 
-    def index_rows(
-        self, pids: Sequence[ProcessId] | np.ndarray, xs: Sequence[EventIndex] | np.ndarray
-    ) -> np.ndarray:
-        """Indices of many events: row ``r`` of the ``(events, k)`` uint64 array is ``indices(pids[r], xs[r])``."""
+
+def _key(seed: int) -> bytes:
+    """The blake2b key of a seed: its low 64 bits, little-endian."""
+    return (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+
+
+class DigestTable:
+    """The digests behind ``HashFamily.indices`` for one seed, each (pid, x) hashed once.
+
+    A digest depends on the seed, pid and x, not on m or k, so one table
+    serves every clock width and hash count of its seed.  It holds the two
+    uint64 halves ``(h1, h2 | 1)`` of x = 1..caps[pid] for each pid, laid
+    out pid by pid: a pid's run starts at the sum of the caps before it, so
+    memory follows the events, and a star server with a hundred times a
+    client's events costs no more per event.  ``cover`` grows the table to
+    hold given pairs and hashes only the ones it lacks, ``_HASH_CHUNK`` at
+    a time.  ``index_rows`` gathers halves and reduces them mod m.  That
+    relies on ``(h1 + i*h2) mod m == (h1 mod m + i*(h2 mod m)) mod m``:
+    reducing each half first keeps every term below ``k*m``, so nothing
+    wraps, whereas uint64 arithmetic on the raw halves would.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._hasher = blake2b(digest_size=16, key=_key(seed))
+        self._caps = np.zeros(0, np.int64)
+        self._starts = np.zeros(0, np.int64)
+        self._halves = np.empty((0, 2), np.uint64)
+
+    def __len__(self) -> int:
+        """The number of pairs hashed so far."""
+        return len(self._halves)
+
+    def cover(self, pids: np.ndarray, xs: np.ndarray) -> None:
+        """Grow the table to hold every ``(pids[r], xs[r])``: pids from 0, event indices from 1."""
+        if not len(pids):
+            return
+        old = np.zeros(max(len(self._caps), int(pids.max()) + 1), np.int64)
+        old[: len(self._caps)] = self._caps
+        caps = old.copy()
+        np.maximum.at(caps, pids, np.asarray(xs, np.int64))
+        grow = caps - old
+        added = int(grow.sum())
+        if not added:
+            return
+        starts = np.cumsum(caps) - caps
+        halves = np.empty((int(caps.sum()), 2), np.uint64)
+        for start, old_start, cap in zip(starts.tolist(), self._starts.tolist(), self._caps.tolist()):
+            halves[start : start + cap] = self._halves[old_start : old_start + cap]
+        # Pid p gains x = old[p] + 1 .. caps[p], in the rows after its old run.
+        added_pids = np.repeat(np.arange(len(caps)), grow)
+        rank = np.arange(added) - np.repeat(np.cumsum(grow) - grow, grow)
+        rows = starts[added_pids] + old[added_pids] + rank
+        added_xs = old[added_pids] + 1 + rank
+        for lo in range(0, added, _HASH_CHUNK):
+            hi = lo + _HASH_CHUNK
+            halves[rows[lo:hi]] = self._hash(added_pids[lo:hi], added_xs[lo:hi])
+        self._caps, self._starts, self._halves = caps, starts, halves
+
+    def _hash(self, pids: np.ndarray, xs: np.ndarray) -> np.ndarray:
         # Each (pid, x) as _PAIR packs it, all in one buffer.
         packed = np.empty((len(pids), 2), "<i8")
         packed[:, 0] = pids
         packed[:, 1] = xs
         # A copy of a keyed hasher skips the key block that a keyed
         # constructor compresses on every call.
-        copy = blake2b(digest_size=16, key=self._key()).copy
+        copy = self._hasher.copy
         digests: list[bytes] = []
         add = digests.append
         for (pair,) in _PACKED_PAIR.iter_unpack(packed.tobytes()):
             h = copy()
             h.update(pair)
             add(h.digest())
-        halves = np.frombuffer(b"".join(digests), dtype="<u8").reshape(-1, 2)
-        m = np.uint64(self.m)
-        h1 = halves[:, 0] % m
-        h2 = (halves[:, 1] | np.uint64(1)) % m
-        return (h1[:, None] + np.arange(self.k, dtype=np.uint64) * h2[:, None]) % m
+        return np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2) | np.array([0, 1], np.uint64)
+
+    def index_rows(self, pids: np.ndarray, xs: np.ndarray, m: int, k: int) -> np.ndarray:
+        """Row ``r`` of the ``(events, k)`` uint64 array is ``HashFamily(k, m, seed).indices(pids[r], xs[r])``.
+
+        Every pair must have been covered.
+        """
+        halves = self._halves[self._starts[pids] + xs - 1]
+        width = np.uint64(m)
+        h1 = halves[:, 0] % width
+        h2 = halves[:, 1] % width
+        return (h1[:, None] + np.arange(k, dtype=np.uint64) * h2[:, None]) % width
 
 
 _C = TypeVar("_C", bound="_Counters")

@@ -19,9 +19,10 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .clocks import DigestTable
 from .errors import ConfigurationError
 from .metrics import CurveRow, MetricsReport, SliceSpec, slice_metrics
-from .simulation import ExperimentConfig, run
+from .simulation import ExecutionLog, ExperimentConfig, run
 
 CURVE_HEADER = ("z_gsn", "pr_p", "pr_fp_step", "pr_fp_smooth", "outcome")
 METRIC_FIELDS = ("precision", "accuracy", "recall", "fpr", "alpha")
@@ -58,15 +59,51 @@ def aggregate_reports(reports: Sequence[MetricsReport]) -> AggregateMetrics:
     )
 
 
+class SweepShare:
+    """What the cells of one sweep share: a digest table per seed, and the current group's linkages.
+
+    A run's linkage depends on its configuration but for m and k, and a
+    digest on the seed, pid and event index alone.  ``log`` records a
+    linkage through ``run`` once per group of configurations that differ
+    only in m, k and the seed, and relabels its columns for each (m, k) of
+    the group.  Only the columns are reused, never a log: a log keeps its
+    stamped events at its own m.  A new group drops the last one's
+    columns.  Every log of a seed stamps through that seed's one table,
+    which grows to cover the events its stamps walk.
+    """
+
+    def __init__(self) -> None:
+        self._tables: dict[int, DigestTable] = {}
+        self._group: ExperimentConfig | None = None
+        self._linkages: dict[int, tuple] = {}
+
+    def log(self, config: ExperimentConfig) -> ExecutionLog:
+        group = replace(config, m=1, k=1, seed=0)
+        if group != self._group:
+            self._group, self._linkages = group, {}
+        seed = config.seed
+        if seed not in self._linkages:
+            self._linkages[seed] = run(config).columns()
+        if seed not in self._tables:
+            self._tables[seed] = DigestTable(seed)
+        return ExecutionLog._unstamped(config, self._linkages[seed], self._tables[seed])
+
+
 def run_experiment(
     config: ExperimentConfig,
     seeds: Sequence[int],
     slice_spec: SliceSpec | None = None,
+    share: SweepShare | None = None,
 ) -> RunArtifact:
-    """Run one configuration once per seed and average the slice metrics."""
+    """Run one configuration once per seed and average the slice metrics.
+
+    With a ``share``, the logs come from it, so a sweep records each
+    linkage once and hashes each (seed, pid, x) once.
+    """
     if not seeds:
         raise ConfigurationError("need at least one seed")
-    reports = tuple(slice_metrics(run(replace(config, seed=seed)), slice_spec) for seed in seeds)
+    log = run if share is None else share.log
+    reports = tuple(slice_metrics(log(replace(config, seed=seed)), slice_spec) for seed in seeds)
     return RunArtifact(
         config=config, seeds=tuple(seeds), reports=reports, aggregate=aggregate_reports(reports)
     )
@@ -124,8 +161,14 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[RunArtifact]:
-    """One independent artifact per sweep cell, in expansion order."""
-    return [run_experiment(config, spec.seeds, spec.slice_spec) for config in spec.expand()]
+    """One independent artifact per sweep cell, in expansion order.
+
+    The cells share one ``SweepShare``, which lives as long as this call:
+    the artifacts are those of ``run_experiment`` called cell by cell
+    without one.
+    """
+    share = SweepShare()
+    return [run_experiment(config, spec.seeds, spec.slice_spec, share) for config in spec.expand()]
 
 
 _CELL_FIELDS = ("topology", "n", "m", "k", "pr_i")

@@ -44,6 +44,11 @@ One level is one batch of numpy calls: gather the rows its events read,
 take their pointwise maximum, add their tick rows and scatter the
 results.  A complete n=200 run of 40,000 events has 294 levels; a star
 run, whose server serializes it, has about one level per two events.
+The Bloom ticks come from a ``DigestTable``, which hashes each (pid, x)
+of a seed once, whatever m and k: before it walks, ``_stamp`` grows the
+table to cover the events it walks, and each batch gathers its digests
+and reduces them mod m.  A log stamps through a table of its own unless
+it was given one; ``run_sweep`` gives every log of a seed the same one.
 
 A log from ``run`` holds only its int32 linkage columns.  Clocks are
 stamped for the rows a caller reads: ``ExecutionLog.events`` stamps every
@@ -55,7 +60,9 @@ row only while something needs it: requested rows, each process's latest
 row, and sends whose receives are still to come.  Its memory is
 O(entities**2 + live * entities + rows * entities) rather than
 O(events * entities), so a sweep cell that classifies a 381-row slice of
-an n=200 run holds a few MB of clocks, not 35 MB.  ``Events`` is a lazy
+an n=200 run holds a few MB of clocks, not 35 MB.  The digest table adds
+16 bytes per (pid, x) walked: 0.6 MB at n=200, 16 MB at n=1000, whose run
+has 10**6 events.  ``Events`` is a lazy
 sequence over columns that builds an ``EventRecord`` only when an item is
 read; its slices are views.
 """
@@ -71,7 +78,7 @@ from numbers import Real
 
 import numpy as np
 
-from .clocks import BloomClock, EventIndex, HashFamily, ProcessId, VectorClock
+from .clocks import BloomClock, DigestTable, EventIndex, HashFamily, ProcessId, VectorClock
 from .errors import ConfigurationError
 
 TOPOLOGIES = ("complete", "star", "broadcast")
@@ -290,12 +297,14 @@ class ExecutionLog:
     ``len(log)`` and ``columns()`` read only those.  ``events`` stamps every
     row on first access and keeps the result.  ``select`` returns the rows
     of chosen GSNs: from the kept result if there is one, otherwise from a
-    stamping pass that stores only those rows.  A log built from ``Events``
+    stamping pass that stores only those rows.  Stamps and replay hash
+    through the log's ``DigestTable``: the one it was built with, or else
+    one of its own, made when first needed.  A log built from ``Events``
     (kept as is, views included) is stamped from the start; its clock
     widths must match the configuration.
     """
 
-    __slots__ = ("config", "_columns", "_events")
+    __slots__ = ("config", "_columns", "_events", "_digests")
 
     def __init__(self, config: ExperimentConfig, events: Events):
         if events.vectors.shape[1] != config.entities or events.blooms.shape[1] != config.m:
@@ -306,13 +315,21 @@ class ExecutionLog:
         self.config = config
         self._columns = events.columns()
         self._events: Events | None = events
+        self._digests: DigestTable | None = None
 
     @classmethod
-    def _unstamped(cls, config: ExperimentConfig, columns: Sequence[np.ndarray]) -> ExecutionLog:
-        """A log of linkage columns alone; its clocks are stamped when read."""
+    def _unstamped(
+        cls, config: ExperimentConfig, columns: Sequence[np.ndarray], digests: DigestTable | None = None
+    ) -> ExecutionLog:
+        """A log of linkage columns alone; its clocks are stamped when read, through ``digests`` if given."""
         log = cls.__new__(cls)
-        log.config, log._columns, log._events = config, tuple(columns), None
+        log.config, log._columns, log._events, log._digests = config, tuple(columns), None, digests
         return log
+
+    def _digest_table(self) -> DigestTable:
+        if self._digests is None:
+            self._digests = DigestTable(self.config.seed)
+        return self._digests
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The linkage columns in ``Events.COLUMNS`` order; reading them never stamps."""
@@ -325,7 +342,9 @@ class ExecutionLog:
     def events(self) -> Events:
         """Every event with its timestamps, stamped once on first access."""
         if self._events is None:
-            self._events = Events(self._columns, _stamp(self.config, self._columns), self.config.entities)
+            self._events = Events(
+                self._columns, _stamp(self.config, self._columns, self._digest_table()), self.config.entities
+            )
         return self._events
 
     def select(self, gsns: Sequence[int]) -> Events:
@@ -339,7 +358,7 @@ class ExecutionLog:
             if isinstance(gsns, range) and gsns:
                 return self._events[gsns[0] - 1 : gsns[-1] : max(gsns.step, 1)]
             return self._events[wanted - 1]
-        clocks = _stamp(self.config, self._columns, wanted)
+        clocks = _stamp(self.config, self._columns, self._digest_table(), wanted)
         return Events([column[wanted - 1] for column in self._columns], clocks, self.config.entities)
 
     def __eq__(self, other: object) -> bool:
@@ -448,6 +467,7 @@ def _row_plan(
 def _stamp(
     config: ExperimentConfig,
     columns: Sequence[np.ndarray],
+    digests: DigestTable,
     gsns: np.ndarray | None = None,
     visit: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> np.ndarray:
@@ -458,7 +478,9 @@ def _stamp(
     from its process's last row, or the zero row; a receive first takes the
     pointwise maximum with the row of send ``send_gsns[g-1]``.  Then both
     clocks tick.  Returns one ``[vector | bloom]`` matrix, one row per
-    event, or one row per GSN of ``gsns`` (increasing) if given.
+    event, or one row per GSN of ``gsns`` (increasing) if given.  The Bloom
+    ticks come from ``digests``, a table of the configuration's seed, which
+    is first grown to cover every event walked.
 
     The events up to the last requested one are walked level by level
     (see ``_row_plan``), in the slots of one working matrix whose rows are
@@ -467,7 +489,7 @@ def _stamp(
     rows (a unit row for the vector clock, the hashed indices for the Bloom
     clock) and scatter the results, so every read of a level comes before
     its writes.  Tick rows are built for whole levels, ``_STAMP_CHUNK`` or
-    more events at a time, from one batch of hashes, and each level's rows
+    more events at a time, from one gather of digests, and each level's rows
     are stamped into its part of that batch.  If ``visit`` is given, it is
     called once per batch with the positions of the batch's events and
     their stamped rows; ``replay_timestamps`` checks every row that way
@@ -475,10 +497,13 @@ def _stamp(
     zero row; the matrix is cut back to them in place and returned without
     its zero row.
     """
+    if digests.seed != config.seed:
+        raise ValueError(f"a digest table of seed {digests.seed} cannot stamp a run of seed {config.seed}")
     _, pids, kinds, xs, _, _, send_gsns = columns
     if gsns is None:
         gsns = np.arange(1, len(pids) + 1)
     count, kept, entities = int(gsns[-1]) if len(gsns) else 0, len(gsns), config.entities
+    digests.cover(pids[:count], xs[:count])
     targets, reads, total = _row_plan(pids[:count], kinds[:count], send_gsns[:count], gsns, entities)
     del gsns
     order = np.argsort(reads[0], kind="stable")
@@ -495,7 +520,6 @@ def _stamp(
     while cuts[-1] < len(bounds) - 1:
         cuts.append(min(bisect_left(bounds, bounds[cuts[-1]] + _STAMP_CHUNK), len(bounds) - 1))
     widest = max((bounds[b] - bounds[a] for a, b in zip(cuts, cuts[1:])), default=0)
-    family = config.hash_family()
     clocks = np.zeros((total, entities + config.m), _DTYPE)
     tick_rows = np.empty((widest, clocks.shape[1]), _DTYPE)
     for first, last in zip(cuts, cuts[1:]):
@@ -507,7 +531,7 @@ def _stamp(
         local = np.arange(hi - lo)
         ticks[local, chunk_pids] = 1
         # One add per hash function: an index hit by two of them adds 2.
-        for column in family.index_rows(chunk_pids, chunk_xs).T:
+        for column in digests.index_rows(chunk_pids, chunk_xs, config.m, config.k).T:
             ticks[local, entities + column] += 1
         for start, end in zip(bounds[first:last], bounds[first + 1 : last + 1]):
             level = slice(start - lo, end - lo)
@@ -766,7 +790,7 @@ def replay_timestamps(log: ExecutionLog) -> None:
 
     # Stamping through the last event, the one row kept, compares every row
     # as it is made, so replay holds the live rows, not a second copy.
-    _stamp(config, rebuilt, np.arange(max(len(pids), 1), len(pids) + 1), compare)
+    _stamp(config, rebuilt, log._digest_table(), np.arange(max(len(pids), 1), len(pids) + 1), compare)
     differs = np.stack([held != derived for held, derived in pairs] + [stamps])
     if differs.any():
         row = int(np.argmax(differs.any(axis=0)))

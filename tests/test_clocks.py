@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,12 +14,14 @@ from scipy.stats import chi2
 from bloomclock import (
     BloomClock,
     ConfigurationError,
+    ExecutionLog,
     ExperimentConfig,
     HashFamily,
     VectorClock,
     run,
     sample_slice,
 )
+from bloomclock.clocks import DigestTable
 
 clock_values = st.lists(st.integers(min_value=0, max_value=50), min_size=4, max_size=4)
 
@@ -73,25 +76,82 @@ def test_indices_uniform_chi_square():
         assert abs(pooled[i] - pooled_expected) < 3 * sigma
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def table_calls(draw):
+    """Per call of ``DigestTable.cover``: each pid's highest event index, 0 where the pid has no events.
+
+    The last pid plays a star server, with up to a hundred times a client's events.
+    """
+    clients = draw(st.integers(min_value=0, max_value=5))
+    return draw(
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=4), min_size=clients, max_size=clients).flatmap(
+                lambda needs: st.integers(min_value=0, max_value=400).map(lambda server: needs + [server])
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
 @given(
+    # Both key blake2b with the seed's low 64 bits, also for seeds a run would refuse.
     seed=st.one_of(
         st.integers(min_value=-(2**70), max_value=-1),
         st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=2**64 - 4, max_value=2**64 - 1),
         st.integers(min_value=2**64, max_value=2**70),
     ),
-    m=st.integers(min_value=1, max_value=2**20),
-    k=st.integers(min_value=1, max_value=8),
-    pairs=st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62)), max_size=12),
+    calls=table_calls(),
+    geometries=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=2**20), st.integers(min_value=1, max_value=8)), min_size=1, max_size=3
+    ),
+    data=st.data(),
 )
 # k > m: every row repeats an index, and each repeat must survive.
-@example(seed=-1, m=1, k=8, pairs=[(0, 1), (2**62, 2**62)])
-@example(seed=2**64 + 5, m=3, k=8, pairs=[(3, 7), (0, 0)])
-def test_index_rows_match_scalar_indices(seed, m, k, pairs):
-    family = HashFamily(k=k, m=m, seed=seed)
-    rows = family.index_rows([pid for pid, _ in pairs], [x for _, x in pairs])
-    assert rows.shape == (len(pairs), k)
-    assert [tuple(row) for row in rows.tolist()] == [family.indices(pid, x) for pid, x in pairs]
+@example(seed=2**64 - 1, calls=[[0, 3, 0, 300], [2, 1, 0, 301]], geometries=[(1, 8), (3, 8)], data=None)
+@example(seed=-1, calls=[[1, 0, 2]], geometries=[(1, 8)], data=None)
+def test_digest_table_matches_scalar_indices(seed, calls, geometries, data):
+    table = DigestTable(seed)
+    caps: dict[int, int] = {}
+    for needs in calls:
+        # A call covers each pid's event indices up to its highest one, or that one alone.
+        every = data is None or data.draw(st.booleans())
+        pairs = [(pid, x) for pid, need in enumerate(needs) for x in range(1 if every else max(need, 1), need + 1)]
+        table.cover(np.array([p for p, _ in pairs], np.int32), np.array([x for _, x in pairs], np.int32))
+        for pid, need in enumerate(needs):
+            caps[pid] = max(caps.get(pid, 0), need)
+        # The table holds x = 1 .. the highest x seen, each pair hashed once.
+        assert len(table) == sum(caps.values())
+        covered = [(pid, x) for pid, cap in caps.items() for x in range(1, cap + 1)]
+        pids = np.array([p for p, _ in covered], np.int32)
+        xs = np.array([x for _, x in covered], np.int32)
+        for m, k in geometries:
+            family = HashFamily(k=k, m=m, seed=seed)
+            rows = table.index_rows(pids, xs, m, k)
+            assert rows.shape == (len(covered), k)
+            assert [tuple(row) for row in rows.tolist()] == [family.indices(pid, x) for pid, x in covered]
+
+
+def test_a_digest_table_hashes_only_the_pairs_it_lacks(monkeypatch):
+    hashed = []
+    real = DigestTable._hash
+    monkeypatch.setattr(DigestTable, "_hash", lambda self, pids, xs: hashed.append(len(pids)) or real(self, pids, xs))
+    table = DigestTable(7)
+    table.cover(np.array([2, 0]), np.array([600, 3]))
+    assert hashed == [512, 91] and len(table) == 603
+    table.cover(np.array([0, 2, 1]), np.array([3, 600, 2]))
+    assert hashed == [512, 91, 2] and len(table) == 605
+    table.cover(np.array([], np.int32), np.array([], np.int32))
+    assert hashed == [512, 91, 2]
+
+
+def test_a_digest_table_refuses_a_stamp_of_another_seed():
+    config = ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20)
+    log = ExecutionLog._unstamped(config, run(config).columns(), DigestTable(2))
+    with pytest.raises(ValueError, match="digest table of seed 2 cannot stamp a run of seed 1"):
+        log.select([5])
 
 
 def test_family_validation():

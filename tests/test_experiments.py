@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from bloomclock import (
     ConfigurationError,
     ExperimentConfig,
+    SliceSpec,
     SweepSpec,
     average_over,
     probability_curve,
@@ -26,6 +27,8 @@ from bloomclock import (
     write_curve_csv,
     write_sweep_csv,
 )
+from bloomclock import experiments
+from bloomclock.clocks import DigestTable
 from bloomclock.experiments import CURVE_HEADER, read_curve_csv, sweep_table
 from bloomclock.metrics import CurveRow
 
@@ -85,6 +88,50 @@ def test_sweep_requires_widths_and_ns():
         SweepSpec(n_values=(10,), seeds=(1,)).expand()
     with pytest.raises(ConfigurationError):
         SweepSpec(m_values=(2,), seeds=(1,)).expand()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SweepSpec(
+            "complete", n_values=(8, 12), m_values=(2, 5), k_values=(1, 3), pr_i_values=(0.0, 0.6),
+            seeds=(1, 2), gsn_limit=400, slice_spec=SliceSpec(start_gsn=50, stride=7),
+        ),
+        SweepSpec(
+            "star", n_values=(4, 6), m_values=(1, 3), k_values=(2, 4), seeds=(3, 2**64 - 1),
+            messages_per_client=5, slice_spec=SliceSpec(start_gsn=1, stride=3),
+        ),
+        SweepSpec(
+            "broadcast", n_values=(5, 9), m_values=(2,), m_ratios=(0.5,), k_values=(1, 2), seeds=(5, 6, 7),
+            slice_spec=SliceSpec(start_gsn=1, stride=2),
+        ),
+    ],
+    ids=lambda spec: spec.topology,
+)
+def test_a_sweep_equals_its_cells_run_one_by_one(spec):
+    # Each (n, pr_i) group's linkages are recorded once and relabelled for every (m, k).
+    assert run_sweep(spec) == [run_experiment(config, spec.seeds, spec.slice_spec) for config in spec.expand()]
+
+
+def test_a_sweep_records_each_linkage_once_and_hashes_each_pair_once(monkeypatch):
+    recorded, hashed = [], []
+    real_run, real_hash = experiments.run, DigestTable._hash
+    monkeypatch.setattr(experiments, "run", lambda config: recorded.append(config) or real_run(config))
+    monkeypatch.setattr(DigestTable, "_hash", lambda self, pids, xs: hashed.append(len(pids)) or real_hash(self, pids, xs))
+    spec = SweepSpec(n_values=(10,), m_values=(2, 3), k_values=(1, 2), pr_i_values=(0.0, 0.5), seeds=(1, 2), gsn_limit=300)
+    run_sweep(spec)
+    assert [(c.pr_i, c.seed) for c in recorded] == [(0.0, 1), (0.0, 2), (0.5, 1), (0.5, 2)]
+
+    def pairs(config):
+        _, pids, _, xs, *_ = real_run(config).columns()
+        return set(zip(pids.tolist(), xs.tolist()))
+
+    # Each slice ends at the log's end, so its stamp walks every event.
+    distinct = sum(len(set().union(*(pairs(c) for c in recorded if c.seed == seed))) for seed in spec.seeds)
+    assert sum(hashed) == distinct
+    # The share lives for one call: a second sweep records and hashes again.
+    run_sweep(spec)
+    assert len(recorded) == 8 and sum(hashed) == 2 * distinct
 
 
 def test_sweep_cells_are_independent():
