@@ -70,9 +70,9 @@ class _NoteGiven(argparse.Action):
 def _seeds(args: argparse.Namespace) -> tuple[int, ...]:
     if args.runs is not None and args.runs < 1:
         raise argparse.ArgumentTypeError("--runs must be at least 1")
-    if args.seed:
-        return tuple(args.seed)
-    return tuple(range(1, (args.runs or 3) + 1))
+    if args.runs is not None and args.seed:
+        raise argparse.ArgumentTypeError("give --seed or --runs, not both")
+    return tuple(args.seed or range(1, (args.runs or 3) + 1))
 
 
 def _single_width(args: argparse.Namespace) -> int:

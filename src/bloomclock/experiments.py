@@ -100,8 +100,8 @@ def run_experiment(
     With a ``share``, the logs come from it, so a sweep records each
     linkage once and hashes each (seed, pid, x) once.
     """
-    if not seeds:
-        raise ConfigurationError("need at least one seed")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigurationError(f"need one or more distinct seeds, got {list(seeds)}")
     log = run if share is None else share.log
     reports = tuple(slice_metrics(log(replace(config, seed=seed)), slice_spec) for seed in seeds)
     return RunArtifact(

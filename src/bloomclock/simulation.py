@@ -47,24 +47,21 @@ run, whose server serializes it, has about one level per two events.
 The Bloom ticks come from a ``DigestTable``, which hashes each (pid, x)
 of a seed once, whatever m and k: before it walks, ``_stamp`` grows the
 table to cover the events it walks, and each batch gathers its digests
-and reduces them mod m.  A log stamps through a table of its own unless
-it was given one; ``run_sweep`` gives every log of a seed the same one.
+and reduces them mod m.  A log stamps through the table it was given, if
+any (``run_sweep`` gives every log of a seed one), else through its own.
 
-A log from ``run`` holds only its int32 linkage columns.  Clocks are
-stamped for the rows a caller reads: ``ExecutionLog.events`` stamps every
-row once, on first access, into one events x (entities + m) matrix whose
-rows are ``[vector | bloom]``; ``Events.vectors`` and ``Events.blooms``
-are views of its two column ranges.  ``ExecutionLog.select`` stamps only
-the rows of the GSNs it is given.  A partial stamp keeps a
-row only while something needs it: requested rows, each process's latest
-row, and sends whose receives are still to come.  Its memory is
-O(entities**2 + live * entities + rows * entities) rather than
-O(events * entities), so a sweep cell that classifies a 381-row slice of
-an n=200 run holds a few MB of clocks, not 35 MB.  The digest table adds
-16 bytes per (pid, x) walked: 0.6 MB at n=200, 16 MB at n=1000, whose run
-has 10**6 events.  ``Events`` is a lazy
-sequence over columns that builds an ``EventRecord`` only when an item is
-read; its slices are views.
+A log from ``run`` holds only its int32 linkage columns.  ``_stamp``
+yields its stamped rows a chunk at a time and keeps none; each reader
+keeps what it needs.  ``ExecutionLog.events`` scatters every row, once,
+into one events x (entities + m) ``[vector | bloom]`` matrix, which
+``Events.vectors`` and ``Events.blooms`` view; ``ExecutionLog.select``
+scatters only the rows of chosen GSNs; replay compares each chunk with
+the recorded rows; trace persist writes them in GSN order.  The walk
+holds a row per process and the sends whose receives are still to come:
+O(entities**2 + live * entities) memory, not O(events * entities).  The
+digest table adds 16 bytes per (pid, x) walked: 0.6 MB at n=200, 16 MB
+at n=1000.  ``Events`` is a lazy sequence over columns that builds an
+``EventRecord`` only when an item is read; its slices are views.
 """
 
 from __future__ import annotations
@@ -295,13 +292,11 @@ class ExecutionLog:
 
     The log holds the int32 linkage columns of ``Events.COLUMNS``;
     ``len(log)`` and ``columns()`` read only those.  ``events`` stamps every
-    row on first access and keeps the result.  ``select`` returns the rows
-    of chosen GSNs: from the kept result if there is one, otherwise from a
-    stamping pass that stores only those rows.  Stamps and replay hash
-    through the log's ``DigestTable``: the one it was built with, or else
-    one of its own, made when first needed.  A log built from ``Events``
-    (kept as is, views included) is stamped from the start; its clock
-    widths must match the configuration.
+    row on first access and keeps the result; ``select`` reads chosen rows
+    from it, or else from a stamp that keeps only those rows.  A stamp
+    hashes through the ``DigestTable`` the log was built with, if any.  A
+    log built from ``Events`` (kept as is, views included) is stamped from
+    the start; its clock widths must match the configuration.
     """
 
     __slots__ = ("config", "_columns", "_events", "_digests")
@@ -327,9 +322,7 @@ class ExecutionLog:
         return log
 
     def _digest_table(self) -> DigestTable:
-        if self._digests is None:
-            self._digests = DigestTable(self.config.seed)
-        return self._digests
+        return self._digests if self._digests is not None else DigestTable(self.config.seed)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The linkage columns in ``Events.COLUMNS`` order; reading them never stamps."""
@@ -342,9 +335,7 @@ class ExecutionLog:
     def events(self) -> Events:
         """Every event with its timestamps, stamped once on first access."""
         if self._events is None:
-            self._events = Events(
-                self._columns, _stamp(self.config, self._columns, self._digest_table()), self.config.entities
-            )
+            self._events = Events(self._columns, self._scatter(np.arange(1, len(self) + 1)), self.config.entities)
         return self._events
 
     def select(self, gsns: Sequence[int]) -> Events:
@@ -358,8 +349,20 @@ class ExecutionLog:
             if isinstance(gsns, range) and gsns:
                 return self._events[gsns[0] - 1 : gsns[-1] : max(gsns.step, 1)]
             return self._events[wanted - 1]
-        clocks = _stamp(self.config, self._columns, self._digest_table(), wanted)
-        return Events([column[wanted - 1] for column in self._columns], clocks, self.config.entities)
+        return Events([column[wanted - 1] for column in self._columns], self._scatter(wanted), self.config.entities)
+
+    def _scatter(self, wanted: np.ndarray) -> np.ndarray:
+        """The ``[vector | bloom]`` rows of the increasing GSNs ``wanted``, picked from one stamp's chunks."""
+        clocks = np.empty((len(wanted), self.config.entities + self.config.m), _DTYPE)
+        count = int(wanted[-1]) if len(wanted) else 0
+        for positions, rows in _stamp(self.config, self._columns, self._digest_table(), count):
+            # Every position lies below count = wanted[-1], so its insertion point is a row of clocks.
+            at = np.searchsorted(wanted, positions + 1)
+            kept = wanted[at] == positions + 1
+            if not kept.all():
+                at, rows = at[kept], rows[kept]
+            clocks[at] = rows
+        return clocks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExecutionLog):
@@ -383,17 +386,16 @@ def _ints(values: np.ndarray) -> Iterator[int]:
 
 
 def _row_plan(
-    pids: np.ndarray, kinds: np.ndarray, send_gsns: np.ndarray, gsns: np.ndarray, entities: int
+    pids: np.ndarray, kinds: np.ndarray, send_gsns: np.ndarray, entities: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Row slots for a level-by-level stamp of ``pids`` that keeps only the rows of ``gsns``.
+    """Row slots for a level-by-level stamp of ``pids``; they depend on the linkage alone.
 
     An event's level is 1 + the larger of the levels of its process's
     previous event and, at a receive, of its send, so no two events of a
     level are causally related.  ``_stamp`` walks the levels in order and
     does all reads of a level before its writes, so a row's lifetime is
-    counted in levels.  Slot 0 holds the zero clock and slots 1 to
-    ``len(gsns)`` the requested rows in order.  Each process owns the next
-    slot: its unrequested rows overwrite one another there, since only the
+    counted in levels.  Slot 0 holds the zero clock, and process ``p`` owns
+    slot ``1 + p``: its rows overwrite one another there, since only the
     process's next event and the receives up to that event's level read
     them.  A send row that a receive reads at a later level takes a slot of
     the pool that follows, and gives it back after the level of its last
@@ -434,8 +436,6 @@ def _row_plan(
     np.maximum.at(last_read, send_gsns[is_receive] - 1, levels[is_receive])
     outlives = (last_read > next_level) & (next_level > 0)
     del next_level
-    requested = gsns - 1
-    outlives[requested] = False
     held = np.flatnonzero(outlives)
     del outlives
     # The reads of level L happen at time 2L and its writes at 2L + 1.  Held
@@ -447,7 +447,7 @@ def _row_plan(
     del times
     free: list[int] = []
     taken = [0] * len(held)
-    top = len(gsns) + 1 + entities
+    top = 1 + entities
     for op in _ints(ops):
         if op < 0:
             free.append(taken[~op])
@@ -456,8 +456,7 @@ def _row_plan(
         else:
             taken[op] = top
             top += 1
-    slots = len(gsns) + 1 + pids
-    slots[requested] = np.arange(1, len(gsns) + 1, dtype=_DTYPE)
+    slots = 1 + pids
     slots[held] = taken
     reads[1, has_previous] = slots[previous[has_previous] - 1]
     reads[2, is_receive] = slots[send_gsns[is_receive] - 1]
@@ -465,47 +464,35 @@ def _row_plan(
 
 
 def _stamp(
-    config: ExperimentConfig,
-    columns: Sequence[np.ndarray],
-    digests: DigestTable,
-    gsns: np.ndarray | None = None,
-    visit: Callable[[np.ndarray, np.ndarray], None] | None = None,
-) -> np.ndarray:
-    """Apply the clock protocol to a linkage; the one place where clocks tick and merge.
+    config: ExperimentConfig, columns: Sequence[np.ndarray], digests: DigestTable, count: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Apply the clock protocol to the first ``count`` events of a linkage; the one place where clocks tick and merge.
 
     ``columns`` are a log's ``Events.COLUMNS``.  Event ``g`` (GSN order,
     from 1) at process ``pids[g-1]`` with event index ``xs[g-1]`` starts
     from its process's last row, or the zero row; a receive first takes the
     pointwise maximum with the row of send ``send_gsns[g-1]``.  Then both
-    clocks tick.  Returns one ``[vector | bloom]`` matrix, one row per
-    event, or one row per GSN of ``gsns`` (increasing) if given.  The Bloom
-    ticks come from ``digests``, a table of the configuration's seed, which
-    is first grown to cover every event walked.
+    clocks tick.  The Bloom ticks come from ``digests``, a table of the
+    configuration's seed, which is first grown to cover every event walked.
 
-    The events up to the last requested one are walked level by level
-    (see ``_row_plan``), in the slots of one working matrix whose rows are
-    a vector clock followed by a Bloom clock.  A level is one batch: gather
-    the rows its events read, take their pointwise maximum, add their tick
-    rows (a unit row for the vector clock, the hashed indices for the Bloom
-    clock) and scatter the results, so every read of a level comes before
-    its writes.  Tick rows are built for whole levels, ``_STAMP_CHUNK`` or
-    more events at a time, from one gather of digests, and each level's rows
-    are stamped into its part of that batch.  If ``visit`` is given, it is
-    called once per batch with the positions of the batch's events and
-    their stamped rows; ``replay_timestamps`` checks every row that way
-    without keeping it.  The requested rows are the first slots after the
-    zero row; the matrix is cut back to them in place and returned without
-    its zero row.
+    The events are walked level by level (see ``_row_plan``) in the slots
+    of one working matrix of ``[vector | bloom]`` rows.  A level is one
+    batch: gather the rows its events read, take their pointwise maximum,
+    add their tick rows (a unit row for the vector clock, the hashed
+    indices for the Bloom clock) and scatter the results, so every read of
+    a level comes before its writes.  A chunk of whole levels,
+    ``_STAMP_CHUNK`` or more events, gets its tick rows from one gather of
+    digests, its levels are stamped into them, and it is yielded as
+    ``(positions, rows)``: its events' positions (GSN - 1) and stamped
+    rows.  Each event is yielded once; ``rows`` is overwritten by the next
+    chunk, so a reader copies what it keeps.
     """
     if digests.seed != config.seed:
         raise ValueError(f"a digest table of seed {digests.seed} cannot stamp a run of seed {config.seed}")
-    _, pids, kinds, xs, _, _, send_gsns = columns
-    if gsns is None:
-        gsns = np.arange(1, len(pids) + 1)
-    count, kept, entities = int(gsns[-1]) if len(gsns) else 0, len(gsns), config.entities
-    digests.cover(pids[:count], xs[:count])
-    targets, reads, total = _row_plan(pids[:count], kinds[:count], send_gsns[:count], gsns, entities)
-    del gsns
+    _, pids, kinds, xs, _, _, send_gsns = (column[:count] for column in columns)
+    entities = config.entities
+    digests.cover(pids, xs)
+    targets, reads, total = _row_plan(pids, kinds, send_gsns, entities)
     order = np.argsort(reads[0], kind="stable")
     # Levels run from 1 up without a gap; bounds[i] is where level i + 1 starts.
     bounds = [0, *np.cumsum(np.bincount(reads[0])[1:]).tolist()]
@@ -540,14 +527,7 @@ def _stamp(
             stamped = ticks[level]
             stamped += rows
             clocks[targets[level]] = stamped
-        if visit is not None:
-            visit(order[lo:hi], ticks)
-    # The requested rows are slots 1 to kept: dropping the slots after them
-    # in place frees the scratch rows without a copy of the requested ones.
-    # Nothing views clocks here; the reference check would count a tracer's
-    # or profiler's snapshot of this frame's locals and refuse.
-    clocks.resize((kept + 1, clocks.shape[1]), refcheck=False)
-    return clocks[1:]
+        yield order[lo:hi], ticks
 
 
 class _Linkage:
@@ -784,13 +764,9 @@ def replay_timestamps(log: ExecutionLog) -> None:
     rebuilt = _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).columns()
     pairs = list(zip(recorded.columns(), rebuilt))
     stamps = np.zeros(len(pids), bool)
-
-    def compare(events: np.ndarray, rows: np.ndarray) -> None:
+    # Each chunk is compared as it is stamped, so replay holds the live rows, not a second copy.
+    for events, rows in _stamp(config, rebuilt, log._digest_table(), len(pids)):
         stamps[events] = (rows != recorded.clocks[events]).any(axis=1)
-
-    # Stamping through the last event, the one row kept, compares every row
-    # as it is made, so replay holds the live rows, not a second copy.
-    _stamp(config, rebuilt, log._digest_table(), np.arange(max(len(pids), 1), len(pids) + 1), compare)
     differs = np.stack([held != derived for held, derived in pairs] + [stamps])
     if differs.any():
         row = int(np.argmax(differs.any(axis=0)))

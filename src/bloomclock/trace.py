@@ -8,10 +8,10 @@ The format is deliberately plain so traces diff well:
 
 Clock vectors are comma-joined inside their field; optional fields
 (sender, receiver, send_gsn) are left empty when absent.  An empty log
-persists as just the two header lines.  Persisting formats the log's
-columns and its ``[vector | bloom]`` clock matrix as bytes in numpy, a
-chunk of rows at a time, and writes each chunk once, without building
-event records or strings.
+persists as just the two header lines.  Persisting formats a chunk of
+the log's columns and ``[vector | bloom]`` rows as bytes in numpy and
+writes it once, without building records or strings; an unstamped log
+is stamped as it is written and stays unstamped.
 
 Loading reads the file once.  A file as ``persist_trace`` writes it for
 a run goes through numpy's C text parser a chunk of lines at a time: its
@@ -29,10 +29,11 @@ import json
 import warnings
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .simulation import KINDS, Events, ExecutionLog, ExperimentConfig
+from .simulation import KINDS, Events, ExecutionLog, ExperimentConfig, _stamp
 
 _FIELDS = ("gsn", "pid", "kind", "event_index", "sender", "receiver", "send_gsn", "vector_ts", "bloom_ts")
 _HEADER = "|".join(_FIELDS)
@@ -77,7 +78,7 @@ def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
     count of the chunk's widest value plus a sign slot if a value is
     negative, and at least 2 so that a kind name fits its cells.  A value's
     digits end at the separator; the slots before them, and every digit
-    slot of an absent optional field, hold NUL, which one mask compress
+    slot of an absent optional field, hold NUL, which one ``translate``
     drops at the end.  The digits come from uint32 floor division by 10,
     one contiguous plane per slot, each then written into its slot of the
     cells.
@@ -113,7 +114,7 @@ def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
         digits = 1 + (magnitudes[row, cell, None] >= _POWERS_OF_TEN).sum(axis=1)
         cells[row, cell, width - 1 - digits] = _MINUS
     cells[:, _KIND_CELL : _KIND_CELL + _KIND_CELLS] = _kind_cells(width + 1)[kinds]
-    return np.compress((cells != 0).ravel(), cells).tobytes()
+    return cells.tobytes().translate(None, b"\0")
 
 
 def _head(config: ExperimentConfig) -> bytes:
@@ -126,17 +127,40 @@ def _layout(entities: int, m: int) -> bytes:
     return b"|" * 7 + b"," * (entities - 1) + b"|" + b"," * (m - 1) + b"\n"
 
 
+def _stamped_chunks(log: ExecutionLog) -> Iterator[np.ndarray]:
+    """An unstamped log's rows in GSN order, ``_CHUNK`` at a time; only rows stamped ahead of them are held."""
+    count = len(log)
+    held: dict[int, list] = {}  # chunk number -> [rows still to come, (offsets, rows) pieces...]
+    written = 0
+    for positions, rows in _stamp(log.config, log.columns(), log._digest_table(), count):
+        chunks = positions // _CHUNK
+        for chunk in np.unique(chunks).tolist():
+            mine = chunks == chunk
+            pieces = held.setdefault(chunk, [min(_CHUNK, count - chunk * _CHUNK)])
+            pieces[0] -= np.count_nonzero(mine)
+            pieces.append((positions[mine] - chunk * _CHUNK, rows[mine]))
+        while written in held and not held[written][0]:
+            offsets, parts = (np.concatenate(column) for column in zip(*held.pop(written)[1:]))
+            yield parts[np.argsort(offsets)]
+            written += 1
+
+
 def persist_trace(log: ExecutionLog, path: str | Path) -> None:
-    """Write the log to ``path``; ``load_trace`` reproduces an equal log."""
-    events = log.events
-    layout = _layout(events.vectors.shape[1], events.blooms.shape[1])
+    """Write the log to ``path``; ``load_trace`` reproduces an equal log.
+
+    A stamped log writes its own rows, which restamping might not
+    reproduce; an unstamped one is stamped as it is written.
+    """
+    config, columns, starts = log.config, log.columns(), range(0, len(log), _CHUNK)
+    layout = _layout(config.entities, config.m)
     # The kind's pipe is written with its name, in the kind cells.
-    ends = layout[:_KIND_CELL] + b"\0" * _KIND_CELLS + layout[_KIND_CELL + 1 :]
-    separators = np.frombuffer(ends, np.uint8)
+    separators = np.frombuffer(layout[:_KIND_CELL] + b"\0" * _KIND_CELLS + layout[_KIND_CELL + 1 :], np.uint8)
+    chunks = _stamped_chunks(log) if log._events is None else (log._events.clocks[lo : lo + _CHUNK] for lo in starts)
     with open(path, "wb") as handle:
-        handle.write(_head(log.config) + b"\n")
-        for lo in range(0, len(events), _CHUNK):
-            handle.write(_chunk_bytes(events[lo : lo + _CHUNK], separators))
+        handle.write(_head(config) + b"\n")
+        for lo, clocks in zip(starts, chunks):
+            chunk = Events([column[lo : lo + len(clocks)] for column in columns], clocks, config.entities)
+            handle.write(_chunk_bytes(chunk, separators))
 
 
 def _read_config(lines: list[str]) -> ExperimentConfig:

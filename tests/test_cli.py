@@ -55,10 +55,28 @@ def test_bad_config_exits_two(capsys):
 
 
 def test_seed_outside_64_bits_exits_two(capsys):
-    code = main(["run", "--n", "4", "--m", "2", "--runs", "1", "--gsn-limit", "50",
+    code = main(["run", "--n", "4", "--m", "2", "--gsn-limit", "50",
                  "--slice-start", "5", "--slice-stride", "5", f"--seed={2**64}"])
     assert code == 2
     assert capsys.readouterr().err == f"configuration error: seed must lie in [0, 2**64), got {2**64}\n"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "seeds,message",
+    [
+        (["--seed", "5", "--runs", "3"], "give --seed or --runs, not both"),
+        (["--runs", "1", "--seed", "5"], "give --seed or --runs, not both"),
+        (["--seed", "5", "--seed", "5"], "need one or more distinct seeds, got [5, 5]"),
+        (["--seed", "5", "--seed", "2", "--seed", "5"], "need one or more distinct seeds, got [5, 2, 5]"),
+    ],
+)
+def test_seed_lists_that_would_run_other_seeds_exit_two(capsys, command, seeds, message):
+    # --runs beside --seed used to be ignored, and a repeated seed ran twice into the mean.
+    assert main([command, "--n", "6", "--m", "2", "--gsn-limit", "60", *seeds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -49,6 +49,11 @@ def test_run_experiment_needs_seeds():
         run_experiment(SMALL, ())
 
 
+def test_run_experiment_refuses_a_repeated_seed():
+    with pytest.raises(ConfigurationError, match=r"need one or more distinct seeds, got \[1, 1\]"):
+        run_experiment(SMALL, (1, 1))
+
+
 def test_run_experiment_deterministic():
     a = run_experiment(SMALL, (5, 6))
     b = run_experiment(SMALL, (5, 6))

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from bloomclock import (
     run,
     slice_metrics,
 )
+from bloomclock import simulation
+from bloomclock.clocks import DigestTable
 from bloomclock.simulation import (
     _RUNNERS,
     _STAMP_CHUNK,
@@ -40,6 +43,7 @@ from bloomclock.simulation import (
     _Linkage,
     _linkage_log,
     _row_plan,
+    _stamp,
 )
 
 
@@ -574,7 +578,7 @@ def test_engine_agrees_on_a_level_wider_than_a_tick_chunk():
     config = ExperimentConfig("complete", n=700, m=8, k=2, pr_i=0.3, seed=24, gsn_limit=1500)
     log = run(config)
     _, pids, kinds, _, _, _, send_gsns = log.columns()
-    levels = _row_plan(pids, kinds, send_gsns, np.arange(1, len(log) + 1), config.entities)[1][0]
+    levels = _row_plan(pids, kinds, send_gsns, config.entities)[1][0]
     assert np.bincount(levels).max() > _STAMP_CHUNK
     for e, (vector, bloom) in zip(log.events, _reference_timestamps(log), strict=True):
         assert e.vector_ts == vector and e.bloom_ts == bloom, f"gsn {e.gsn}"
@@ -610,6 +614,20 @@ def test_selected_rows_equal_the_stamped_events(config, data):
     assert log.select(gsns) == selected  # read from the kept events
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_configs(), st.data(), st.sampled_from([1, 3, _STAMP_CHUNK]))
+def test_stamp_yields_each_event_of_a_prefix_once(config, data, chunk):
+    log = run(config)
+    clocks = log.events.clocks
+    count = data.draw(st.integers(min_value=0, max_value=len(log)))
+    yielded = []
+    with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
+        for positions, rows in _stamp(config, log.columns(), DigestTable(config.seed), count):
+            assert np.array_equal(rows, clocks[positions])
+            yielded += positions.tolist()
+    assert sorted(yielded) == list(range(count))
+
+
 @pytest.mark.parametrize(
     "config,reused",
     [
@@ -622,12 +640,12 @@ def test_selected_rows_equal_the_stamped_events(config, data):
 def test_selected_rows_hold_live_sends_in_a_pool(config, reused):
     log = run(config)
     _, pids, kinds, _, _, _, send_gsns = log.columns()
-    gsns = np.arange(3, len(log) + 1, 7)
-    targets, _, slots = _row_plan(pids, kinds, send_gsns, gsns, config.entities)
+    targets, _, slots = _row_plan(pids, kinds, send_gsns, config.entities)
     # Sends read after their process's next event take pool slots, given back after their last receive.
-    pool = slots - len(gsns) - 1 - config.entities
-    held = np.count_nonzero(targets > len(gsns) + config.entities)
+    pool = slots - 1 - config.entities
+    held = np.count_nonzero(targets > config.entities)
     assert pool > 20 and (pool < held if reused else pool == held)
+    gsns = np.arange(3, len(log) + 1, 7)
     assert log.select(gsns) == log.events[gsns - 1]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -21,8 +22,9 @@ from bloomclock import (
     persist_trace,
     run,
 )
+from bloomclock import simulation
 from bloomclock.cli import main
-from bloomclock.simulation import KINDS, Events
+from bloomclock.simulation import _STAMP_CHUNK, KINDS, Events
 
 
 @pytest.mark.parametrize("topology,n", [("complete", 15), ("star", 8), ("broadcast", 10)])
@@ -118,6 +120,45 @@ def test_writer_matches_str_formatting(trace_path, log, chunk):
     with mock.patch.object(trace_module, "_CHUNK", chunk):
         persist_trace(log, trace_path)
     assert trace_path.read_bytes() == _reference_trace(log)
+
+
+@pytest.mark.parametrize("stamp_chunk,chunk", [(_STAMP_CHUNK, trace_module._CHUNK), (3, 5), (1, 7)])
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig("complete", n=9, m=3, k=2, pr_i=0.3, seed=11, gsn_limit=1100),
+        ExperimentConfig("star", n=5, m=2, k=2, seed=12, messages_per_client=60),
+        ExperimentConfig("broadcast", n=34, m=4, k=3, seed=13),
+    ],
+    ids=lambda config: config.topology,
+)
+def test_an_unstamped_log_persists_as_its_stamped_twin_and_stays_unstamped(
+    tmp_path, monkeypatch, config, stamp_chunk, chunk
+):
+    # Each log has more events than a trace chunk, and not a whole number of them.
+    monkeypatch.setattr(simulation, "_STAMP_CHUNK", stamp_chunk)
+    monkeypatch.setattr(trace_module, "_CHUNK", chunk)
+    log, twin = run(config), run(config)
+    twin.events
+    persist_trace(log, tmp_path / "streamed.txt")
+    persist_trace(twin, tmp_path / "stamped.txt")
+    assert log._events is None
+    assert (tmp_path / "streamed.txt").read_bytes() == (tmp_path / "stamped.txt").read_bytes()
+
+
+def test_persisting_an_unstamped_log_holds_less_than_half_its_clocks(tmp_path):
+    config = ExperimentConfig("complete", n=200, m=20, k=2, seed=1)
+    log = run(config)
+    clock_bytes = len(log) * (config.entities + config.m) * 4
+    tracemalloc.start()
+    try:
+        persist_trace(log, tmp_path / "trace.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Persist holds the walk's live rows, the rows stamped ahead of the
+    # written prefix and one chunk's bytes, not the 35 MB clock matrix.
+    assert peak < clock_bytes / 2
 
 
 @pytest.mark.parametrize(
