@@ -37,13 +37,15 @@ at its message's destination, that no process receives its own send or
 a send twice, and that each send's receiver is a process or absent.
 
 ``_stamp`` applies the protocol level by level rather than event by
-event.  An event's level is 1 + the larger of the levels of its process's
-previous event and, at a receive, its send, so the events of one level
-are pairwise concurrent and the end of each level is a consistent cut.
-One level is one batch of numpy calls: gather the rows its events read,
-take their pointwise maximum, add their tick rows and scatter the
-results.  A complete n=200 run of 40,000 events has 294 levels; a star
-run, whose server serializes it, has about one level per two events.
+event, a block of ``_STAMP_CHUNK`` consecutive GSNs at a time.  An
+event's level is 1 + the largest of the levels of its process's previous
+event, at a receive its send, and the events of earlier blocks, so the
+events of one level are pairwise concurrent and the end of each level is
+a consistent cut.  One level is one batch of numpy calls: gather the
+rows its events read, take their pointwise maximum, add their tick rows
+and scatter the results.  A complete n=200 run of 40,000 events has 491
+levels (294 causal ones); a star run, whose server serializes it, has
+about one level per two events.
 The Bloom ticks come from a ``DigestTable``, which hashes each (pid, x)
 of a seed once, whatever m and k: before it walks, ``_stamp`` grows the
 table to cover the events it walks, and each batch gathers its digests
@@ -51,24 +53,25 @@ and reduces them mod m.  A log stamps through the table it was given, if
 any (``run_sweep`` gives every log of a seed one), else through its own.
 
 A log from ``run`` holds only its int32 linkage columns.  ``_stamp``
-yields its stamped rows a chunk at a time and keeps none; each reader
+yields its stamped rows a block at a time and keeps none; each reader
 keeps what it needs.  ``ExecutionLog.events`` scatters every row, once,
 into one events x (entities + m) ``[vector | bloom]`` matrix, which
 ``Events.vectors`` and ``Events.blooms`` view; ``ExecutionLog.select``
-scatters only the rows of chosen GSNs; replay compares each chunk with
-the recorded rows; trace persist writes them in GSN order.  The walk
-holds a row per process and the sends whose receives are still to come:
-O(entities**2 + live * entities) memory, not O(events * entities).  The
-digest table adds 16 bytes per (pid, x) walked: 0.6 MB at n=200, 16 MB
-at n=1000.  ``Events`` is a lazy sequence over columns that builds an
-``EventRecord`` only when an item is read; its slices are views.
+scatters only the rows of chosen GSNs; replay compares each block with
+the recorded rows; trace persist sorts each block by GSN and writes it.
+The walk holds a row per process and the sends whose receives are still
+to come: O(entities**2 + live * entities) memory, not O(events *
+entities).  The digest table adds 16 bytes per (pid, x) walked: 0.6 MB
+at n=200, 16 MB at n=1000.  ``Events`` is a lazy sequence over columns
+that builds an ``EventRecord`` only when an item is read; its slices are
+views.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left, insort
+from bisect import insort
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from numbers import Real
@@ -89,9 +92,9 @@ _INT32_MAX = np.iinfo(_DTYPE).max
 _ABSENT = -1
 # Records are built this many rows at a time while iterating a log.
 _CHUNK = 256
-# _stamp hashes and builds tick rows for whole levels, this many events or more
-# at a time; _row_plan finds levels this many events at a time.
-_STAMP_CHUNK = 512
+# _stamp walks, hashes and yields blocks of this many consecutive GSNs;
+# fewer mean more, narrower levels.
+_STAMP_CHUNK = 1024
 # _row_plan converts its arrays to Python ints this many at a time.
 _PLAN_CHUNK = 1 << 16
 
@@ -339,8 +342,11 @@ class ExecutionLog:
         return self._events
 
     def select(self, gsns: Sequence[int]) -> Events:
-        """The events of ``gsns``, which must increase; a ``range`` over stamped events gives views."""
-        wanted = np.asarray(gsns, dtype=np.int64)
+        """The events of ``gsns``, integers which must increase; a ``range`` over stamped events gives views."""
+        wanted = np.asarray(gsns)
+        if wanted.size and not np.issubdtype(wanted.dtype, np.integer):
+            raise ValueError(f"gsns must be integers, got {wanted.dtype} values")
+        wanted = wanted.astype(np.int64, copy=False)
         if wanted.ndim != 1 or (wanted.size and not (1 <= wanted[0] and wanted[-1] <= len(self))):
             raise ValueError(f"gsns must lie in [1, {len(self)}]")
         if (np.diff(wanted) <= 0).any():
@@ -390,19 +396,20 @@ def _row_plan(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Row slots for a level-by-level stamp of ``pids``; they depend on the linkage alone.
 
-    An event's level is 1 + the larger of the levels of its process's
-    previous event and, at a receive, of its send, so no two events of a
-    level are causally related.  ``_stamp`` walks the levels in order and
-    does all reads of a level before its writes, so a row's lifetime is
-    counted in levels.  Slot 0 holds the zero clock, and process ``p`` owns
-    slot ``1 + p``: its rows overwrite one another there, since only the
-    process's next event and the receives up to that event's level read
-    them.  A send row that a receive reads at a later level takes a slot of
-    the pool that follows, and gives it back after the level of its last
-    receive.  Returns each event's slot; a 3 x events array of what it
-    reads: its level, the slot of its process's previous row (0 for none)
-    and the slot a receive merges from (0 for other kinds); and the number
-    of slots.
+    An event's level is 1 + the largest of the levels of its process's
+    previous event, at a receive of its send, and of the events of the
+    blocks of ``_STAMP_CHUNK`` GSNs before its own, so no two events of a
+    level are causally related and each block is a run of whole levels.
+    ``_stamp`` walks the levels in order and does all reads of a level
+    before its writes, so a row's lifetime is counted in levels.  Slot 0
+    holds the zero clock, and process ``p`` owns slot ``1 + p``: its rows
+    overwrite one another there, since only the process's next event and
+    the receives up to that event's level read them.  A send row that a
+    receive reads at a later level takes a slot of the pool that follows,
+    and gives it back after the level of its last receive.  Returns each
+    event's slot; a 3 x events array of what it reads: its level, the slot
+    of its process's previous row (0 for none) and the slot a receive
+    merges from (0 for other kinds); and the number of slots.
     """
     count = len(pids)
     is_receive = kinds == RECEIVE
@@ -410,13 +417,17 @@ def _row_plan(
     # level_of[0] stands for "no send", so every event reads one entry.
     level_of = array("i", [0]) * (count + 1)
     last_level = [0] * entities
+    floor = 0
     for lo in range(0, count, _STAMP_CHUNK):
         hi = lo + _STAMP_CHUNK
         for gsn, pid, send in zip(range(lo + 1, hi + 1), pids[lo:hi].tolist(), merged[lo:hi].tolist()):
             level = last_level[pid]
             if level_of[send] > level:
                 level = level_of[send]
+            if floor > level:
+                level = floor
             level_of[gsn] = last_level[pid] = level + 1
+        floor = max(level_of[lo + 1 : hi + 1])
     del merged
     reads = np.zeros((3, count), _DTYPE)
     levels = reads[0]
@@ -480,12 +491,13 @@ def _stamp(
     batch: gather the rows its events read, take their pointwise maximum,
     add their tick rows (a unit row for the vector clock, the hashed
     indices for the Bloom clock) and scatter the results, so every read of
-    a level comes before its writes.  A chunk of whole levels,
-    ``_STAMP_CHUNK`` or more events, gets its tick rows from one gather of
-    digests, its levels are stamped into them, and it is yielded as
-    ``(positions, rows)``: its events' positions (GSN - 1) and stamped
-    rows.  Each event is yielded once; ``rows`` is overwritten by the next
-    chunk, so a reader copies what it keeps.
+    a level comes before its writes.  Each block of ``_STAMP_CHUNK``
+    consecutive GSNs, a run of whole levels, gets its tick rows from one
+    gather of digests, its levels are stamped into them, and it is yielded
+    as ``(positions, rows)``: a permutation of the block's positions
+    (GSN - 1) and their stamped rows.  Blocks come in GSN order, so each
+    event is yielded once; ``rows`` is overwritten by the next block, so
+    a reader copies what it keeps.
     """
     if digests.seed != config.seed:
         raise ValueError(f"a digest table of seed {digests.seed} cannot stamp a run of seed {config.seed}")
@@ -496,20 +508,17 @@ def _stamp(
     order = np.argsort(reads[0], kind="stable")
     # Levels run from 1 up without a gap; bounds[i] is where level i + 1 starts.
     bounds = [0, *np.cumsum(np.bincount(reads[0])[1:]).tolist()]
+    # Block b of _STAMP_CHUNK GSNs is a run of whole levels (see _row_plan),
+    # walked from bound firsts[b], its first level less one, to firsts[b + 1].
+    firsts = [*(reads[0][order[::_STAMP_CHUNK]] - 1).tolist(), len(bounds) - 1]
     # Column r of walk: the slot event order[r] writes and the two it reads.
     reads[0] = targets
     walk = reads[:, order]
     order = order.astype(_DTYPE)
     del targets, reads
-    # A chunk of tick rows ends at the first level end _STAMP_CHUNK or more
-    # events after its start; cuts index its first and last bound.
-    cuts = [0]
-    while cuts[-1] < len(bounds) - 1:
-        cuts.append(min(bisect_left(bounds, bounds[cuts[-1]] + _STAMP_CHUNK), len(bounds) - 1))
-    widest = max((bounds[b] - bounds[a] for a, b in zip(cuts, cuts[1:])), default=0)
     clocks = np.zeros((total, entities + config.m), _DTYPE)
-    tick_rows = np.empty((widest, clocks.shape[1]), _DTYPE)
-    for first, last in zip(cuts, cuts[1:]):
+    tick_rows = np.empty((min(count, _STAMP_CHUNK), clocks.shape[1]), _DTYPE)
+    for first, last in zip(firsts, firsts[1:]):
         lo, hi = bounds[first], bounds[last]
         targets, previous, sources = walk[:, lo:hi].astype(np.intp)
         chunk_pids, chunk_xs = pids[order[lo:hi]], xs[order[lo:hi]]

@@ -11,7 +11,7 @@ Clock vectors are comma-joined inside their field; optional fields
 persists as just the two header lines.  Persisting formats a chunk of
 the log's columns and ``[vector | bloom]`` rows as bytes in numpy and
 writes it once, without building records or strings; an unstamped log
-is stamped as it is written and stays unstamped.
+is stamped as it is written, a block at a time, and stays unstamped.
 
 Loading reads the file once.  A file as ``persist_trace`` writes it for
 a run goes through numpy's C text parser a chunk of lines at a time: its
@@ -29,7 +29,6 @@ import json
 import warnings
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -127,40 +126,30 @@ def _layout(entities: int, m: int) -> bytes:
     return b"|" * 7 + b"," * (entities - 1) + b"|" + b"," * (m - 1) + b"\n"
 
 
-def _stamped_chunks(log: ExecutionLog) -> Iterator[np.ndarray]:
-    """An unstamped log's rows in GSN order, ``_CHUNK`` at a time; only rows stamped ahead of them are held."""
-    count = len(log)
-    held: dict[int, list] = {}  # chunk number -> [rows still to come, (offsets, rows) pieces...]
-    written = 0
-    for positions, rows in _stamp(log.config, log.columns(), log._digest_table(), count):
-        chunks = positions // _CHUNK
-        for chunk in np.unique(chunks).tolist():
-            mine = chunks == chunk
-            pieces = held.setdefault(chunk, [min(_CHUNK, count - chunk * _CHUNK)])
-            pieces[0] -= np.count_nonzero(mine)
-            pieces.append((positions[mine] - chunk * _CHUNK, rows[mine]))
-        while written in held and not held[written][0]:
-            offsets, parts = (np.concatenate(column) for column in zip(*held.pop(written)[1:]))
-            yield parts[np.argsort(offsets)]
-            written += 1
-
-
 def persist_trace(log: ExecutionLog, path: str | Path) -> None:
     """Write the log to ``path``; ``load_trace`` reproduces an equal log.
 
     A stamped log writes its own rows, which restamping might not
-    reproduce; an unstamped one is stamped as it is written.
+    reproduce.  An unstamped one is stamped as it is written: each block
+    of consecutive GSNs that ``_stamp`` yields is sorted by GSN and
+    written, so persist holds one block of stamped rows at a time.
     """
-    config, columns, starts = log.config, log.columns(), range(0, len(log), _CHUNK)
+    config, columns = log.config, log.columns()
     layout = _layout(config.entities, config.m)
     # The kind's pipe is written with its name, in the kind cells.
     separators = np.frombuffer(layout[:_KIND_CELL] + b"\0" * _KIND_CELLS + layout[_KIND_CELL + 1 :], np.uint8)
-    chunks = _stamped_chunks(log) if log._events is None else (log._events.clocks[lo : lo + _CHUNK] for lo in starts)
+    if log._events is None:
+        stamped = _stamp(config, columns, log._digest_table(), len(log))
+        chunks = (rows[np.argsort(positions)] for positions, rows in stamped)
+    else:
+        chunks = (log._events.clocks[lo : lo + _CHUNK] for lo in range(0, len(log), _CHUNK))
     with open(path, "wb") as handle:
         handle.write(_head(config) + b"\n")
-        for lo, clocks in zip(starts, chunks):
+        lo = 0
+        for clocks in chunks:
             chunk = Events([column[lo : lo + len(clocks)] for column in columns], clocks, config.entities)
             handle.write(_chunk_bytes(chunk, separators))
+            lo += len(clocks)
 
 
 def _read_config(lines: list[str]) -> ExperimentConfig:

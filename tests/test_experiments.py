@@ -93,6 +93,9 @@ def test_sweep_requires_widths_and_ns():
         SweepSpec(n_values=(10,), seeds=(1,)).expand()
     with pytest.raises(ConfigurationError):
         SweepSpec(m_values=(2,), seeds=(1,)).expand()
+    for empty in ({"k_values": ()}, {"pr_i_values": ()}):
+        with pytest.raises(ConfigurationError, match="at least one k and one pr_i"):
+            SweepSpec(n_values=(10,), m_values=(2,), seeds=(1,), **empty).expand()
 
 
 @pytest.mark.parametrize(
@@ -193,6 +196,8 @@ def test_sweep_csv_and_json(tmp_path):
     assert cell["per_seed"][0]["seed"] == 1
     # raw values in JSON, not the 3-decimal table rounding
     assert cell["aggregate"]["precision"] == artifacts[0].aggregate.precision
+    with pytest.raises(ConfigurationError, match="no rows to write"):
+        write_sweep_csv([], tmp_path / "empty.csv")
 
 
 def test_curve_csv_round_trip(tmp_path):

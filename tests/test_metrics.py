@@ -14,6 +14,7 @@ from bloomclock import (
     ConfusionCounts,
     CurveRow,
     EventRecord,
+    ExecutionLog,
     ExperimentConfig,
     SliceSpec,
     VectorClock,
@@ -83,6 +84,10 @@ def test_sample_slice_empty_or_out_of_range():
     log = run(ExperimentConfig("complete", n=3, m=2, k=1, seed=1, gsn_limit=30))
     with pytest.raises(ValueError):
         sample_slice(log, SliceSpec(start_gsn=40))
+    # A log whose GSNs skip 11 has a gap the grid would step over.
+    gapped = ExecutionLog(log.config, log.events[np.r_[0:10, 11:30]])
+    with pytest.raises(ValueError, match="log is not contiguous at gsn 11"):
+        sample_slice(gapped, SliceSpec(start_gsn=1, stride=1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cProfile
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -62,6 +63,8 @@ def test_config_validation():
         ExperimentConfig("star", n=4, m=2, k=1, pr_i=0.5)
     with pytest.raises(ConfigurationError):
         ExperimentConfig("complete", n=4, m=2, k=1, gsn_limit=0)
+    with pytest.raises(ConfigurationError, match="messages_per_client must be positive"):
+        ExperimentConfig("star", n=4, m=2, k=1, messages_per_client=0)
     # random.Random would take every bit of the seed, the hash family only its low 64.
     for seed in (-1, 2**64):
         with pytest.raises(ConfigurationError, match=r"seed must lie in \[0, 2\*\*64\)"):
@@ -540,7 +543,7 @@ def test_engine_agrees_with_clock_value_types(config):
     [
         ExperimentConfig("complete", n=9, m=5, k=3, pr_i=0.3, seed=21, gsn_limit=2 * _STAMP_CHUNK + 77),
         ExperimentConfig("star", n=3, m=4, k=2, seed=22, messages_per_client=_STAMP_CHUNK // 5),
-        ExperimentConfig("broadcast", n=36, m=6, k=4, seed=23),
+        ExperimentConfig("broadcast", n=math.isqrt(2 * _STAMP_CHUNK) + 1, m=6, k=4, seed=23),
     ],
     ids=lambda config: config.topology,
 )
@@ -564,8 +567,8 @@ def test_engine_agrees_across_stamp_chunks(config):
     ids=lambda config: config.topology,
 )
 def test_engine_agrees_when_tick_chunks_end_inside_levels(config, chunk, monkeypatch):
-    # Levels here are wider than a chunk of one or three events, so a chunk's
-    # nominal end falls inside a level and the chunk runs on to the level's end.
+    # Causal levels here are wider than a block of one or three GSNs, so each
+    # block ends inside a causal level and splits it.
     monkeypatch.setattr("bloomclock.simulation._STAMP_CHUNK", chunk)
     log = run(config)
     for e, (vector, bloom) in zip(log.events, _reference_timestamps(log), strict=True):
@@ -574,12 +577,17 @@ def test_engine_agrees_when_tick_chunks_end_inside_levels(config, chunk, monkeyp
     assert run(config).select(gsns) == log.events[gsns - 1]
 
 
-def test_engine_agrees_on_a_level_wider_than_a_tick_chunk():
+def test_engine_agrees_on_a_level_wider_than_a_tick_chunk(monkeypatch):
     config = ExperimentConfig("complete", n=700, m=8, k=2, pr_i=0.3, seed=24, gsn_limit=1500)
     log = run(config)
     _, pids, kinds, _, _, _, send_gsns = log.columns()
-    levels = _row_plan(pids, kinds, send_gsns, config.entities)[1][0]
-    assert np.bincount(levels).max() > _STAMP_CHUNK
+    # With one block spanning the log, the levels are the causal ones.
+    monkeypatch.setattr(simulation, "_STAMP_CHUNK", len(log))
+    causal = _row_plan(pids, kinds, send_gsns, config.entities)[1][0]
+    block = 512
+    monkeypatch.setattr(simulation, "_STAMP_CHUNK", block)
+    walked = _row_plan(pids, kinds, send_gsns, config.entities)[1][0]
+    assert np.bincount(causal).max() > block >= np.bincount(walked).max()
     for e, (vector, bloom) in zip(log.events, _reference_timestamps(log), strict=True):
         assert e.vector_ts == vector and e.bloom_ts == bloom, f"gsn {e.gsn}"
     gsns = np.arange(1, len(log) + 1, 2)
@@ -620,12 +628,13 @@ def test_stamp_yields_each_event_of_a_prefix_once(config, data, chunk):
     log = run(config)
     clocks = log.events.clocks
     count = data.draw(st.integers(min_value=0, max_value=len(log)))
-    yielded = []
+    blocks = []
     with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
         for positions, rows in _stamp(config, log.columns(), DigestTable(config.seed), count):
             assert np.array_equal(rows, clocks[positions])
-            yielded += positions.tolist()
-    assert sorted(yielded) == list(range(count))
+            blocks.append(sorted(positions.tolist()))
+    # The k-th chunk holds each position of the k-th block of consecutive GSNs once.
+    assert blocks == [list(range(lo, min(lo + chunk, count))) for lo in range(0, count, chunk)]
 
 
 @pytest.mark.parametrize(
@@ -666,6 +675,19 @@ def test_select_rejects_gsns_out_of_order_or_range():
         with pytest.raises(ValueError, match="gsns must"):
             log.select(gsns)
     assert len(log.select([])) == 0
+
+
+def test_select_refuses_gsns_that_are_not_integers():
+    # numpy would truncate 2.7 to event 2 and parse '3' as event 3.
+    unstamped, stamped = (run(ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20)) for _ in range(2))
+    stamped.events
+    for log in (unstamped, stamped):
+        for gsns in ([2.7], ["3"], np.array([1.9, 3.2]), [1, 2.0], [True]):
+            with pytest.raises(ValueError, match="gsns must be integers"):
+                log.select(gsns)
+        assert len(log.select(np.array([]))) == 0
+        assert log.select(np.array([2, 5], dtype=np.uint8)) == stamped.events[np.array([1, 4])]
+    assert unstamped._events is None
 
 
 def test_replay_accepts_an_empty_trace(tmp_path):

@@ -122,7 +122,8 @@ def test_writer_matches_str_formatting(trace_path, log, chunk):
     assert trace_path.read_bytes() == _reference_trace(log)
 
 
-@pytest.mark.parametrize("stamp_chunk,chunk", [(_STAMP_CHUNK, trace_module._CHUNK), (3, 5), (1, 7)])
+# (512, 1024) stamps in blocks half the size of the stamped twin's trace chunks.
+@pytest.mark.parametrize("stamp_chunk,chunk", [(_STAMP_CHUNK, trace_module._CHUNK), (512, 1024), (3, 5), (1, 7)])
 @pytest.mark.parametrize(
     "config",
     [
@@ -156,8 +157,8 @@ def test_persisting_an_unstamped_log_holds_less_than_half_its_clocks(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Persist holds the walk's live rows, the rows stamped ahead of the
-    # written prefix and one chunk's bytes, not the 35 MB clock matrix.
+    # Persist holds the walk's live rows, one stamped block and its bytes,
+    # not the 35 MB clock matrix.
     assert peak < clock_bytes / 2
 
 
