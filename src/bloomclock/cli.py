@@ -12,7 +12,8 @@ Subcommands:
 * ``trace``  persist a run's event log, or load one back and verify it by
              replaying the protocol.
 
-Exit codes: 0 success, 2 configuration, trace or I/O error, 3 numeric error.
+Exit codes: 0 success, 2 configuration, trace or I/O error (running out of
+memory counts as a configuration too large for the machine), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -262,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"configuration error: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
         return 2
     except (NumericError, OverflowError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

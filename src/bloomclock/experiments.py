@@ -113,6 +113,8 @@ def ratio_to_width(ratio: float, n: int) -> int:
     """Clock width from a ratio of n, rounded half-up with a floor of 1."""
     if not (math.isfinite(ratio) and ratio > 0):
         raise ConfigurationError(f"width ratio must be a positive finite number, got {ratio}")
+    if not math.isfinite(ratio * n):
+        raise ConfigurationError(f"width ratio {ratio} times n={n} overflows")
     return max(1, int(math.floor(ratio * n + 0.5)))
 
 

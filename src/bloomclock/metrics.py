@@ -4,11 +4,19 @@ Events are subsampled on a GSN grid, every ordered pair of sampled events is
 classified (both directions, so the causality spread tops out at 0.5), and
 the confusion counts feed the usual ratio metrics.  The Bloom test cannot
 produce false negatives, so recall is 1 whenever any positive exists.
+
+The pairs are counted on packed bitsets rather than compared one by one:
+on one Bloom counter the events that dominate y form a suffix of that
+counter's sort order, so y's predicted set is the AND of m suffix rows
+(the Bitmap method of Tan, Eng & Ooi, VLDB 2001), and y's oracle set is
+packed the same way.  For a slice of S events that is O(m·S²/64) word
+operations and a few S²/8-byte bitsets, against S²·m counter comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +25,11 @@ import numpy as np
 from .probability import classify_probabilities  # noqa: F401
 from .probability import false_positive_probabilities, pr_positive_by_sum
 from .simulation import EventRecord, Events, ExecutionLog
+
+# Bitsets are little-endian 64-bit words, so bit z of a row sits in byte
+# z // 8 of its byte view, as ``np.packbits(..., bitorder="little")`` lays it.
+_WORD = np.dtype("<u8")
+_BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], np.uint8)
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,9 @@ class MetricsReport:
     sentinels: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
+    """One row of a probability curve; a curve builds one per z, so it is a tuple, not a dataclass."""
+
     z_gsn: int
     pr_p: float
     pr_fp_step: float
@@ -115,28 +129,70 @@ def _reaches(pid_y, own_y, vectors_z: np.ndarray) -> np.ndarray:
     return vectors_z[:, pid_y] >= own_y
 
 
-def confusion_counts(events: Events) -> ConfusionCounts:
-    """Classify every ordered pair of distinct events (both directions), vectorized.
+def _popcount(bits: np.ndarray) -> int:
+    """Set bits in ``bits``, counted byte by byte through a lookup table."""
+    return int(_BYTE_POPCOUNT[bits.view(np.uint8)].sum(dtype=np.int64))
 
-    The oracle is the Fidge/Mattern test, which holds for timestamps of one
-    execution; the Bloom test compares all m counters.
+
+def confusion_counts(events: Events) -> ConfusionCounts:
+    """Classify every ordered pair of distinct events (both directions) on packed bitsets.
+
+    Row y of ``predicted`` packs the z whose Bloom clock dominates y's, bit z
+    in word z // 64.  On counter i those z are the events from y's value up
+    in the counter's sort order: a suffix, which one OR-accumulation over the
+    sort order yields for every y at once, so ``predicted`` is the AND of m
+    suffix rows per y.  y's oracle row is the Fidge/Mattern test
+    ``V_z[pid_y] >= V_y[pid_y]``, which holds for timestamps of one
+    execution, packed the same way in blocks of y.  All three counts are
+    popcounts, and fn counts the oracle pairs the Bloom test rejects.
     """
-    if len(events) < 2:
-        raise ValueError(f"need at least two events to form pairs, got {len(events)}")
+    count = len(events)
+    if count < 2:
+        raise ValueError(f"need at least two events to form pairs, got {count}")
     pids, vecs, blooms = events.pids, events.vectors, events.blooms
-    count = len(pids)
+    words = (count + 63) >> 6
+    predicted = np.full((count, words), np.iinfo(np.uint64).max, _WORD)
+    # Counters in groups whose suffix bitsets hold about 1M words.  Keys
+    # sort by counter, then by value from the largest down, so row j of a
+    # counter's block of ``suffix`` holds its j + 1 largest events, and y
+    # takes the row at the last of its ties.
+    group = max(1, (1 << 20) // (count * words))
+    for lo in range(0, blooms.shape[1], group):
+        values = blooms[:, lo : lo + group].T
+        keys = ((np.arange(len(values), dtype=np.int64)[:, None] << 32) - values).ravel()
+        order = np.argsort(keys)
+        ranked = keys[order]
+        ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+        last_tie = np.empty_like(order)
+        last_tie[order] = np.repeat(ends, np.diff(ends, prepend=-1))
+        z = order % count
+        suffix = np.zeros((len(keys), words), _WORD)
+        suffix[np.arange(len(keys)), z >> 6] = np.uint64(1) << (z & 63).astype(np.uint64)
+        blocks = suffix.reshape(len(values), count, words)
+        np.bitwise_or.accumulate(blocks, axis=1, out=blocks)
+        rows = suffix[last_tie].reshape(blocks.shape)
+        # Drop each bitset once read, so no more than three are alive.
+        del suffix, blocks
+        for counter in range(len(values)):
+            predicted &= rows[counter]
+        del rows
+    # Oracle rows in blocks of y, sorted by process so that a block reads the
+    # few clock columns its processes own; each block holds 1M cells.
     own = vecs[np.arange(count), pids]
-    # Chunk rows so the broadcast Bloom comparison holds at most 4M cells (a
-    # few MB); larger chunks only cost memory once a chunk is this wide.
-    rows = max(1, (1 << 22) // max(1, count * blooms.shape[1]))
+    by_process = np.argsort(pids, kind="stable")
+    predicted_bytes = predicted.view(np.uint8)
+    width = (count + 7) >> 3
+    block = max(1, (1 << 20) // count)
     both = oracle_total = predicted_total = 0
-    for lo in range(0, count, rows):
-        hi = min(count, lo + rows)
-        oracle = _reaches(pids[lo:hi], own[lo:hi], vecs).T
-        predicted = (blooms[lo:hi, None, :] <= blooms[None, :, :]).all(axis=2)
-        both += int(np.count_nonzero(oracle & predicted))
-        oracle_total += int(np.count_nonzero(oracle))
-        predicted_total += int(np.count_nonzero(predicted))
+    for lo in range(0, count, block):
+        ys = by_process[lo : lo + block]
+        columns, column_of = np.unique(pids[ys], return_inverse=True)
+        reached = vecs[:, columns].T[column_of] >= own[ys, None]  # [y, z]: y -> z
+        oracle = np.packbits(reached, axis=1, bitorder="little")
+        claimed = predicted_bytes[ys, :width]
+        both += _popcount(oracle & claimed)
+        oracle_total += _popcount(oracle)
+        predicted_total += _popcount(claimed)
     # The diagonal (each event against itself) passes both tests; it is not a pair.
     tp = both - count
     fp = predicted_total - both

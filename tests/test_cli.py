@@ -89,6 +89,25 @@ def test_non_finite_width_ratio_exits_two(capsys, command, ratio):
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+def test_overflowing_width_ratio_exits_two(capsys, command):
+    # 1e308 is finite, but 1e308 * 10 is not: the width would be infinite.
+    assert main([command, "--n", "10", "--m-ratio", "1e308", "--runs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: width ratio 1e+308 times n=10 overflows\n"
+
+
+def test_out_of_memory_exits_two(capsys):
+    # m = 10**14 makes the first clock matrix petabytes wide, so numpy
+    # refuses the allocation at once and no memory is touched.
+    assert main(["run", "--n", "10", "--m", str(10**14), "--runs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: out of memory: Unable to allocate ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize("runs", ["0", "-2"])
 def test_runs_must_be_at_least_one(capsys, command, runs):
     assert main([command, "--n", "10", "--m", "3", "--runs", runs]) == 2

@@ -66,6 +66,8 @@ def test_ratio_to_width_rounds_half_up():
     assert ratio_to_width(0.01, 10) == 1
     with pytest.raises(ConfigurationError):
         ratio_to_width(0.0, 50)
+    with pytest.raises(ConfigurationError, match="overflows"):
+        ratio_to_width(1e308, 10)
 
 
 def test_sweep_expansion():

@@ -112,22 +112,8 @@ def test_classify_pair_true_negative():
     assert classify_pair(y, z) == "TN"
 
 
-def test_confusion_counts_match_scalar_classification():
-    # The vectorized pair classifier must agree with the one-pair reference.
-    log = run(ExperimentConfig("complete", n=30, m=4, k=2, pr_i=0.1, seed=21, gsn_limit=900))
-    events = sample_slice(log, SliceSpec(start_gsn=10, stride=30))
-    expected = ConfusionCounts()
-    for y in events:
-        for z in events:
-            if y.gsn != z.gsn:
-                outcome = classify_pair(y, z)
-                expected = expected + ConfusionCounts(**{outcome.lower(): 1})
-    assert confusion_counts(events) == expected
-
-
-def test_confusion_counts_agree_across_chunks():
-    # 1,600 events at m=4 take three row chunks of the Bloom comparison.
-    events = run(ExperimentConfig("complete", n=40, m=4, k=2, pr_i=0.2, seed=5)).events
+def _broadcast_counts(events):
+    """Reference count: every Bloom counter and oracle cell of all S^2 pairs compared at once."""
     own = events.vectors[np.arange(len(events)), events.pids]
     oracle = events.vectors[:, events.pids] >= own  # [z, y]: y -> z
     predicted = (events.blooms[None, :, :] <= events.blooms[:, None, :]).all(axis=2)  # [z, y]
@@ -137,7 +123,69 @@ def test_confusion_counts_agree_across_chunks():
     fp = int(np.count_nonzero(predicted & ~oracle))
     fn = int(np.count_nonzero(oracle & ~predicted))
     tn = len(events) * (len(events) - 1) - tp - fp - fn
-    assert confusion_counts(events) == ConfusionCounts(tp, fp, tn, fn)
+    return ConfusionCounts(tp, fp, tn, fn)
+
+
+def _pairwise_counts(events):
+    """Reference count: classify_pair on every ordered pair of distinct records."""
+    counts = ConfusionCounts()
+    records = list(events)
+    for y in records:
+        for z in records:
+            if y.gsn != z.gsn:
+                counts = counts + ConfusionCounts(**{classify_pair(y, z).lower(): 1})
+    return counts
+
+
+def test_confusion_counts_match_scalar_classification():
+    # The bitset pair classifier must agree with the one-pair reference.
+    log = run(ExperimentConfig("complete", n=30, m=4, k=2, pr_i=0.1, seed=21, gsn_limit=900))
+    events = sample_slice(log, SliceSpec(start_gsn=10, stride=30))
+    assert confusion_counts(events) == _pairwise_counts(events)
+
+
+def test_confusion_counts_match_the_broadcast_reference():
+    # 1,600 events: bitset rows of 25 words, and three oracle blocks of up to 655 rows.
+    events = run(ExperimentConfig("complete", n=40, m=4, k=2, pr_i=0.2, seed=5)).events
+    assert confusion_counts(events) == _broadcast_counts(events)
+
+
+@st.composite
+def classified_slices(draw):
+    """Events drawn from a run of any topology, S in {2, 63, 64, 65, 129} or below 130, m down to 1."""
+    topology = draw(st.sampled_from(("complete", "star", "broadcast")))
+    config = ExperimentConfig(
+        topology,
+        n=draw(st.integers(min_value=2, max_value=6)) if topology != "broadcast" else draw(st.integers(12, 14)),
+        m=draw(st.sampled_from((1, 2, 3, 8))),
+        k=draw(st.integers(min_value=1, max_value=3)),
+        pr_i=draw(st.sampled_from((0.0, 0.5, 1.0))) if topology == "complete" else 0.0,
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        gsn_limit=draw(st.integers(min_value=130, max_value=400)) if topology == "complete" else None,
+        messages_per_client=draw(st.integers(min_value=17, max_value=30)) if topology == "star" else None,
+    )
+    size = draw(st.one_of(st.sampled_from((2, 63, 64, 65, 129)), st.integers(min_value=2, max_value=129)))
+    pick = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    return config, np.sort(pick.choice(config.event_count, size, replace=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(classified_slices())
+def test_confusion_counts_match_both_references(case):
+    config, rows = case
+    events = run(config).events[rows]
+    counts = confusion_counts(events)
+    assert counts == _broadcast_counts(events)
+    assert counts == _pairwise_counts(events)
+    assert counts.fn == 0
+
+
+@pytest.mark.parametrize("count", [2, 63, 64, 65, 129])
+def test_equal_bloom_clocks_of_isolated_events_are_all_false_positives(count):
+    # Each process's single internal event: no pair is causal, yet every
+    # Bloom clock equals every other, so each ordered pair is predicted.
+    events = _internal_events(range(count), np.eye(count), [[3, 1]] * count)
+    assert confusion_counts(events) == ConfusionCounts(fp=count * (count - 1))
 
 
 def test_confusion_counts_requires_two_events():
