@@ -15,6 +15,7 @@ so snapshots can be stored in event logs and shared freely across threads.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import TypeVar
@@ -89,8 +90,8 @@ class DigestTable:
     memory follows the events, and a star server with a hundred times a
     client's events costs no more per event.  ``cover`` grows the table to
     hold given pairs and hashes only the ones it lacks, ``_HASH_CHUNK`` at
-    a time.  ``index_rows`` gathers halves and reduces them mod m.  That
-    relies on ``(h1 + i*h2) mod m == (h1 mod m + i*(h2 mod m)) mod m``:
+    a time.  ``index_rows`` gathers halves once and reduces them mod each
+    m.  That relies on ``(h1 + i*h2) mod m == (h1 mod m + i*(h2 mod m)) mod m``:
     reducing each half first keeps every term below ``k*m``, so nothing
     wraps, whereas uint64 arithmetic on the raw halves would.
     """
@@ -148,16 +149,16 @@ class DigestTable:
             add(h.digest())
         return np.frombuffer(b"".join(digests), "<u8").reshape(-1, 2) | np.array([0, 1], np.uint64)
 
-    def index_rows(self, pids: np.ndarray, xs: np.ndarray, m: int, k: int) -> np.ndarray:
-        """Row ``r`` of the ``(events, k)`` uint64 array is ``HashFamily(k, m, seed).indices(pids[r], xs[r])``.
-
-        Every pair must have been covered.
+    def index_rows(self, pids: np.ndarray, xs: np.ndarray, geometries: Sequence[tuple[int, int]]) -> Iterator:
+        """Per (m, k) of ``geometries``, the ``(events, k)`` uint64 array whose row ``r`` is
+        ``HashFamily(k, m, seed).indices(pids[r], xs[r])``; every pair must have been covered.
         """
         halves = self._halves[self._starts[pids] + xs - 1]
-        width = np.uint64(m)
-        h1 = halves[:, 0] % width
-        h2 = halves[:, 1] % width
-        return (h1[:, None] + np.arange(k, dtype=np.uint64) * h2[:, None]) % width
+        for m, k in geometries:
+            width = np.uint64(m)
+            h1 = halves[:, 0] % width
+            h2 = halves[:, 1] % width
+            yield (h1[:, None] + np.arange(k, dtype=np.uint64) * h2[:, None]) % width
 
 
 _C = TypeVar("_C", bound="_Counters")

@@ -15,14 +15,14 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, replace
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .clocks import DigestTable
 from .errors import ConfigurationError
-from .metrics import CurveRow, MetricsReport, SliceSpec, slice_metrics
-from .simulation import ExecutionLog, ExperimentConfig, run
+from .metrics import CurveRow, MetricsReport, SliceSpec, _geometry_metrics, slice_metrics
+from .simulation import ExperimentConfig, run
 
 CURVE_HEADER = ("z_gsn", "pr_p", "pr_fp_step", "pr_fp_smooth", "outcome")
 METRIC_FIELDS = ("precision", "accuracy", "recall", "fpr", "alpha")
@@ -59,54 +59,16 @@ def aggregate_reports(reports: Sequence[MetricsReport]) -> AggregateMetrics:
     )
 
 
-class SweepShare:
-    """What the cells of one sweep share: a digest table per seed, and the current group's linkages.
-
-    A run's linkage depends on its configuration but for m and k, and a
-    digest on the seed, pid and event index alone.  ``log`` records a
-    linkage through ``run`` once per group of configurations that differ
-    only in m, k and the seed, and relabels its columns for each (m, k) of
-    the group.  Only the columns are reused, never a log: a log keeps its
-    stamped events at its own m.  A new group drops the last one's
-    columns.  Every log of a seed stamps through that seed's one table,
-    which grows to cover the events its stamps walk.
-    """
-
-    def __init__(self) -> None:
-        self._tables: dict[int, DigestTable] = {}
-        self._group: ExperimentConfig | None = None
-        self._linkages: dict[int, tuple] = {}
-
-    def log(self, config: ExperimentConfig) -> ExecutionLog:
-        group = replace(config, m=1, k=1, seed=0)
-        if group != self._group:
-            self._group, self._linkages = group, {}
-        seed = config.seed
-        if seed not in self._linkages:
-            self._linkages[seed] = run(config).columns()
-        if seed not in self._tables:
-            self._tables[seed] = DigestTable(seed)
-        return ExecutionLog._unstamped(config, self._linkages[seed], self._tables[seed])
-
-
-def run_experiment(
-    config: ExperimentConfig,
-    seeds: Sequence[int],
-    slice_spec: SliceSpec | None = None,
-    share: SweepShare | None = None,
-) -> RunArtifact:
-    """Run one configuration once per seed and average the slice metrics.
-
-    With a ``share``, the logs come from it, so a sweep records each
-    linkage once and hashes each (seed, pid, x) once.
-    """
+def _check_seeds(seeds: Sequence[int]) -> None:
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigurationError(f"need one or more distinct seeds, got {list(seeds)}")
-    log = run if share is None else share.log
-    reports = tuple(slice_metrics(log(replace(config, seed=seed)), slice_spec) for seed in seeds)
-    return RunArtifact(
-        config=config, seeds=tuple(seeds), reports=reports, aggregate=aggregate_reports(reports)
-    )
+
+
+def run_experiment(config: ExperimentConfig, seeds: Sequence[int], slice_spec: SliceSpec | None = None) -> RunArtifact:
+    """Run one configuration once per seed and average the slice metrics."""
+    _check_seeds(seeds)
+    reports = tuple(slice_metrics(run(replace(config, seed=seed)), slice_spec) for seed in seeds)
+    return RunArtifact(config, tuple(seeds), reports, aggregate_reports(reports))
 
 
 def ratio_to_width(ratio: float, n: int) -> int:
@@ -140,6 +102,7 @@ class SweepSpec:
         return sorted(set(widths))
 
     def expand(self) -> list[ExperimentConfig]:
+        _check_seeds(self.seeds)
         if not self.n_values:
             raise ConfigurationError("sweep needs at least one n value")
         if not self.k_values or not self.pr_i_values:
@@ -163,14 +126,28 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[RunArtifact]:
-    """One independent artifact per sweep cell, in expansion order.
+    """One independent artifact per sweep cell, in expansion order: those of ``run_experiment`` cell by cell.
 
-    The cells share one ``SweepShare``, which lives as long as this call:
-    the artifacts are those of ``run_experiment`` called cell by cell
-    without one.
+    The cells of one (n, pr_i), consecutive in expansion order, differ only
+    in m and k, so a seed's run is one linkage for all of them: it is
+    recorded once, and its slice stamped once for every (m, k) and then
+    classified per (m, k).  Each seed stamps through one ``DigestTable``
+    for the whole call, so each (seed, pid, x) is hashed once.
     """
-    share = SweepShare()
-    return [run_experiment(config, spec.seeds, spec.slice_spec, share) for config in spec.expand()]
+    configs = spec.expand()
+    tables = {seed: DigestTable(seed) for seed in spec.seeds}
+    artifacts = []
+    for _, group in groupby(configs, lambda config: (config.n, config.pr_i)):
+        cells = list(group)
+        geometries = list(dict.fromkeys((config.m, config.k) for config in cells))
+        per_seed = [
+            _geometry_metrics(run(replace(cells[0], seed=seed)), geometries, tables[seed], spec.slice_spec)
+            for seed in spec.seeds
+        ]
+        for config in cells:
+            reports = tuple(by_geometry[geometries.index((config.m, config.k))] for by_geometry in per_seed)
+            artifacts.append(RunArtifact(config, tuple(spec.seeds), reports, aggregate_reports(reports)))
+    return artifacts
 
 
 _CELL_FIELDS = ("topology", "n", "m", "k", "pr_i")

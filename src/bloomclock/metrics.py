@@ -20,11 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .clocks import DigestTable
+
 # classify_probabilities is no longer called here, but perfbench's traced run
 # wraps ``metrics.classify_probabilities``, so the name stays bound.
 from .probability import classify_probabilities  # noqa: F401
 from .probability import false_positive_probabilities, pr_positive_by_sum
-from .simulation import EventRecord, Events, ExecutionLog
+from .simulation import EventRecord, Events, ExecutionLog, Geometries
 
 # Bitsets are little-endian 64-bit words, so bit z of a row sits in byte
 # z // 8 of its byte view, as ``np.packbits(..., bitorder="little")`` lays it.
@@ -44,10 +46,6 @@ class SliceSpec:
             raise ValueError(f"start_gsn must be at least 1, got {self.start_gsn}")
         if self.stride < 1:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
-
-    def resolve(self, log: ExecutionLog) -> tuple[int, int, int]:
-        start = self.start_gsn if self.start_gsn is not None else 10 * log.config.n
-        return start, self.stride, len(log)
 
 
 @dataclass(frozen=True)
@@ -95,13 +93,18 @@ class CurveRow(NamedTuple):
     outcome: str
 
 
+def _slice_grid(log: ExecutionLog, spec: SliceSpec | None) -> range:
+    """The slice's GSNs: start, start+stride, ... <= the log's end."""
+    spec = spec if spec is not None else SliceSpec()
+    start = spec.start_gsn if spec.start_gsn is not None else 10 * log.config.n
+    if start > len(log):
+        raise ValueError(f"empty slice: start_gsn {start} beyond log end {len(log)}")
+    return range(start, len(log) + 1, spec.stride)
+
+
 def sample_slice(log: ExecutionLog, spec: SliceSpec | None = None) -> Events:
     """Events at gsn = start, start+stride, ... <= the log's end, through ``log.select``."""
-    spec = spec if spec is not None else SliceSpec()
-    start, stride, end = spec.resolve(log)
-    if start > end:
-        raise ValueError(f"empty slice: start_gsn {start} beyond log end {end}")
-    grid = range(start, end + 1, stride)
+    grid = _slice_grid(log, spec)
     sampled = log.select(grid)
     gaps = np.flatnonzero(sampled.gsns != np.asarray(grid))
     if gaps.size:
@@ -244,6 +247,19 @@ def causality_spread(counts: ConfusionCounts) -> float:
 def slice_metrics(log: ExecutionLog, spec: SliceSpec | None = None) -> MetricsReport:
     """Sample the slice, classify all ordered pairs, and compute the ratios."""
     return compute_metrics(confusion_counts(sample_slice(log, spec)))
+
+
+def _geometry_metrics(
+    log: ExecutionLog, geometries: Geometries, digests: DigestTable, spec: SliceSpec | None = None
+) -> list[MetricsReport]:
+    """Report j is ``slice_metrics`` of the log's run at ``geometries[j]``, from one stamp of the slice for all."""
+    wanted = np.asarray(_slice_grid(log, spec))
+    clocks = log._scatter(wanted, geometries, digests)
+    columns = [column[wanted - 1] for column in log.columns()]
+    entities = log.config.entities
+    bounds = np.cumsum([entities, *(m for m, _ in geometries)]).tolist()
+    blocks = (np.hstack((clocks[:, :entities], clocks[:, lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+    return [compute_metrics(confusion_counts(Events(columns, block, entities))) for block in blocks]
 
 
 def probability_curve(

@@ -46,11 +46,14 @@ rows its events read, take their pointwise maximum, add their tick rows
 and scatter the results.  A complete n=200 run of 40,000 events has 491
 levels (294 causal ones); a star run, whose server serializes it, has
 about one level per two events.
-The Bloom ticks come from a ``DigestTable``, which hashes each (pid, x)
-of a seed once, whatever m and k: before it walks, ``_stamp`` grows the
-table to cover the events it walks, and each batch gathers its digests
-and reduces them mod m.  A log stamps through the table it was given, if
-any (``run_sweep`` gives every log of a seed one), else through its own.
+``_stamp`` stamps a list of (m, k) geometries in one walk: its rows
+are ``[vector | bloom_1 | ... | bloom_j]``, so one plan and one walk
+serve every Bloom clock of a linkage.  The Bloom ticks come from a
+``DigestTable``, which hashes each (pid, x) of a seed once, whatever m
+and k: before it walks, ``_stamp`` grows the table to cover the events it
+walks, and each block gathers its digests once and reduces them mod each
+m.  A log stamps its own (m, k) through a table of its seed; ``run_sweep``
+stamps every (m, k) of a linkage at once, through one table per seed.
 
 A log from ``run`` holds only its int32 linkage columns.  ``_stamp``
 yields its stamped rows a block at a time and keeps none; each reader
@@ -97,6 +100,8 @@ _CHUNK = 256
 _STAMP_CHUNK = 1024
 # _row_plan converts its arrays to Python ints this many at a time.
 _PLAN_CHUNK = 1 << 16
+# The (m, k) of each Bloom clock a stamp ticks: its width and hash count.
+Geometries = Sequence[tuple[int, int]]
 
 
 class ReplayError(Exception):
@@ -296,13 +301,12 @@ class ExecutionLog:
     The log holds the int32 linkage columns of ``Events.COLUMNS``;
     ``len(log)`` and ``columns()`` read only those.  ``events`` stamps every
     row on first access and keeps the result; ``select`` reads chosen rows
-    from it, or else from a stamp that keeps only those rows.  A stamp
-    hashes through the ``DigestTable`` the log was built with, if any.  A
-    log built from ``Events`` (kept as is, views included) is stamped from
-    the start; its clock widths must match the configuration.
+    from it, or else from a stamp that keeps only those rows.  A log built
+    from ``Events`` (kept as is, views included) is stamped from the start;
+    its clock widths must match the configuration.
     """
 
-    __slots__ = ("config", "_columns", "_events", "_digests")
+    __slots__ = ("config", "_columns", "_events")
 
     def __init__(self, config: ExperimentConfig, events: Events):
         if events.vectors.shape[1] != config.entities or events.blooms.shape[1] != config.m:
@@ -313,19 +317,6 @@ class ExecutionLog:
         self.config = config
         self._columns = events.columns()
         self._events: Events | None = events
-        self._digests: DigestTable | None = None
-
-    @classmethod
-    def _unstamped(
-        cls, config: ExperimentConfig, columns: Sequence[np.ndarray], digests: DigestTable | None = None
-    ) -> ExecutionLog:
-        """A log of linkage columns alone; its clocks are stamped when read, through ``digests`` if given."""
-        log = cls.__new__(cls)
-        log.config, log._columns, log._events, log._digests = config, tuple(columns), None, digests
-        return log
-
-    def _digest_table(self) -> DigestTable:
-        return self._digests if self._digests is not None else DigestTable(self.config.seed)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The linkage columns in ``Events.COLUMNS`` order; reading them never stamps."""
@@ -338,7 +329,9 @@ class ExecutionLog:
     def events(self) -> Events:
         """Every event with its timestamps, stamped once on first access."""
         if self._events is None:
-            self._events = Events(self._columns, self._scatter(np.arange(1, len(self) + 1)), self.config.entities)
+            config = self.config
+            clocks = self._scatter(np.arange(1, len(self) + 1), [(config.m, config.k)], DigestTable(config.seed))
+            self._events = Events(self._columns, clocks, config.entities)
         return self._events
 
     def select(self, gsns: Sequence[int]) -> Events:
@@ -355,13 +348,16 @@ class ExecutionLog:
             if isinstance(gsns, range) and gsns:
                 return self._events[gsns[0] - 1 : gsns[-1] : max(gsns.step, 1)]
             return self._events[wanted - 1]
-        return Events([column[wanted - 1] for column in self._columns], self._scatter(wanted), self.config.entities)
+        config = self.config
+        clocks = self._scatter(wanted, [(config.m, config.k)], DigestTable(config.seed))
+        return Events([column[wanted - 1] for column in self._columns], clocks, config.entities)
 
-    def _scatter(self, wanted: np.ndarray) -> np.ndarray:
-        """The ``[vector | bloom]`` rows of the increasing GSNs ``wanted``, picked from one stamp's chunks."""
-        clocks = np.empty((len(wanted), self.config.entities + self.config.m), _DTYPE)
+    def _scatter(self, wanted: np.ndarray, geometries: Geometries, digests: DigestTable) -> np.ndarray:
+        """The ``_stamp`` rows of the increasing GSNs ``wanted`` at ``geometries``, picked from its chunks."""
+        config = self.config
+        clocks = np.empty((len(wanted), config.entities + sum(m for m, _ in geometries)), _DTYPE)
         count = int(wanted[-1]) if len(wanted) else 0
-        for positions, rows in _stamp(self.config, self._columns, self._digest_table(), count):
+        for positions, rows in _stamp(config, self._columns, digests, count, geometries):
             # Every position lies below count = wanted[-1], so its insertion point is a row of clocks.
             at = np.searchsorted(wanted, positions + 1)
             kept = wanted[at] == positions + 1
@@ -475,34 +471,35 @@ def _row_plan(
 
 
 def _stamp(
-    config: ExperimentConfig, columns: Sequence[np.ndarray], digests: DigestTable, count: int
+    config: ExperimentConfig, columns: Sequence[np.ndarray], digests: DigestTable, count: int, geometries: Geometries
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Apply the clock protocol to the first ``count`` events of a linkage; the one place where clocks tick and merge.
 
     ``columns`` are a log's ``Events.COLUMNS``.  Event ``g`` (GSN order,
     from 1) at process ``pids[g-1]`` with event index ``xs[g-1]`` starts
     from its process's last row, or the zero row; a receive first takes the
-    pointwise maximum with the row of send ``send_gsns[g-1]``.  Then both
-    clocks tick.  The Bloom ticks come from ``digests``, a table of the
-    configuration's seed, which is first grown to cover every event walked.
+    pointwise maximum with the row of send ``send_gsns[g-1]``.  Then its
+    vector clock ticks, and a Bloom clock per (m, k) of ``geometries``,
+    whose ticks come from ``digests``, a table of the configuration's seed
+    first grown to cover every event walked.
 
     The events are walked level by level (see ``_row_plan``) in the slots
-    of one working matrix of ``[vector | bloom]`` rows.  A level is one
-    batch: gather the rows its events read, take their pointwise maximum,
-    add their tick rows (a unit row for the vector clock, the hashed
-    indices for the Bloom clock) and scatter the results, so every read of
-    a level comes before its writes.  Each block of ``_STAMP_CHUNK``
-    consecutive GSNs, a run of whole levels, gets its tick rows from one
-    gather of digests, its levels are stamped into them, and it is yielded
-    as ``(positions, rows)``: a permutation of the block's positions
-    (GSN - 1) and their stamped rows.  Blocks come in GSN order, so each
-    event is yielded once; ``rows`` is overwritten by the next block, so
-    a reader copies what it keeps.
+    of one working matrix of ``[vector | bloom_1 | ... | bloom_j]`` rows.
+    A level is one batch: gather the rows its events read, take their
+    pointwise maximum, add their tick rows and scatter the results, so
+    every read of a level comes before its writes.  Each block of
+    ``_STAMP_CHUNK`` consecutive GSNs, a run of whole levels, gets its tick
+    rows from one gather of digests, its levels are stamped into them, and
+    it is yielded as ``(positions, rows)``: a permutation of the block's
+    positions (GSN - 1) and their stamped rows.  Blocks come in GSN order,
+    so each event is yielded once; ``rows`` is overwritten by the next
+    block, so a reader copies what it keeps.
     """
     if digests.seed != config.seed:
         raise ValueError(f"a digest table of seed {digests.seed} cannot stamp a run of seed {config.seed}")
     _, pids, kinds, xs, _, _, send_gsns = (column[:count] for column in columns)
     entities = config.entities
+    offsets = np.cumsum([entities, *(m for m, _ in geometries)]).tolist()
     digests.cover(pids, xs)
     targets, reads, total = _row_plan(pids, kinds, send_gsns, entities)
     order = np.argsort(reads[0], kind="stable")
@@ -516,7 +513,7 @@ def _stamp(
     walk = reads[:, order]
     order = order.astype(_DTYPE)
     del targets, reads
-    clocks = np.zeros((total, entities + config.m), _DTYPE)
+    clocks = np.zeros((total, offsets[-1]), _DTYPE)
     tick_rows = np.empty((min(count, _STAMP_CHUNK), clocks.shape[1]), _DTYPE)
     for first, last in zip(firsts, firsts[1:]):
         lo, hi = bounds[first], bounds[last]
@@ -526,9 +523,10 @@ def _stamp(
         ticks.fill(0)
         local = np.arange(hi - lo)
         ticks[local, chunk_pids] = 1
-        # One add per hash function: an index hit by two of them adds 2.
-        for column in digests.index_rows(chunk_pids, chunk_xs, config.m, config.k).T:
-            ticks[local, entities + column] += 1
+        for offset, indices in zip(offsets, digests.index_rows(chunk_pids, chunk_xs, geometries)):
+            # One add per hash function: an index hit by two of them adds 2.
+            for column in indices.T:
+                ticks[local, offset + column] += 1
         for start, end in zip(bounds[first:last], bounds[first + 1 : last + 1]):
             level = slice(start - lo, end - lo)
             rows = clocks.take(previous[level], axis=0)
@@ -578,7 +576,10 @@ def _linkage_log(
     receivers = np.where(sends, links, np.where(receives, pids, _ABSENT))
     send_gsns = np.where(receives, links, _ABSENT)
     gsns = np.arange(1, count + 1, dtype=_DTYPE)
-    return ExecutionLog._unstamped(config, [gsns, pids, kinds, xs, senders, receivers, send_gsns])
+    # A log of linkage columns alone: its clocks are stamped when read.
+    log = ExecutionLog.__new__(ExecutionLog)
+    log.config, log._columns, log._events = config, (gsns, pids, kinds, xs, senders, receivers, send_gsns), None
+    return log
 
 
 def run(config: ExperimentConfig) -> ExecutionLog:
@@ -774,7 +775,7 @@ def replay_timestamps(log: ExecutionLog) -> None:
     pairs = list(zip(recorded.columns(), rebuilt))
     stamps = np.zeros(len(pids), bool)
     # Each chunk is compared as it is stamped, so replay holds the live rows, not a second copy.
-    for events, rows in _stamp(config, rebuilt, log._digest_table(), len(pids)):
+    for events, rows in _stamp(config, rebuilt, DigestTable(config.seed), len(pids), [(config.m, config.k)]):
         stamps[events] = (rows != recorded.clocks[events]).any(axis=1)
     differs = np.stack([held != derived for held, derived in pairs] + [stamps])
     if differs.any():

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .clocks import DigestTable
 from .simulation import KINDS, Events, ExecutionLog, ExperimentConfig, _stamp
 
 _FIELDS = ("gsn", "pid", "kind", "event_index", "sender", "receiver", "send_gsn", "vector_ts", "bloom_ts")
@@ -139,7 +140,7 @@ def persist_trace(log: ExecutionLog, path: str | Path) -> None:
     # The kind's pipe is written with its name, in the kind cells.
     separators = np.frombuffer(layout[:_KIND_CELL] + b"\0" * _KIND_CELLS + layout[_KIND_CELL + 1 :], np.uint8)
     if log._events is None:
-        stamped = _stamp(config, columns, log._digest_table(), len(log))
+        stamped = _stamp(config, columns, DigestTable(config.seed), len(log), [(config.m, config.k)])
         chunks = (rows[np.argsort(positions)] for positions, rows in stamped)
     else:
         chunks = (log._events.clocks[lo : lo + _CHUNK] for lo in range(0, len(log), _CHUNK))

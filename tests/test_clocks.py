@@ -14,7 +14,6 @@ from scipy.stats import chi2
 from bloomclock import (
     BloomClock,
     ConfigurationError,
-    ExecutionLog,
     ExperimentConfig,
     HashFamily,
     VectorClock,
@@ -22,6 +21,7 @@ from bloomclock import (
     sample_slice,
 )
 from bloomclock.clocks import DigestTable
+from bloomclock.simulation import _stamp
 
 clock_values = st.lists(st.integers(min_value=0, max_value=50), min_size=4, max_size=4)
 
@@ -127,9 +127,9 @@ def test_digest_table_matches_scalar_indices(seed, calls, geometries, data):
         covered = [(pid, x) for pid, cap in caps.items() for x in range(1, cap + 1)]
         pids = np.array([p for p, _ in covered], np.int32)
         xs = np.array([x for _, x in covered], np.int32)
-        for m, k in geometries:
+        # One gather of halves serves every geometry.
+        for (m, k), rows in zip(geometries, table.index_rows(pids, xs, geometries), strict=True):
             family = HashFamily(k=k, m=m, seed=seed)
-            rows = table.index_rows(pids, xs, m, k)
             assert rows.shape == (len(covered), k)
             assert [tuple(row) for row in rows.tolist()] == [family.indices(pid, x) for pid, x in covered]
 
@@ -149,9 +149,9 @@ def test_a_digest_table_hashes_only_the_pairs_it_lacks(monkeypatch):
 
 def test_a_digest_table_refuses_a_stamp_of_another_seed():
     config = ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20)
-    log = ExecutionLog._unstamped(config, run(config).columns(), DigestTable(2))
+    stamp = _stamp(config, run(config).columns(), DigestTable(2), 5, [(config.m, config.k)])
     with pytest.raises(ValueError, match="digest table of seed 2 cannot stamp a run of seed 1"):
-        log.select([5])
+        next(stamp)
 
 
 def test_family_validation():

@@ -27,7 +27,7 @@ from bloomclock import (
     write_curve_csv,
     write_sweep_csv,
 )
-from bloomclock import experiments
+from bloomclock import experiments, simulation
 from bloomclock.clocks import DigestTable
 from bloomclock.experiments import CURVE_HEADER, read_curve_csv, sweep_table
 from bloomclock.metrics import CurveRow
@@ -47,6 +47,11 @@ def test_run_experiment_aggregate_is_mean():
 def test_run_experiment_needs_seeds():
     with pytest.raises(ConfigurationError):
         run_experiment(SMALL, ())
+
+
+def test_run_sweep_needs_seeds():
+    with pytest.raises(ConfigurationError, match=r"^need one or more distinct seeds, got \[\]$"):
+        run_sweep(SweepSpec(n_values=(10,), m_values=(2,), seeds=()))
 
 
 def test_run_experiment_refuses_a_repeated_seed():
@@ -119,18 +124,58 @@ def test_sweep_requires_widths_and_ns():
     ids=lambda spec: spec.topology,
 )
 def test_a_sweep_equals_its_cells_run_one_by_one(spec):
-    # Each (n, pr_i) group's linkages are recorded once and relabelled for every (m, k).
+    # Each (n, pr_i) group's linkages are recorded once and stamped once for every (m, k).
     assert run_sweep(spec) == [run_experiment(config, spec.seeds, spec.slice_spec) for config in spec.expand()]
 
 
-def test_a_sweep_records_each_linkage_once_and_hashes_each_pair_once(monkeypatch):
-    recorded, hashed = [], []
-    real_run, real_hash = experiments.run, DigestTable._hash
+@st.composite
+def sweep_specs(draw):
+    """Small sweeps of every topology whose slices hold at least two events.
+
+    Repeated n, pr_i and k values put a repeated (m, k) in one (n, pr_i)
+    group; widths run from 1, hash counts past them, and ratio widths mix
+    with absolute ones.
+    """
+    topology = draw(st.sampled_from(("complete", "star", "broadcast")))
+    few = lambda values: st.lists(values, min_size=1, max_size=3)  # noqa: E731
+    return SweepSpec(
+        topology,
+        n_values=tuple(draw(few(st.integers(min_value=1 if topology == "star" else 2, max_value=6)))),
+        m_values=tuple(draw(st.lists(st.integers(min_value=1, max_value=6), max_size=2))),
+        m_ratios=tuple(draw(st.lists(st.sampled_from((0.1, 0.5, 1.0, 1.5)), min_size=1, max_size=2))),
+        k_values=tuple(draw(few(st.integers(min_value=1, max_value=8)))),
+        pr_i_values=tuple(draw(few(st.sampled_from((0.0, 0.5, 1.0))))) if topology == "complete" else (0.0,),
+        seeds=tuple(draw(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=2, unique=True))),
+        gsn_limit=draw(st.integers(min_value=4, max_value=120)) if topology == "complete" else None,
+        messages_per_client=draw(st.integers(min_value=1, max_value=4)) if topology == "star" else None,
+        # Every run has at least four events, so these slices hold two or more.
+        slice_spec=SliceSpec(start_gsn=draw(st.integers(min_value=1, max_value=2)), stride=draw(st.integers(1, 2))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_specs())
+@example(
+    SweepSpec(
+        "complete", n_values=(3, 3), m_values=(1, 2), k_values=(4, 4), pr_i_values=(0.5, 0.5), seeds=(2, 1),
+        gsn_limit=60, slice_spec=SliceSpec(start_gsn=1, stride=1),
+    )
+)
+def test_a_drawn_sweep_equals_its_cells_run_one_by_one(spec):
+    assert run_sweep(spec) == [run_experiment(config, spec.seeds, spec.slice_spec) for config in spec.expand()]
+
+
+def test_a_sweep_plans_and_records_each_linkage_once_and_hashes_each_pair_once(monkeypatch):
+    recorded, planned, hashed = [], [], []
+    real_run, real_plan, real_hash = experiments.run, simulation._row_plan, DigestTable._hash
     monkeypatch.setattr(experiments, "run", lambda config: recorded.append(config) or real_run(config))
+    monkeypatch.setattr(simulation, "_row_plan", lambda *args: planned.append(len(args[0])) or real_plan(*args))
     monkeypatch.setattr(DigestTable, "_hash", lambda self, pids, xs: hashed.append(len(pids)) or real_hash(self, pids, xs))
     spec = SweepSpec(n_values=(10,), m_values=(2, 3), k_values=(1, 2), pr_i_values=(0.0, 0.5), seeds=(1, 2), gsn_limit=300)
     run_sweep(spec)
     assert [(c.pr_i, c.seed) for c in recorded] == [(0.0, 1), (0.0, 2), (0.5, 1), (0.5, 2)]
+    # One plan and one walk per (group, seed) for all four (m, k), not one per cell.
+    assert planned == [300] * 4
 
     def pairs(config):
         _, pids, _, xs, *_ = real_run(config).columns()
@@ -139,9 +184,9 @@ def test_a_sweep_records_each_linkage_once_and_hashes_each_pair_once(monkeypatch
     # Each slice ends at the log's end, so its stamp walks every event.
     distinct = sum(len(set().union(*(pairs(c) for c in recorded if c.seed == seed))) for seed in spec.seeds)
     assert sum(hashed) == distinct
-    # The share lives for one call: a second sweep records and hashes again.
+    # The digest tables live for one call: a second sweep records and hashes again.
     run_sweep(spec)
-    assert len(recorded) == 8 and sum(hashed) == 2 * distinct
+    assert len(recorded) == 8 and len(planned) == 8 and sum(hashed) == 2 * distinct
 
 
 def test_sweep_cells_are_independent():

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bloomclock import (
@@ -630,11 +630,38 @@ def test_stamp_yields_each_event_of_a_prefix_once(config, data, chunk):
     count = data.draw(st.integers(min_value=0, max_value=len(log)))
     blocks = []
     with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
-        for positions, rows in _stamp(config, log.columns(), DigestTable(config.seed), count):
+        for positions, rows in _stamp(config, log.columns(), DigestTable(config.seed), count, [(config.m, config.k)]):
             assert np.array_equal(rows, clocks[positions])
             blocks.append(sorted(positions.tolist()))
     # The k-th chunk holds each position of the k-th block of consecutive GSNs once.
     assert blocks == [list(range(lo, min(lo + chunk, count))) for lo in range(0, count, chunk)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_configs(),
+    st.lists(st.tuples(st.integers(1, 8), st.integers(1, 10)), min_size=1, max_size=4),
+    st.sampled_from([1, 3, _STAMP_CHUNK]),
+)
+# A repeated (m, k), m=1 and k > m, in blocks that split causal levels.
+@example(ExperimentConfig("complete", n=3, m=2, k=1, seed=5, gsn_limit=40), [(1, 4), (3, 2), (1, 4)], 3)
+def test_a_multi_geometry_stamp_holds_each_geometry_stamped_alone(config, geometries, chunk):
+    columns, entities = run(config).columns(), config.entities
+    with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
+        # A stamp overwrites its rows block by block, so each kept block is a copy.
+        together = [
+            (positions, rows.copy())
+            for positions, rows in _stamp(config, columns, DigestTable(config.seed), len(columns[0]), geometries)
+        ]
+        offset = entities
+        for m, k in geometries:
+            alone = _stamp(config, columns, DigestTable(config.seed), len(columns[0]), [(m, k)])
+            for (positions, rows), (own_positions, own_rows) in zip(together, alone, strict=True):
+                assert rows.shape[1] == entities + sum(width for width, _ in geometries)
+                assert np.array_equal(positions, own_positions)
+                assert np.array_equal(rows[:, :entities], own_rows[:, :entities])
+                assert np.array_equal(rows[:, offset : offset + m], own_rows[:, entities:])
+            offset += m
 
 
 @pytest.mark.parametrize(
