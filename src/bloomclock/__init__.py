@@ -29,7 +29,6 @@ from .metrics import (
     confusion_counts,
     probability_curve,
     sample_slice,
-    slice_metrics,
 )
 from .probability import (
     EXACT_CUTOFF,
@@ -88,7 +87,6 @@ __all__ = [
     "run_experiment",
     "run_sweep",
     "sample_slice",
-    "slice_metrics",
     "write_artifacts_json",
     "write_curve_csv",
     "write_sweep_csv",

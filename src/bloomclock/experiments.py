@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .clocks import DigestTable
 from .errors import ConfigurationError
-from .metrics import CurveRow, MetricsReport, SliceSpec, _geometry_metrics, slice_metrics
+from .metrics import CurveRow, MetricsReport, SliceSpec, slice_metrics
 from .simulation import ExperimentConfig, run
 
 CURVE_HEADER = ("z_gsn", "pr_p", "pr_fp_step", "pr_fp_smooth", "outcome")
@@ -64,11 +64,24 @@ def _check_seeds(seeds: Sequence[int]) -> None:
         raise ConfigurationError(f"need one or more distinct seeds, got {list(seeds)}")
 
 
+def _run_cells(
+    cells: Sequence[ExperimentConfig], tables: dict[int, DigestTable], slice_spec: SliceSpec | None
+) -> list[RunArtifact]:
+    """One artifact per cell over the seeds of ``tables``; the cells differ only in m and k, so each seed runs once."""
+    seeds = tuple(tables)
+    geometries = list(dict.fromkeys((config.m, config.k) for config in cells))
+    per_seed = [slice_metrics(run(replace(cells[0], seed=s)), geometries, tables[s], slice_spec) for s in seeds]
+    artifacts = []
+    for config in cells:
+        reports = tuple(by_geometry[geometries.index((config.m, config.k))] for by_geometry in per_seed)
+        artifacts.append(RunArtifact(config, seeds, reports, aggregate_reports(reports)))
+    return artifacts
+
+
 def run_experiment(config: ExperimentConfig, seeds: Sequence[int], slice_spec: SliceSpec | None = None) -> RunArtifact:
     """Run one configuration once per seed and average the slice metrics."""
     _check_seeds(seeds)
-    reports = tuple(slice_metrics(run(replace(config, seed=seed)), slice_spec) for seed in seeds)
-    return RunArtifact(config, tuple(seeds), reports, aggregate_reports(reports))
+    return _run_cells([config], {seed: DigestTable(seed) for seed in seeds}, slice_spec)[0]
 
 
 def ratio_to_width(ratio: float, n: int) -> int:
@@ -126,28 +139,16 @@ class SweepSpec:
 
 
 def run_sweep(spec: SweepSpec) -> list[RunArtifact]:
-    """One independent artifact per sweep cell, in expansion order: those of ``run_experiment`` cell by cell.
+    """One independent artifact per sweep cell, in expansion order.
 
-    The cells of one (n, pr_i), consecutive in expansion order, differ only
-    in m and k, so a seed's run is one linkage for all of them: it is
-    recorded once, and its slice stamped once for every (m, k) and then
-    classified per (m, k).  Each seed stamps through one ``DigestTable``
-    for the whole call, so each (seed, pid, x) is hashed once.
+    The cells of one (n, pr_i) come one after another and differ only in m
+    and k, so they are one ``_run_cells`` group.  Each seed stamps through
+    one ``DigestTable`` for the whole call, so each (seed, pid, x) is hashed once.
     """
     configs = spec.expand()
     tables = {seed: DigestTable(seed) for seed in spec.seeds}
-    artifacts = []
-    for _, group in groupby(configs, lambda config: (config.n, config.pr_i)):
-        cells = list(group)
-        geometries = list(dict.fromkeys((config.m, config.k) for config in cells))
-        per_seed = [
-            _geometry_metrics(run(replace(cells[0], seed=seed)), geometries, tables[seed], spec.slice_spec)
-            for seed in spec.seeds
-        ]
-        for config in cells:
-            reports = tuple(by_geometry[geometries.index((config.m, config.k))] for by_geometry in per_seed)
-            artifacts.append(RunArtifact(config, tuple(spec.seeds), reports, aggregate_reports(reports)))
-    return artifacts
+    groups = groupby(configs, lambda config: (config.n, config.pr_i))
+    return [artifact for _, cells in groups for artifact in _run_cells(list(cells), tables, spec.slice_spec)]
 
 
 _CELL_FIELDS = ("topology", "n", "m", "k", "pr_i")

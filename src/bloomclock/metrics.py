@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clocks import DigestTable
+from .errors import ConfigurationError
 
 # classify_probabilities is no longer called here, but perfbench's traced run
 # wraps ``metrics.classify_probabilities``, so the name stays bound.
@@ -42,6 +43,10 @@ class SliceSpec:
     stride: int = 100
 
     def __post_init__(self) -> None:
+        # A float or bool would fail in range() only after the run, or pass as stride 1.
+        for name, value in (("start_gsn", self.start_gsn), ("stride", self.stride)):
+            if (value is not None or name == "stride") and type(value) is not int:
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.start_gsn is not None and self.start_gsn < 1:
             raise ValueError(f"start_gsn must be at least 1, got {self.start_gsn}")
         if self.stride < 1:
@@ -94,22 +99,21 @@ class CurveRow(NamedTuple):
 
 
 def _slice_grid(log: ExecutionLog, spec: SliceSpec | None) -> range:
-    """The slice's GSNs: start, start+stride, ... <= the log's end."""
+    """The slice's GSNs: start, start+stride, ... <= the log's end, checked against the log's GSN column."""
     spec = spec if spec is not None else SliceSpec()
     start = spec.start_gsn if spec.start_gsn is not None else 10 * log.config.n
     if start > len(log):
         raise ValueError(f"empty slice: start_gsn {start} beyond log end {len(log)}")
-    return range(start, len(log) + 1, spec.stride)
+    grid = range(start, len(log) + 1, spec.stride)
+    gaps = np.flatnonzero(log.columns()[0][start - 1 :: spec.stride] != np.asarray(grid))
+    if gaps.size:
+        raise ValueError(f"log is not contiguous at gsn {grid[gaps[0]]}")
+    return grid
 
 
 def sample_slice(log: ExecutionLog, spec: SliceSpec | None = None) -> Events:
     """Events at gsn = start, start+stride, ... <= the log's end, through ``log.select``."""
-    grid = _slice_grid(log, spec)
-    sampled = log.select(grid)
-    gaps = np.flatnonzero(sampled.gsns != np.asarray(grid))
-    if gaps.size:
-        raise ValueError(f"log is not contiguous at gsn {grid[gaps[0]]}")
-    return sampled
+    return log.select(_slice_grid(log, spec))
 
 
 def _outcome(oracle: bool, predicted: bool) -> str:
@@ -244,15 +248,10 @@ def causality_spread(counts: ConfusionCounts) -> float:
     return (counts.tp + counts.fn) / total
 
 
-def slice_metrics(log: ExecutionLog, spec: SliceSpec | None = None) -> MetricsReport:
-    """Sample the slice, classify all ordered pairs, and compute the ratios."""
-    return compute_metrics(confusion_counts(sample_slice(log, spec)))
-
-
-def _geometry_metrics(
+def slice_metrics(
     log: ExecutionLog, geometries: Geometries, digests: DigestTable, spec: SliceSpec | None = None
 ) -> list[MetricsReport]:
-    """Report j is ``slice_metrics`` of the log's run at ``geometries[j]``, from one stamp of the slice for all."""
+    """Report j classifies the slice at ``geometries[j]``; one stamp through ``digests`` serves all of them."""
     wanted = np.asarray(_slice_grid(log, spec))
     clocks = log._scatter(wanted, geometries, digests)
     columns = [column[wanted - 1] for column in log.columns()]

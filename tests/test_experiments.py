@@ -31,6 +31,7 @@ from bloomclock import experiments, simulation
 from bloomclock.clocks import DigestTable
 from bloomclock.experiments import CURVE_HEADER, read_curve_csv, sweep_table
 from bloomclock.metrics import CurveRow
+from reference import reference_artifact
 
 SMALL = ExperimentConfig("complete", n=10, m=3, k=2, gsn_limit=400)
 
@@ -125,7 +126,13 @@ def test_sweep_requires_widths_and_ns():
 )
 def test_a_sweep_equals_its_cells_run_one_by_one(spec):
     # Each (n, pr_i) group's linkages are recorded once and stamped once for every (m, k).
-    assert run_sweep(spec) == [run_experiment(config, spec.seeds, spec.slice_spec) for config in spec.expand()]
+    _check_against_the_reference(spec)
+
+
+def _check_against_the_reference(spec):
+    expected = [reference_artifact(config, spec.seeds, spec.slice_spec) for config in spec.expand()]
+    assert run_sweep(spec) == expected
+    assert [run_experiment(config, spec.seeds, spec.slice_spec) for config in spec.expand()] == expected
 
 
 @st.composite
@@ -162,7 +169,7 @@ def sweep_specs(draw):
     )
 )
 def test_a_drawn_sweep_equals_its_cells_run_one_by_one(spec):
-    assert run_sweep(spec) == [run_experiment(config, spec.seeds, spec.slice_spec) for config in spec.expand()]
+    _check_against_the_reference(spec)
 
 
 def test_a_sweep_plans_and_records_each_linkage_once_and_hashes_each_pair_once(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bloomclock import (
     BloomClock,
+    ConfigurationError,
     ConfusionCounts,
     CurveRow,
     EventRecord,
@@ -25,10 +26,13 @@ from bloomclock import (
     confusion_counts,
     probability_curve,
     run,
+    run_experiment,
     sample_slice,
-    slice_metrics,
 )
+from bloomclock.clocks import DigestTable
+from bloomclock.metrics import slice_metrics
 from bloomclock.simulation import Events
+from reference import broadcast_counts
 
 
 def _event(gsn, pid, vector, bloom, kind="internal", event_index=1):
@@ -54,6 +58,19 @@ def test_slice_spec_validation():
         SliceSpec(start_gsn=0)
     with pytest.raises(ValueError):
         SliceSpec(stride=0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"stride": 2.5}, "stride must be an integer, got 2.5"),
+        ({"start_gsn": 1.5}, "start_gsn must be an integer, got 1.5"),
+        ({"stride": True}, "stride must be an integer, got True"),
+    ],
+)
+def test_slice_spec_refuses_a_float_or_bool(fields, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        SliceSpec(**fields)
 
 
 def _internal_events(pids, vectors, blooms):
@@ -88,6 +105,8 @@ def test_sample_slice_empty_or_out_of_range():
     gapped = ExecutionLog(log.config, log.events[np.r_[0:10, 11:30]])
     with pytest.raises(ValueError, match="log is not contiguous at gsn 11"):
         sample_slice(gapped, SliceSpec(start_gsn=1, stride=1))
+    with pytest.raises(ValueError, match="log is not contiguous at gsn 11"):
+        slice_metrics(gapped, [(2, 1)], DigestTable(1), SliceSpec(start_gsn=1, stride=1))
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +131,6 @@ def test_classify_pair_true_negative():
     assert classify_pair(y, z) == "TN"
 
 
-def _broadcast_counts(events):
-    """Reference count: every Bloom counter and oracle cell of all S^2 pairs compared at once."""
-    own = events.vectors[np.arange(len(events)), events.pids]
-    oracle = events.vectors[:, events.pids] >= own  # [z, y]: y -> z
-    predicted = (events.blooms[None, :, :] <= events.blooms[:, None, :]).all(axis=2)  # [z, y]
-    np.fill_diagonal(oracle, False)
-    np.fill_diagonal(predicted, False)
-    tp = int(np.count_nonzero(oracle & predicted))
-    fp = int(np.count_nonzero(predicted & ~oracle))
-    fn = int(np.count_nonzero(oracle & ~predicted))
-    tn = len(events) * (len(events) - 1) - tp - fp - fn
-    return ConfusionCounts(tp, fp, tn, fn)
-
-
 def _pairwise_counts(events):
     """Reference count: classify_pair on every ordered pair of distinct records."""
     counts = ConfusionCounts()
@@ -147,7 +152,7 @@ def test_confusion_counts_match_scalar_classification():
 def test_confusion_counts_match_the_broadcast_reference():
     # 1,600 events: bitset rows of 25 words, and three oracle blocks of up to 655 rows.
     events = run(ExperimentConfig("complete", n=40, m=4, k=2, pr_i=0.2, seed=5)).events
-    assert confusion_counts(events) == _broadcast_counts(events)
+    assert confusion_counts(events) == broadcast_counts(events)
 
 
 @st.composite
@@ -175,7 +180,7 @@ def test_confusion_counts_match_both_references(case):
     config, rows = case
     events = run(config).events[rows]
     counts = confusion_counts(events)
-    assert counts == _broadcast_counts(events)
+    assert counts == broadcast_counts(events)
     assert counts == _pairwise_counts(events)
     assert counts.fn == 0
 
@@ -204,7 +209,7 @@ def test_slice_metrics_stamps_only_the_slice():
     # and the rows still to be read while stamping it take a few.
     tracemalloc.start()
     try:
-        slice_metrics(run(ExperimentConfig("complete", n=200, m=20, k=2)))
+        run_experiment(ExperimentConfig("complete", n=200, m=20, k=2), (1,))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -243,8 +248,8 @@ def test_metrics_reject_empty_counts():
 
 
 def test_alpha_half_for_a_chain():
-    log = run(ExperimentConfig("star", n=1, m=2, k=1, messages_per_client=100))
-    report = slice_metrics(log, SliceSpec(start_gsn=4, stride=16))
+    config = ExperimentConfig("star", n=1, m=2, k=1, messages_per_client=100)
+    (report,) = run_experiment(config, (1,), SliceSpec(start_gsn=4, stride=16)).reports
     assert report.alpha == 0.5
     assert report.recall == 1.0
 
@@ -257,8 +262,9 @@ def test_alpha_zero_for_isolated_events():
 
 def test_alpha_bounded_by_half_on_runs():
     for topology, n in [("complete", 30), ("star", 12), ("broadcast", 20)]:
-        log = run(ExperimentConfig(topology, n=n, m=4, k=2, seed=2))
-        assert 0.0 <= slice_metrics(log, SliceSpec(start_gsn=5, stride=20)).alpha <= 0.5
+        config = ExperimentConfig(topology, n=n, m=4, k=2)
+        (report,) = run_experiment(config, (2,), SliceSpec(start_gsn=5, stride=20)).reports
+        assert 0.0 <= report.alpha <= 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from bloomclock import (
     persist_trace,
     replay_timestamps,
     run,
-    slice_metrics,
+    run_experiment,
 )
 from bloomclock import simulation
 from bloomclock.clocks import DigestTable
@@ -597,9 +597,9 @@ def test_engine_agrees_on_a_level_wider_than_a_tick_chunk(monkeypatch):
 def test_stamp_runs_under_a_profiler():
     # A profiler holds references to the frame locals of _stamp, which a
     # reference-checked resize of its working matrix would refuse.
-    log = run(ExperimentConfig("complete", n=20, m=4, k=2))
-    report = cProfile.Profile().runcall(slice_metrics, log)
-    assert report == slice_metrics(run(ExperimentConfig("complete", n=20, m=4, k=2)))
+    config = ExperimentConfig("complete", n=20, m=4, k=2)
+    artifact = cProfile.Profile().runcall(run_experiment, config, (1,))
+    assert artifact == run_experiment(config, (1,))
 
 
 @st.composite
