@@ -127,15 +127,6 @@ def classify_pair(y: EventRecord, z: EventRecord) -> str:
     return _outcome(y.vector_ts.happened_before(z.vector_ts), y.bloom_ts.leq(z.bloom_ts))
 
 
-def _reaches(pid_y, own_y, vectors_z: np.ndarray) -> np.ndarray:
-    """Fidge/Mattern oracle for distinct events of one execution, indexed ``[z, y]``.
-
-    ``y -> z`` iff ``V_z[pid_y] >= V_y[pid_y]``: z has seen y's own tick.
-    ``pid_y`` and ``own_y = V_y[pid_y]`` may be scalars or arrays over y.
-    """
-    return vectors_z[:, pid_y] >= own_y
-
-
 def _popcount(bits: np.ndarray) -> int:
     """Set bits in ``bits``, counted byte by byte through a lookup table."""
     return int(_BYTE_POPCOUNT[bits.view(np.uint8)].sum(dtype=np.int64))
@@ -253,6 +244,8 @@ def slice_metrics(
 ) -> list[MetricsReport]:
     """Report j classifies the slice at ``geometries[j]``; one stamp through ``digests`` serves all of them."""
     wanted = np.asarray(_slice_grid(log, spec))
+    if len(wanted) < 2:  # refused before the stamp, which would walk the log up to the slice
+        raise ValueError(f"need at least two events to form pairs, got {len(wanted)}")
     clocks = log._scatter(wanted, geometries, digests)
     columns = [column[wanted - 1] for column in log.columns()]
     entities = log.config.entities
@@ -273,7 +266,8 @@ def probability_curve(
         )
     y = log.select([y_gsn])[0]
     window = log.select(range(z_from, z_to + 1))
-    causal = _reaches(y.pid, y.vector_ts.counters[y.pid], window.vectors)
+    # Fidge/Mattern: y -> z iff z has seen y's own tick, V_z[pid_y] >= V_y[pid_y].
+    causal = window.vectors[:, y.pid] >= y.vector_ts.counters[y.pid]
     dominates = (window.blooms >= np.asarray(y.bloom_ts.counters)).all(axis=1)
     # A row's values depend only on z's Bloom sum, the dominance bit and the
     # oracle bit, so each (sum, dominance, oracle) class is evaluated once.

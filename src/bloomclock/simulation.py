@@ -60,8 +60,9 @@ yields its stamped rows a block at a time and keeps none; each reader
 keeps what it needs.  ``ExecutionLog.events`` scatters every row, once,
 into one events x (entities + m) ``[vector | bloom]`` matrix, which
 ``Events.vectors`` and ``Events.blooms`` view; ``ExecutionLog.select``
-scatters only the rows of chosen GSNs; replay compares each block with
-the recorded rows; trace persist sorts each block by GSN and writes it.
+scatters only the rows of chosen GSNs; ``ExecutionLog._blocks`` streams
+every row in GSN order a block at a time, the one source of whole-log
+rows for trace persist, ``==`` and replay, so none of them keeps clocks.
 The walk holds a row per process and the sends whose receives are still
 to come: O(entities**2 + live * entities) memory, not O(events *
 entities).  The digest table adds 16 bytes per (pid, x) walked: 0.6 MB
@@ -77,6 +78,7 @@ from array import array
 from bisect import insort
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -301,7 +303,8 @@ class ExecutionLog:
     The log holds the int32 linkage columns of ``Events.COLUMNS``;
     ``len(log)`` and ``columns()`` read only those.  ``events`` stamps every
     row on first access and keeps the result; ``select`` reads chosen rows
-    from it, or else from a stamp that keeps only those rows.  A log built
+    from it, or else from a stamp that keeps only those rows; ``_blocks``
+    streams every row from it, or else from the stamp.  A log built
     from ``Events`` (kept as is, views included) is stamped from the start;
     its clock widths must match the configuration.
     """
@@ -366,10 +369,21 @@ class ExecutionLog:
             clocks[at] = rows
         return clocks
 
+    def _blocks(self) -> Iterator[np.ndarray]:
+        """Every row in GSN order, ``_STAMP_CHUNK`` a block: slices of the held rows, else each stamped block sorted."""
+        if self._events is not None:
+            clocks = self._events.clocks
+            return (clocks[lo : lo + _STAMP_CHUNK] for lo in range(0, len(self), _STAMP_CHUNK))
+        config = self.config
+        stamped = _stamp(config, self._columns, DigestTable(config.seed), len(self), [(config.m, config.k)])
+        return (rows[np.argsort(positions)] for positions, rows in stamped)
+
     def __eq__(self, other: object) -> bool:
+        """Equal configs, columns and rows; the rows are compared a block at a time, and neither log keeps them."""
         if not isinstance(other, ExecutionLog):
             return NotImplemented
-        return self.config == other.config and self.events == other.events
+        pairs = chain(zip(self._columns, other._columns), zip(self._blocks(), other._blocks()))
+        return self.config == other.config and all(np.array_equal(a, b) for a, b in pairs)
 
     def __repr__(self) -> str:
         return f"ExecutionLog({self.config!r}, <{len(self)} events>)"
@@ -583,14 +597,7 @@ def _linkage_log(
 
 
 def run(config: ExperimentConfig) -> ExecutionLog:
-    """Run the topology named by the configuration.
-
-    Every draw comes from one ``random.Random(seed)``: ``random()`` for a
-    complete run's event kind, and ``_below`` for every choice among
-    processes, destinations and pending messages.  ``_below`` draws from
-    ``getrandbits`` by ``randrange``'s own rejection rule, so a seed gives
-    the same run on CPython 3.10 to 3.13.
-    """
+    """The unstamped log of the configuration's run; its draws all come from one ``random.Random(seed)``."""
     linkage = _Linkage()
     _RUNNERS[config.topology](config, random.Random(config.seed), linkage)
     return _linkage_log(config, linkage.pids, linkage.kinds, linkage.links)
@@ -741,13 +748,14 @@ def replay_timestamps(log: ExecutionLog) -> None:
     lies in [-1, entities), and that each receive links to an earlier send
     of another process, happens at its message's destination, if any, and is
     the only receive of that send at its process.  Then ``_linkage_log``
-    rebuilds every column and ``_stamp`` every timestamp, which is compared
-    with the recorded one as it is stamped.  ``ReplayError`` names the GSN
-    of the first failed guard, or the first GSN where anything differs.
+    rebuilds every column and ``_stamp`` every timestamp, each block
+    compared as it is stamped with the log's ``_blocks`` block of the same
+    GSNs.  ``ReplayError`` names the GSN of the first failed guard, or the
+    first GSN where anything differs.
     """
-    config, recorded = log.config, log.events
+    config, recorded = log.config, log.columns()
     entities = config.entities
-    _, pids, kinds, _, _, receivers, send_gsns = recorded.columns()
+    _, pids, kinds, _, _, receivers, send_gsns = recorded
     _refuse((pids < 0) | (pids >= entities), lambda r: f"gsn {r + 1}: pid {pids[r]} outside [0, {entities})")
     _refuse(
         (kinds == SEND) & ((receivers < _ABSENT) | (receivers >= entities)),
@@ -772,11 +780,12 @@ def replay_timestamps(log: ExecutionLog) -> None:
     repeated[np.unique(sent * entities + pids[at], return_index=True)[1]] = False
     _refuse(repeated, lambda r: f"gsn {at[r] + 1}: process {pids[at[r]]} receives send gsn {sent[r]} again")
     rebuilt = _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).columns()
-    pairs = list(zip(recorded.columns(), rebuilt))
+    pairs = list(zip(recorded, rebuilt))
     stamps = np.zeros(len(pids), bool)
-    # Each chunk is compared as it is stamped, so replay holds the live rows, not a second copy.
-    for events, rows in _stamp(config, rebuilt, DigestTable(config.seed), len(pids), [(config.m, config.k)]):
-        stamps[events] = (rows != recorded.clocks[events]).any(axis=1)
+    # Each stamped block is compared with the log's block of the same GSNs, so replay holds one of each.
+    stamped = _stamp(config, rebuilt, DigestTable(config.seed), len(pids), [(config.m, config.k)])
+    for lo, (events, rows), block in zip(range(0, len(pids), _STAMP_CHUNK), stamped, log._blocks()):
+        stamps[events] = (rows != block[events - lo]).any(axis=1)
     differs = np.stack([held != derived for held, derived in pairs] + [stamps])
     if differs.any():
         row = int(np.argmax(differs.any(axis=0)))

@@ -7,20 +7,22 @@ The format is deliberately plain so traces diff well:
 * then one pipe-separated record per event, in GSN order.
 
 Clock vectors are comma-joined inside their field; optional fields
-(sender, receiver, send_gsn) are left empty when absent.  An empty log
-persists as just the two header lines.  Persisting formats a chunk of
-the log's columns and ``[vector | bloom]`` rows as bytes in numpy and
-writes it once, without building records or strings; an unstamped log
-is stamped as it is written, a block at a time, and stays unstamped.
+(sender, receiver, send_gsn) are left empty when absent (-1), and any
+other value keeps its sign.  An empty log persists as just the two
+header lines.  Persisting reads the log's rows from
+``ExecutionLog._blocks``, the one row stream of a log, and formats each
+block with its columns as bytes in numpy, without building records or
+strings; an unstamped log is stamped block by block and stays unstamped.
 
 Loading reads the file once.  A file as ``persist_trace`` writes it for
-a run goes through numpy's C text parser a chunk of lines at a time: its
-first two lines are byte for byte the ones persist writes for its config,
-every record holds its separators in persist's layout, and its body
-holds no ``-``.  Any other file goes whole through the line parser,
-which is the only source of ``TraceParseError`` and names the first bad
-line.  Either parser fills one int32 matrix, a row per line in field
-order, and the log views it.
+a run goes through numpy's C text parser ``simulation._STAMP_CHUNK``
+lines at a time, the row stream's block size: its first two lines are
+byte for byte the ones persist writes for its config, every record
+holds its separators in persist's layout, and its body holds no ``-``.
+Any other file goes whole through the line parser, which is the only
+source of ``TraceParseError`` and names the first bad line.  Either
+parser fills one int32 matrix, a row per line in field order, and the
+log views it.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .clocks import DigestTable
-from .simulation import KINDS, Events, ExecutionLog, ExperimentConfig, _stamp
+from . import simulation
+from .simulation import KINDS, Events, ExecutionLog, ExperimentConfig
 
 _FIELDS = ("gsn", "pid", "kind", "event_index", "sender", "receiver", "send_gsn", "vector_ts", "bloom_ts")
 _HEADER = "|".join(_FIELDS)
 _CONFIG_PREFIX = "#config "
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
-_CHUNK = 1024
 _INT32 = np.iinfo(np.int32)
 # The writer gives each value one cell of byte slots.  A record's cells are
 # gsn and pid, three that hold the kind name and its pipe, then
@@ -89,7 +90,7 @@ def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
         values[:, cell] = column
     values[:, _CLOCK_CELL:] = events.clocks
     optional = values[:, _OPTIONAL_CELLS]
-    absent = optional < 0
+    absent = optional == -1
     optional[absent] = 0
     negative = values < 0
     # abs maps the int32 minimum to itself, which reads as 2**31 in uint32.
@@ -130,24 +131,17 @@ def _layout(entities: int, m: int) -> bytes:
 def persist_trace(log: ExecutionLog, path: str | Path) -> None:
     """Write the log to ``path``; ``load_trace`` reproduces an equal log.
 
-    A stamped log writes its own rows, which restamping might not
-    reproduce.  An unstamped one is stamped as it is written: each block
-    of consecutive GSNs that ``_stamp`` yields is sorted by GSN and
-    written, so persist holds one block of stamped rows at a time.
+    The rows come a block at a time from the log's one row stream, so
+    persist holds one block of them and leaves an unstamped log unstamped.
     """
     config, columns = log.config, log.columns()
     layout = _layout(config.entities, config.m)
     # The kind's pipe is written with its name, in the kind cells.
     separators = np.frombuffer(layout[:_KIND_CELL] + b"\0" * _KIND_CELLS + layout[_KIND_CELL + 1 :], np.uint8)
-    if log._events is None:
-        stamped = _stamp(config, columns, DigestTable(config.seed), len(log), [(config.m, config.k)])
-        chunks = (rows[np.argsort(positions)] for positions, rows in stamped)
-    else:
-        chunks = (log._events.clocks[lo : lo + _CHUNK] for lo in range(0, len(log), _CHUNK))
     with open(path, "wb") as handle:
         handle.write(_head(config) + b"\n")
         lo = 0
-        for clocks in chunks:
+        for clocks in log._blocks():
             chunk = Events([column[lo : lo + len(clocks)] for column in columns], clocks, config.entities)
             handle.write(_chunk_bytes(chunk, separators))
             lo += len(clocks)
@@ -220,8 +214,9 @@ def _parse_lines(text: str) -> ExecutionLog:
     config = _read_config(lines)
     numbered = [(lineno, line) for lineno, line in enumerate(lines[2:], start=3) if line]
     rows = np.empty((len(numbered), len(Events.COLUMNS) + config.entities + config.m), np.int32)
-    for lo in range(0, len(numbered), _CHUNK):
-        parsed = [_parse_record(line, lineno, config.entities, config.m) for lineno, line in numbered[lo : lo + _CHUNK]]
+    chunk = simulation._STAMP_CHUNK
+    for lo in range(0, len(numbered), chunk):
+        parsed = [_parse_record(line, lineno, config.entities, config.m) for lineno, line in numbered[lo : lo + chunk]]
         rows[lo : lo + len(parsed)] = parsed
     return _log(config, rows)
 
@@ -291,8 +286,9 @@ def _parse_bulk(data: bytes) -> ExecutionLog | None:
     bounds = ends[1:]
     layout = np.frombuffer(_layout(config.entities, config.m), np.uint8)
     rows = np.empty((len(bounds) - 1, len(layout)), np.int32)
-    for lo in range(0, len(rows), _CHUNK):
-        hi = min(lo + _CHUNK, len(rows))
+    chunk = simulation._STAMP_CHUNK
+    for lo in range(0, len(rows), chunk):
+        hi = min(lo + chunk, len(rows))
         values = _bulk_chunk(data[bounds[lo] + 1 : bounds[hi]], hi - lo, layout)
         if values is None:
             return None

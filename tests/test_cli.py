@@ -99,8 +99,9 @@ def test_overflowing_width_ratio_exits_two(capsys, command):
 
 def test_out_of_memory_exits_two(capsys):
     # m = 10**14 makes the first clock matrix petabytes wide, so numpy
-    # refuses the allocation at once and no memory is touched.
-    assert main(["run", "--n", "10", "--m", str(10**14), "--runs", "1"]) == 2
+    # refuses the allocation at once and no memory is touched.  The slice
+    # (GSNs 200, 300 and 400) holds more than one event, so it is stamped.
+    assert main(["run", "--n", "20", "--m", str(10**14), "--runs", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error: out of memory: Unable to allocate ")

@@ -29,6 +29,7 @@ from bloomclock import (
     run_experiment,
     sample_slice,
 )
+from bloomclock.cli import main
 from bloomclock.clocks import DigestTable
 from bloomclock.metrics import slice_metrics
 from bloomclock.simulation import Events
@@ -214,6 +215,19 @@ def test_slice_metrics_stamps_only_the_slice():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+def test_a_slice_of_one_event_is_refused_before_it_is_stamped(monkeypatch, capsys):
+    # The slice holds only the last GSN; stamping up to it would walk the whole log.
+    def no_stamp(*args):
+        raise AssertionError("a one-event slice was stamped")
+
+    monkeypatch.setattr("bloomclock.simulation._stamp", no_stamp)
+    config = ExperimentConfig("complete", n=20, m=4, k=2)
+    with pytest.raises(ValueError, match="^need at least two events to form pairs, got 1$"):
+        slice_metrics(run(config), [(config.m, config.k)], DigestTable(config.seed), SliceSpec(start_gsn=400))
+    assert main(["run", "--n", "20", "--m", "4", "--runs", "1", "--slice-start", "400"]) == 2
+    assert capsys.readouterr().err == "configuration error: need at least two events to form pairs, got 1\n"
 
 
 # ---------------------------------------------------------------------------

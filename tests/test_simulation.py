@@ -742,6 +742,50 @@ def test_replay_checks_rows_without_a_second_copy_of_the_clocks(config):
     assert peak < clock_bytes / 2
 
 
+@pytest.mark.parametrize("check", ["replay", "equality"])
+def test_replaying_or_comparing_a_run_leaves_it_unstamped_below_half_its_clocks(check):
+    config = ExperimentConfig("complete", n=200, m=20, k=2, seed=1)
+    log, twin = run(config), run(config)
+    # From the config: reading log.events would stamp the log.
+    clock_bytes = config.event_count * (config.entities + config.m) * 4
+    tracemalloc.start()
+    try:
+        if check == "replay":
+            replay_timestamps(log)
+        else:
+            assert log == twin
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Each log's rows come from its own stamp a block at a time; neither keeps them.
+    assert log._events is None and twin._events is None
+    assert peak < clock_bytes / 2
+
+
+def test_logs_of_equal_columns_that_differ_in_one_row_are_unequal(monkeypatch):
+    config = ExperimentConfig("complete", n=8, m=4, k=2, seed=9, gsn_limit=200)
+    unstamped, stamped = run(config), run(config)
+    clocks = stamped.events.clocks.copy()
+    clocks[150, config.entities + 1] += 1
+    edited = _edited(stamped, clocks=clocks)
+    # In blocks of 7, GSN 151 lies in the 22nd block, after 21 equal ones.
+    monkeypatch.setattr(simulation, "_STAMP_CHUNK", 7)
+    assert unstamped == stamped and stamped == unstamped
+    assert edited != unstamped and unstamped != edited and edited != stamped
+    assert unstamped._events is None
+
+
+def test_replay_in_small_blocks_names_the_first_tampered_gsn_of_a_later_block(monkeypatch):
+    log = run(ExperimentConfig("complete", n=8, m=4, k=2, seed=9, gsn_limit=200))
+    clocks = log.events.clocks.copy()
+    # GSN 121 is the second of block 17 in blocks of 7; GSN 151 lies in a later block.
+    clocks[120, log.config.entities + 2] += 1
+    clocks[150, 3] += 1
+    monkeypatch.setattr(simulation, "_STAMP_CHUNK", 7)
+    with pytest.raises(ReplayError, match="^gsn 121: replayed timestamps differ from the recorded ones$"):
+        replay_timestamps(_edited(log, clocks=clocks))
+
+
 def test_events_are_a_lazy_sequence_with_view_slices():
     log = run(ExperimentConfig("complete", n=6, m=3, k=2, pr_i=0.2, seed=4, gsn_limit=60))
     events = log.events

@@ -16,10 +16,12 @@ import bloomclock.trace as trace_module
 from bloomclock import (
     ExecutionLog,
     ExperimentConfig,
+    ReplayError,
     TraceParseError,
     confusion_counts,
     load_trace,
     persist_trace,
+    replay_timestamps,
     run,
 )
 from bloomclock import simulation
@@ -69,7 +71,7 @@ def _reference_trace(log):
     """The bytes of ``log``'s trace built with ``str``, one line at a time."""
 
     def opt(value):
-        return "" if value < 0 else str(value)
+        return "" if value == -1 else str(value)
 
     events = log.events
     lines = [f"#config {json.dumps(asdict(log.config), sort_keys=True)}", trace_module._HEADER]
@@ -117,13 +119,15 @@ def trace_path(tmp_path_factory):
 @settings(max_examples=120, deadline=None)
 @given(log=hand_built_logs(), chunk=st.sampled_from([1, 2, 5, 1024]))
 def test_writer_matches_str_formatting(trace_path, log, chunk):
-    with mock.patch.object(trace_module, "_CHUNK", chunk):
+    with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
         persist_trace(log, trace_path)
     assert trace_path.read_bytes() == _reference_trace(log)
 
 
-# (512, 1024) stamps in blocks half the size of the stamped twin's trace chunks.
-@pytest.mark.parametrize("stamp_chunk,chunk", [(_STAMP_CHUNK, trace_module._CHUNK), (512, 1024), (3, 5), (1, 7)])
+# The twin's rows are stamped in blocks of twin_chunk GSNs, and both logs
+# persist in blocks of chunk: (512, 1024) holds rows stamped in blocks half
+# the size of the ones the unstamped log streams and the twin's are sliced in.
+@pytest.mark.parametrize("twin_chunk,chunk", [(_STAMP_CHUNK, _STAMP_CHUNK), (512, 1024), (3, 5), (1, 7)])
 @pytest.mark.parametrize(
     "config",
     [
@@ -134,17 +138,36 @@ def test_writer_matches_str_formatting(trace_path, log, chunk):
     ids=lambda config: config.topology,
 )
 def test_an_unstamped_log_persists_as_its_stamped_twin_and_stays_unstamped(
-    tmp_path, monkeypatch, config, stamp_chunk, chunk
+    tmp_path, monkeypatch, config, twin_chunk, chunk
 ):
-    # Each log has more events than a trace chunk, and not a whole number of them.
-    monkeypatch.setattr(simulation, "_STAMP_CHUNK", stamp_chunk)
-    monkeypatch.setattr(trace_module, "_CHUNK", chunk)
+    # Each log has more events than a block, and not a whole number of them.
+    monkeypatch.setattr(simulation, "_STAMP_CHUNK", twin_chunk)
     log, twin = run(config), run(config)
     twin.events
+    monkeypatch.setattr(simulation, "_STAMP_CHUNK", chunk)
     persist_trace(log, tmp_path / "streamed.txt")
     persist_trace(twin, tmp_path / "stamped.txt")
     assert log._events is None
     assert (tmp_path / "streamed.txt").read_bytes() == (tmp_path / "stamped.txt").read_bytes()
+
+
+def test_a_negative_optional_field_other_than_absent_keeps_its_sign(tmp_path):
+    # A send to receiver -5 is a different log from a send to no one (-1):
+    # it persists with its sign, and the line parser refuses it on its line.
+    log = run(ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20))
+    columns, clocks = list(log.events.columns()), log.events.clocks
+    row = int(np.flatnonzero(columns[2] == KINDS.index("send"))[0])
+    columns[5] = columns[5].copy()
+    columns[5][row] = -5
+    edited = ExecutionLog(log.config, Events(columns, clocks, log.config.entities))
+    with pytest.raises(ReplayError, match=rf"^gsn {row + 1}: send to receiver -5 outside \[-1, 4\)$"):
+        replay_timestamps(edited)
+    path = tmp_path / "trace.txt"
+    persist_trace(edited, path)
+    assert path.read_bytes() == _reference_trace(edited)
+    assert path.read_text().splitlines()[row + 2].split("|")[5] == "-5"
+    with pytest.raises(TraceParseError, match=rf"^line {row + 3}: receiver must be non-negative, got -5$"):
+        load_trace(path)
 
 
 def test_persisting_an_unstamped_log_holds_less_than_half_its_clocks(tmp_path):
@@ -373,7 +396,7 @@ def test_bulk_path_agrees_with_line_parser_on_mutated_traces(persisted, topology
         else:
             del data[position]
     path.write_bytes(bytes(data))
-    with mock.patch.object(trace_module, "_CHUNK", chunk):
+    with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
         _assert_loads_like_the_line_parser(path)
 
 
