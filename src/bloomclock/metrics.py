@@ -99,16 +99,12 @@ class CurveRow(NamedTuple):
 
 
 def _slice_grid(log: ExecutionLog, spec: SliceSpec | None) -> range:
-    """The slice's GSNs: start, start+stride, ... <= the log's end, checked against the log's GSN column."""
+    """The slice's GSNs: start, start+stride, ... <= the log's end; ``log._wanted`` checks them against its rows."""
     spec = spec if spec is not None else SliceSpec()
     start = spec.start_gsn if spec.start_gsn is not None else 10 * log.config.n
     if start > len(log):
         raise ValueError(f"empty slice: start_gsn {start} beyond log end {len(log)}")
-    grid = range(start, len(log) + 1, spec.stride)
-    gaps = np.flatnonzero(log.columns()[0][start - 1 :: spec.stride] != np.asarray(grid))
-    if gaps.size:
-        raise ValueError(f"log is not contiguous at gsn {grid[gaps[0]]}")
-    return grid
+    return range(start, len(log) + 1, spec.stride)
 
 
 def sample_slice(log: ExecutionLog, spec: SliceSpec | None = None) -> Events:
@@ -243,7 +239,7 @@ def slice_metrics(
     log: ExecutionLog, geometries: Geometries, digests: DigestTable, spec: SliceSpec | None = None
 ) -> list[MetricsReport]:
     """Report j classifies the slice at ``geometries[j]``; one stamp through ``digests`` serves all of them."""
-    wanted = np.asarray(_slice_grid(log, spec))
+    wanted = log._wanted(_slice_grid(log, spec))
     if len(wanted) < 2:  # refused before the stamp, which would walk the log up to the slice
         raise ValueError(f"need at least two events to form pairs, got {len(wanted)}")
     clocks = log._scatter(wanted, geometries, digests)

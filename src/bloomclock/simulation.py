@@ -303,7 +303,8 @@ class ExecutionLog:
     The log holds the int32 linkage columns of ``Events.COLUMNS``;
     ``len(log)`` and ``columns()`` read only those.  ``events`` stamps every
     row on first access and keeps the result; ``select`` reads chosen rows
-    from it, or else from a stamp that keeps only those rows; ``_blocks``
+    from it, or else from a stamp that keeps only those rows, and refuses a
+    GSN that its row does not hold; ``_blocks``
     streams every row from it, or else from the stamp.  A log built
     from ``Events`` (kept as is, views included) is stamped from the start;
     its clock widths must match the configuration.
@@ -337,8 +338,8 @@ class ExecutionLog:
             self._events = Events(self._columns, clocks, config.entities)
         return self._events
 
-    def select(self, gsns: Sequence[int]) -> Events:
-        """The events of ``gsns``, integers which must increase; a ``range`` over stamped events gives views."""
+    def _wanted(self, gsns: Sequence[int]) -> np.ndarray:
+        """``gsns`` as int64, checked to be increasing integers in [1, len] that the rows of those GSNs hold."""
         wanted = np.asarray(gsns)
         if wanted.size and not np.issubdtype(wanted.dtype, np.integer):
             raise ValueError(f"gsns must be integers, got {wanted.dtype} values")
@@ -347,6 +348,14 @@ class ExecutionLog:
             raise ValueError(f"gsns must lie in [1, {len(self)}]")
         if (np.diff(wanted) <= 0).any():
             raise ValueError("gsns must increase")
+        gaps = np.flatnonzero(self._columns[0][wanted - 1] != wanted)
+        if gaps.size:
+            raise ValueError(f"log is not contiguous at gsn {wanted[gaps[0]]}")
+        return wanted
+
+    def select(self, gsns: Sequence[int]) -> Events:
+        """The events of ``gsns``, checked by ``_wanted``; a ``range`` over stamped events gives views."""
+        wanted = self._wanted(gsns)
         if self._events is not None:
             if isinstance(gsns, range) and gsns:
                 return self._events[gsns[0] - 1 : gsns[-1] : max(gsns.step, 1)]

@@ -15,20 +15,20 @@ block with its columns as bytes in numpy, without building records or
 strings; an unstamped log is stamped block by block and stays unstamped.
 
 Loading reads the file once.  A file as ``persist_trace`` writes it for
-a run goes through numpy's C text parser ``simulation._STAMP_CHUNK``
-lines at a time, the row stream's block size: its first two lines are
-byte for byte the ones persist writes for its config, every record
-holds its separators in persist's layout, and its body holds no ``-``.
-Any other file goes whole through the line parser, which is the only
-source of ``TraceParseError`` and names the first bad line.  Either
-parser fills one int32 matrix, a row per line in field order, and the
-log views it.
+a run is decoded ``simulation._STAMP_CHUNK`` lines at a time, the row
+stream's block size, straight into the rows: its first two lines are
+byte for byte the ones persist writes for its config, and every record
+holds its separators in persist's layout, a kind name in the kind
+field, nothing in an absent sender, receiver or send_gsn, and 1 to 9
+ASCII digits in every other field.  Any other file goes whole through
+the line parser, which is the only source of ``TraceParseError`` and
+names the first bad line.  Either parser fills one int32 matrix, a row
+per line in field order, and the log views it.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -50,15 +50,12 @@ _SCALAR_CELLS = (0, 1, 5, 6, 7, 8)
 _OPTIONAL_CELLS = slice(6, 9)
 _CLOCK_CELL = 9
 _POWERS_OF_TEN = 10 ** np.arange(1, 10, dtype=np.int64)
-# A run's body holds no '-', so the bulk path can rewrite each kind name as
-# -1 - code and each empty field as -1 - len(KINDS): every negative value
-# it then parses came from a rewrite.
-_EMPTY = -1 - len(KINDS)
-_KIND_TOKENS = tuple((f"|{kind}|".encode(), f"|{-1 - code}|".encode()) for code, kind in enumerate(KINDS))
-_EMPTY_TOKEN = f"|{_EMPTY}|".encode()
-_BULK_BYTES = b"0123456789-|,\n"
-_TO_COMMA = bytes.maketrans(b"|\n", b",,")
 _NEWLINE, _PIPE, _COMMA, _MINUS, _ZERO = b"\n|,-0"
+# The reader's field positions, each kind's name, and the place value of
+# each of the at most 9 digits it reads in a field.
+_KIND_FIELD, _OPTIONAL_FIELDS = 2, slice(4, 7)
+_KIND_NAMES = tuple(np.frombuffer(kind.encode(), np.uint8) for kind in KINDS)
+_PLACES = 10 ** np.arange(9, dtype=np.int32)
 
 
 class TraceParseError(ValueError):
@@ -153,7 +150,7 @@ def _read_config(lines: list[str]) -> ExperimentConfig:
         raise TraceParseError("line 1: missing config line")
     try:
         config = ExperimentConfig(**json.loads(lines[0][len(_CONFIG_PREFIX):]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:  # json.loads recurses once per nested bracket
         raise TraceParseError(f"line 1: bad config: {exc}") from exc
     if len(lines) < 2 or lines[1] != _HEADER:
         raise TraceParseError(f"line 2: expected header {_HEADER!r}")
@@ -221,59 +218,59 @@ def _parse_lines(text: str) -> ExecutionLog:
     return _log(config, rows)
 
 
-def _well_laid_out(chunk: bytes, rows: int, layout: np.ndarray) -> bool:
-    """Whether every line of ``chunk`` holds its separators in ``layout`` order, so each value lands in its field."""
-    text = np.frombuffer(chunk, np.uint8)
-    separators = text[(text == _PIPE) | (text == _COMMA) | (text == _NEWLINE)]
-    if len(separators) != rows * len(layout) - 1:  # the chunk holds no closing newline
-        return False
-    return bool((np.append(separators, _NEWLINE).reshape(rows, -1) == layout).all())
+def _decode_chunk(text: np.ndarray, start: int, stop: int, out: np.ndarray, layout: np.ndarray) -> bool:
+    """Read the lines of ``text[start:stop]``, each ending in a newline, into ``out``, a row a line; False if declined.
 
-
-def _bulk_chunk(chunk: bytes, rows: int, layout: np.ndarray) -> np.ndarray | None:
-    """Values of the ``rows`` lines of ``chunk``, or None.
-
-    The result is int64, one row of the record's fields per line, kinds
-    as codes and absent fields as -1.  None means the line parser might
-    reject or read the lines differently; each check closes one way in
-    which numpy would accept what ``int()`` does not.  A chunk holding a
-    ``-`` is declined, since a run never writes one: numpy reads a bare
-    ``-`` as 0 and stops quietly inside ``1-2``.
+    Each field is read between the separators that place it in persist's
+    layout: the kind by its name, every other field as 1 to 9 ASCII
+    digits, which always fit in int32, and an empty sender, receiver or
+    send_gsn as -1.  Any other line may be one the line parser rejects or
+    reads differently, so it is declined.
     """
-    if b"-" in chunk or not _well_laid_out(chunk, rows, layout):
-        return None
-    for name, token in _KIND_TOKENS:
-        chunk = chunk.replace(name, token)
-    # The first pass fills every other field of a run of empty ones, the second the rest.
-    chunk = chunk.replace(b"||", _EMPTY_TOKEN).replace(b"||", _EMPTY_TOKEN)
-    if chunk.translate(None, _BULK_BYTES):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            values = np.fromstring(chunk.translate(_TO_COMMA), dtype=np.int64, sep=",")
-        except (ValueError, Warning):  # trailing junk: numpy 2 raises, numpy 1 only warns
-            return None
-    if values.size != rows * len(layout):
-        return None
-    values = values.reshape(rows, -1)
-    # Each negative is a rewrite: the kind column must hold kind tokens,
-    # and only the optional columns may hold empty ones.
-    values[:, 2] = -1 - values[:, 2]
-    optional = values[:, 4:7]
-    empty = optional == _EMPTY
-    optional[empty] = 0
-    if values[:, 2].max() >= len(KINDS) or values.min() < 0 or values.max() > _INT32.max:
-        return None
-    optional[empty] = -1
-    return values
+    chunk = text[start:stop]
+    separators = chunk == _PIPE
+    separators |= chunk == _COMMA
+    separators |= chunk == _NEWLINE
+    ends = np.flatnonzero(separators)
+    if len(ends) != out.size or not (chunk[ends].reshape(out.shape) == layout).all():
+        return False
+    lengths = np.empty_like(ends)
+    lengths[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    lengths[1:] -= 1
+    fields = lengths.reshape(out.shape)
+    kind_ends, kind_lengths = ends.reshape(out.shape)[:, _KIND_FIELD], fields[:, _KIND_FIELD].copy()
+    fields[:, _KIND_FIELD] = 0  # no digits: the kind is read by its name below
+    shortest, longest = fields.min(axis=0), int(lengths.max())
+    shortest[_KIND_FIELD] = shortest[_OPTIONAL_FIELDS] = 1  # only these may hold no digits
+    if shortest.min() == 0 or longest > len(_PLACES):
+        return False
+    out[:] = 0
+    for slot, place in enumerate(_PLACES[:longest]):
+        # At ``ends`` this view holds the byte ``slot + 1`` before each field's
+        # end; the head lies before ``start``, so the view starts in the file.
+        digits = text[start - 1 - slot : stop][ends] - _ZERO
+        digits *= lengths > slot
+        if digits.max() > 9:
+            return False
+        out += (digits * place).reshape(out.shape)
+    named = 0
+    for code, name in enumerate(_KIND_NAMES):
+        rows = np.flatnonzero(kind_lengths == len(name))
+        if not (chunk[kind_ends[rows, None] - np.arange(len(name), 0, -1)] == name).all():
+            return False
+        out[rows, _KIND_FIELD] = code
+        named += len(rows)
+    out[:, _OPTIONAL_FIELDS][fields[:, _OPTIONAL_FIELDS] == 0] = -1
+    return named == len(out)
 
 
 def _parse_bulk(data: bytes) -> ExecutionLog | None:
-    """The log of a trace as ``persist_trace`` writes it, through numpy's C text parser, or None for the line parser."""
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == _NEWLINE)
+    """The log of a trace as ``persist_trace`` writes it, read by ``_decode_chunk``, or None for the line parser."""
     if not data.endswith(b"\n"):  # a last line without a newline ends with the file
-        ends = np.append(ends, len(data))
+        data += b"\n"
+    text = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(text == _NEWLINE)
     if len(ends) < 2:
         return None
     head = data[: ends[1]]
@@ -283,16 +280,13 @@ def _parse_bulk(data: bytes) -> ExecutionLog | None:
         return None
     if head != _head(config):
         return None
-    bounds = ends[1:]
     layout = np.frombuffer(_layout(config.entities, config.m), np.uint8)
-    rows = np.empty((len(bounds) - 1, len(layout)), np.int32)
+    rows = np.empty((len(ends) - 2, len(layout)), np.int32)
     chunk = simulation._STAMP_CHUNK
     for lo in range(0, len(rows), chunk):
         hi = min(lo + chunk, len(rows))
-        values = _bulk_chunk(data[bounds[lo] + 1 : bounds[hi]], hi - lo, layout)
-        if values is None:
+        if not _decode_chunk(text, ends[lo + 1] + 1, ends[hi + 1] + 1, rows[lo:hi], layout):
             return None
-        rows[lo:hi] = values
     return _log(config, rows)
 
 

@@ -110,6 +110,18 @@ def test_sample_slice_empty_or_out_of_range():
         slice_metrics(gapped, [(2, 1)], DigestTable(1), SliceSpec(start_gsn=1, stride=1))
 
 
+def test_select_and_the_curve_refuse_a_log_whose_gsns_skip():
+    # Held rows of GSNs 1, 2, 3, 14, 15, 16: row 4 holds GSN 14, which
+    # select([4]) would return and a curve over z in [2, 5] would report.
+    log = run(ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20))
+    gapped = ExecutionLog(log.config, log.events[np.r_[0:3, 13:16]])
+    with pytest.raises(ValueError, match="log is not contiguous at gsn 4"):
+        gapped.select([4])
+    with pytest.raises(ValueError, match="log is not contiguous at gsn 4"):
+        probability_curve(gapped, 1, 2, 5)
+    assert gapped.select([1, 3]) == log.events[np.array([0, 2])]
+
+
 # ---------------------------------------------------------------------------
 # pair classification
 

@@ -306,6 +306,17 @@ def test_non_utf8_byte_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"trace error: {message}\n"
 
 
+def test_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
+    # json.loads recurses once per bracket, so these exceed the recursion limit.
+    path = tmp_path / "trace.txt"
+    path.write_text("#config " + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(TraceParseError, match="^line 1: bad config: "):
+        load_trace(path)
+    assert main(["trace", "--load", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace error: line 1: bad config: ") and err.count("\n") == 1
+
+
 def test_hand_written_trace_classifies_like_its_in_memory_twin(tmp_path):
     path = tmp_path / "hand.txt"
     path.write_text(HAND_WRITTEN)
@@ -412,6 +423,11 @@ def _edit_field(lineno, field, edit):
     return apply
 
 
+def _edit_first_counter(text):
+    """An edit that writes ``text`` as the first Bloom counter of file line 4."""
+    return _edit_field(4, 8, lambda v: text + v[v.index(",") :])
+
+
 def _swap_comma_and_pipe(lines):
     line = lines[3]
     comma, pipe = line.index(","), line.rindex("|")
@@ -448,11 +464,19 @@ def _shift_one_counter(lines):
         (lambda lines: "\n".join(lines), "same"),
         (lambda lines: "\r\n".join(lines) + "\r\n", "same"),
         (lambda lines: "\n".join(lines[:2]) + "\n", "empty"),
+        (_edit_first_counter("1" * 65_541), None),
+        (_edit_first_counter("2147483647"), 2147483647),
+        (_edit_first_counter("2147483648"), "line 4: value 2147483648 is outside the int32 range"),
+        (_edit_field(3, 2, lambda _: "recieve"), "line 3: unknown event kind 'recieve'"),
+        (_edit_first_counter("007"), 7),
+        (_edit_first_counter("+7"), 7),
     ],
     ids=[
         "kind-code", "kind-sentinel", "bare-minus", "negative-sender", "empty-sentinel-in-sender",
         "comma-pipe-swap", "balanced-counter-shift", "balanced-field-shift", "carriage-return-in-record",
         "carriage-return-in-config", "blank-lines", "no-trailing-newline", "crlf", "header-only",
+        "65541-digit-counter", "int32-max-counter", "int32-max-plus-one-counter", "seven-letter-non-kind",
+        "leading-zeros", "plus-sign",
     ],
 )
 def test_hand_edited_traces_load_like_the_line_parser(tmp_path, persisted, edit, expected):
@@ -465,6 +489,8 @@ def test_hand_edited_traces_load_like_the_line_parser(tmp_path, persisted, edit,
         _assert_same_log(loaded, trace_module._parse_lines(original.decode()))
     elif expected == "empty":
         assert loaded.config == MUTATED_CONFIGS["complete"] and len(loaded.events) == 0
+    elif isinstance(expected, int):
+        assert loaded.events.blooms[1, 0] == expected
     else:
         assert loaded is None
         with pytest.raises(TraceParseError) as caught:
