@@ -53,7 +53,8 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 10, dtype=np.int64)
 _NEWLINE, _PIPE, _COMMA, _MINUS, _ZERO = b"\n|,-0"
 # The reader's field positions, each kind's name, and the place value of
 # each of the at most 9 digits it reads in a field.
-_KIND_FIELD, _OPTIONAL_FIELDS = 2, slice(4, 7)
+_KIND_FIELD = _FIELDS.index("kind")
+_OPTIONAL_FIELDS = slice(_FIELDS.index("sender"), _FIELDS.index("send_gsn") + 1)
 _KIND_NAMES = tuple(np.frombuffer(kind.encode(), np.uint8) for kind in KINDS)
 _PLACES = 10 ** np.arange(9, dtype=np.int32)
 
@@ -253,7 +254,8 @@ def _decode_chunk(text: np.ndarray, start: int, stop: int, out: np.ndarray, layo
         digits *= lengths > slot
         if digits.max() > 9:
             return False
-        out += (digits * place).reshape(out.shape)
+        # An int32 product whatever the promotion rules: numpy 1 would keep uint8 * 100 in uint8.
+        out += np.multiply(digits, place, dtype=np.int32).reshape(out.shape)
     named = 0
     for code, name in enumerate(_KIND_NAMES):
         rows = np.flatnonzero(kind_lengths == len(name))

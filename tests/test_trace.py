@@ -548,3 +548,25 @@ def test_clean_trace_never_reaches_the_line_parser(tmp_path, monkeypatch, config
     assert load_trace(path) == log
     path.write_bytes(path.read_bytes().rstrip(b"\n"))  # a file whose last line has no newline
     assert load_trace(path) == log
+
+
+def test_the_decoder_reads_every_digit_place(tmp_path, monkeypatch):
+    """Counters of 1 to 9 digits load through the decoder alone, each digit at its place value.
+
+    The products of digit and place are int32 whatever numpy's promotion
+    rules: a uint8 product would read 300 as 44 and 70000 as 4464.
+    """
+    def no_line_parser(text):
+        raise AssertionError("a persisted trace went through the line parser")
+
+    log = run(MUTATED_CONFIGS["complete"])
+    clocks = log.events.clocks.copy()
+    values = [999_999_999, 300, 70_000, 123_456_789, 9, 80, 255, 256, 65_536, 4_000_000, 50_000_000]
+    clocks.flat[: len(values)] = values
+    log = ExecutionLog(log.config, Events(log.events.columns(), clocks, log.config.entities))
+    path = tmp_path / "trace.txt"
+    persist_trace(log, path)
+    monkeypatch.setattr(trace_module, "_parse_lines", no_line_parser)
+    loaded = load_trace(path)
+    assert loaded == log
+    assert loaded.events.clocks.flat[: len(values)].tolist() == values
