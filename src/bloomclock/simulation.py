@@ -31,10 +31,15 @@ gives the same run on CPython 3.10 to 3.13.  No random draw depends on a
 clock value, so a runner records only the linkage (each event's process
 and kind, a send's destination, a receive's send);
 ``_linkage_log`` derives the other columns and ``_stamp`` the clocks.
-``replay_timestamps`` rebuilds every column and timestamp of a recorded
-log from its linkage through both, and checks that each receive happens
-at its message's destination, that no process receives its own send or
-a send twice, and that each send's receiver is a process or absent.
+``replay_timestamps`` rebuilds every column of a recorded log from its
+linkage and checks that each receive happens at its message's
+destination, that no process receives its own send or a send twice, and
+that each send's receiver is a process or absent.  An event's timestamps
+are set by two earlier rows and its tick, so replay checks each recorded
+row against the recorded rows of its process's previous event and, at a
+receive, of its send, a block of rows at a time: it walks no levels.
+``_tick_rows`` builds tick rows and ``_merge_and_tick`` merges and ticks,
+for ``_stamp`` and replay alike, so each protocol rule is written once.
 
 ``_stamp`` applies the protocol level by level rather than event by
 event, a block of ``_STAMP_CHUNK`` consecutive GSNs at a time.  An
@@ -62,7 +67,8 @@ into one events x (entities + m) ``[vector | bloom]`` matrix, which
 ``Events.vectors`` and ``Events.blooms`` view; ``ExecutionLog.select``
 scatters only the rows of chosen GSNs; ``ExecutionLog._blocks`` streams
 every row in GSN order a block at a time, the one source of whole-log
-rows for trace persist, ``==`` and replay, so none of them keeps clocks.
+rows for trace persist and ``==``, so neither keeps clocks.  Replay reads
+the rows a log holds and stamps none.
 The walk holds a row per process and the sends whose receives are still
 to come: O(entities**2 + live * entities) memory, not O(events *
 entities).  The digest table adds 16 bytes per (pid, x) walked: 0.6 MB
@@ -404,6 +410,16 @@ def _by_process(pids: np.ndarray) -> np.ndarray:
     return np.argsort(pids.astype(np.int64) * len(pids) + np.arange(len(pids)))
 
 
+def _previous(pids: np.ndarray) -> np.ndarray:
+    """The GSN of each event's previous event at its process, 0 for a process's first."""
+    # In the events grouped by process, the one before it if that is at its process.
+    by_pid = _by_process(pids)
+    follows = pids[by_pid[1:]] == pids[by_pid[:-1]]
+    previous = np.zeros(len(pids), _DTYPE)
+    previous[by_pid[1:][follows]] = by_pid[:-1][follows] + 1
+    return previous
+
+
 def _ints(values: np.ndarray) -> Iterator[int]:
     """The items of ``values`` as Python ints, converted ``_PLAN_CHUNK`` at a time."""
     for lo in range(0, len(values), _PLAN_CHUNK):
@@ -452,13 +468,7 @@ def _row_plan(
     levels = reads[0]
     levels[:] = np.frombuffer(level_of, _DTYPE)[1:]
     del level_of
-    # The GSN of each process's previous event, 0 for its first: in the
-    # events grouped by process, the one before it if that is at its process.
-    by_pid = _by_process(pids)
-    follows = pids[by_pid[1:]] == pids[by_pid[:-1]]
-    previous = np.zeros(count, _DTYPE)
-    previous[by_pid[1:][follows]] = by_pid[:-1][follows] + 1
-    del by_pid, follows
+    previous = _previous(pids)
     has_previous = previous > 0
     next_level = np.zeros(count, _DTYPE)
     next_level[previous[has_previous] - 1] = levels[has_previous]
@@ -493,10 +503,41 @@ def _row_plan(
     return slots, reads, int(slots.max(initial=0)) + 1
 
 
+def _tick_rows(
+    ticks: np.ndarray, pids: np.ndarray, xs: np.ndarray, digests: DigestTable, geometries: Geometries
+) -> None:
+    """Fill ``ticks`` with the tick rows of events ``(pids[r], xs[r])``, ``[vector | bloom_1 | ... | bloom_j]``.
+
+    Row ``r`` is 1 at the event's own vector counter, and in the Bloom
+    part of each (m, k) of ``geometries`` it counts how many of the k
+    hashed indices that ``digests`` gives the event fall on each counter.
+    """
+    ticks.fill(0)
+    local = np.arange(len(pids))
+    ticks[local, pids] = 1
+    offset = ticks.shape[1] - sum(m for m, _ in geometries)
+    for (m, _), indices in zip(geometries, digests.index_rows(pids, xs, geometries)):
+        # One add per hash function: an index hit by two of them adds 2.
+        for column in indices.T:
+            ticks[local, offset + column] += 1
+        offset += m
+
+
+def _merge_and_tick(ticks: np.ndarray, previous: np.ndarray, sources: np.ndarray) -> None:
+    """Turn tick rows into timestamps: ``ticks += max(previous, sources)``, pointwise; ``previous`` is overwritten.
+
+    Row ``r`` of ``previous`` is the row of the event's process before it
+    and row ``r`` of ``sources`` the row of a receive's send, each the
+    zero row where there is none.
+    """
+    np.maximum(previous, sources, out=previous)
+    ticks += previous
+
+
 def _stamp(
     config: ExperimentConfig, columns: Sequence[np.ndarray], digests: DigestTable, count: int, geometries: Geometries
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Apply the clock protocol to the first ``count`` events of a linkage; the one place where clocks tick and merge.
+    """Apply the clock protocol to the first ``count`` events of a linkage, level by level.
 
     ``columns`` are a log's ``Events.COLUMNS``.  Event ``g`` (GSN order,
     from 1) at process ``pids[g-1]`` with event index ``xs[g-1]`` starts
@@ -508,11 +549,11 @@ def _stamp(
 
     The events are walked level by level (see ``_row_plan``) in the slots
     of one working matrix of ``[vector | bloom_1 | ... | bloom_j]`` rows.
-    A level is one batch: gather the rows its events read, take their
-    pointwise maximum, add their tick rows and scatter the results, so
-    every read of a level comes before its writes.  Each block of
-    ``_STAMP_CHUNK`` consecutive GSNs, a run of whole levels, gets its tick
-    rows from one gather of digests, its levels are stamped into them, and
+    A level is one batch: gather the rows its events read, merge and tick
+    them (``_merge_and_tick``) and scatter the results, so every read of a
+    level comes before its writes.  Each block of ``_STAMP_CHUNK``
+    consecutive GSNs, a run of whole levels, gets its tick rows from one
+    gather of digests (``_tick_rows``), its levels are stamped into them, and
     it is yielded as ``(positions, rows)``: a permutation of the block's
     positions (GSN - 1) and their stamped rows.  Blocks come in GSN order,
     so each event is yielded once; ``rows`` is overwritten by the next
@@ -522,7 +563,6 @@ def _stamp(
         raise ValueError(f"a digest table of seed {digests.seed} cannot stamp a run of seed {config.seed}")
     _, pids, kinds, xs, _, _, send_gsns = (column[:count] for column in columns)
     entities = config.entities
-    offsets = np.cumsum([entities, *(m for m, _ in geometries)]).tolist()
     digests.cover(pids, xs)
     targets, reads, total = _row_plan(pids, kinds, send_gsns, entities)
     order = np.argsort(reads[0], kind="stable")
@@ -536,26 +576,17 @@ def _stamp(
     walk = reads[:, order]
     order = order.astype(_DTYPE)
     del targets, reads
-    clocks = np.zeros((total, offsets[-1]), _DTYPE)
+    clocks = np.zeros((total, entities + sum(m for m, _ in geometries)), _DTYPE)
     tick_rows = np.empty((min(count, _STAMP_CHUNK), clocks.shape[1]), _DTYPE)
     for first, last in zip(firsts, firsts[1:]):
         lo, hi = bounds[first], bounds[last]
         targets, previous, sources = walk[:, lo:hi].astype(np.intp)
-        chunk_pids, chunk_xs = pids[order[lo:hi]], xs[order[lo:hi]]
         ticks = tick_rows[: hi - lo]
-        ticks.fill(0)
-        local = np.arange(hi - lo)
-        ticks[local, chunk_pids] = 1
-        for offset, indices in zip(offsets, digests.index_rows(chunk_pids, chunk_xs, geometries)):
-            # One add per hash function: an index hit by two of them adds 2.
-            for column in indices.T:
-                ticks[local, offset + column] += 1
+        _tick_rows(ticks, pids[order[lo:hi]], xs[order[lo:hi]], digests, geometries)
         for start, end in zip(bounds[first:last], bounds[first + 1 : last + 1]):
             level = slice(start - lo, end - lo)
-            rows = clocks.take(previous[level], axis=0)
-            np.maximum(rows, clocks.take(sources[level], axis=0), out=rows)
             stamped = ticks[level]
-            stamped += rows
+            _merge_and_tick(stamped, clocks.take(previous[level], axis=0), clocks.take(sources[level], axis=0))
             clocks[targets[level]] = stamped
         yield order[lo:hi], ticks
 
@@ -749,22 +780,47 @@ def _refuse(bad: np.ndarray, message: Callable[[int], str]) -> None:
         raise ReplayError(message(int(np.argmax(bad))))
 
 
-def replay_timestamps(log: ExecutionLog) -> None:
-    """Rebuild the log from its linkage alone and check that it equals the recorded one.
+def _gathered(clocks: np.ndarray, gsns: np.ndarray) -> np.ndarray:
+    """A copy of the rows of ``gsns`` (from 1) in ``clocks``, with a zero row for GSN 0."""
+    # GSN 0 reads the last row, then zeroes it.  Fancy indexing, not take:
+    # take copies a non-contiguous array whole, as a loaded log's clocks are.
+    rows = clocks[gsns - 1]
+    rows[gsns == 0] = 0
+    return rows
 
-    A send's link is read back as its receiver and a receive's as its send
-    GSN.  Guards check that pids lie in range, that each send's receiver
-    lies in [-1, entities), and that each receive links to an earlier send
-    of another process, happens at its message's destination, if any, and is
-    the only receive of that send at its process.  Then ``_linkage_log``
-    rebuilds every column and ``_stamp`` every timestamp, each block
-    compared as it is stamped with the log's ``_blocks`` block of the same
-    GSNs.  ``ReplayError`` names the GSN of the first failed guard, or the
-    first GSN where anything differs.
+
+def _unmatched_rows(config: ExperimentConfig, clocks: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Per event, whether its row of ``clocks`` differs from the merge and tick of the recorded rows it reads.
+
+    ``columns`` are the rebuilt linkage, whose guards have passed.  Event
+    ``g``'s expected row is its tick row plus the pointwise maximum of the
+    recorded rows of its process's previous event and, at a receive, of its
+    send, each the zero row where there is none: the step ``_stamp`` takes.
+    Those rows have smaller GSNs, so the first event that fails is the
+    first whose recorded row differs from what ``_stamp`` gives the
+    linkage.  Each block of ``_STAMP_CHUNK`` events is built in one batch.
     """
-    config, recorded = log.config, log.columns()
-    entities = config.entities
-    _, pids, kinds, _, _, receivers, send_gsns = recorded
+    _, pids, kinds, xs, _, _, send_gsns = columns
+    count = len(pids)
+    geometries = [(config.m, config.k)]
+    digests = DigestTable(config.seed)
+    digests.cover(pids, xs)
+    previous = _previous(pids)
+    sources = np.where(kinds == RECEIVE, send_gsns, 0)
+    unmatched = np.zeros(count, bool)
+    expected = np.empty((min(count, _STAMP_CHUNK), clocks.shape[1]), _DTYPE)
+    for lo in range(0, count, _STAMP_CHUNK):
+        hi = min(lo + _STAMP_CHUNK, count)
+        ticks = expected[: hi - lo]
+        _tick_rows(ticks, pids[lo:hi], xs[lo:hi], digests, geometries)
+        _merge_and_tick(ticks, _gathered(clocks, previous[lo:hi]), _gathered(clocks, sources[lo:hi]))
+        unmatched[lo:hi] = (ticks != clocks[lo:hi]).any(axis=1)
+    return unmatched
+
+
+def _check_links(columns: Sequence[np.ndarray], entities: int) -> None:
+    """Refuse a linkage whose pids, receivers or send links no run could record (see ``replay_timestamps``)."""
+    _, pids, kinds, _, _, receivers, send_gsns = columns
     _refuse((pids < 0) | (pids >= entities), lambda r: f"gsn {r + 1}: pid {pids[r]} outside [0, {entities})")
     _refuse(
         (kinds == SEND) & ((receivers < _ABSENT) | (receivers >= entities)),
@@ -788,14 +844,32 @@ def replay_timestamps(log: ExecutionLog) -> None:
     repeated = np.ones(len(at), bool)
     repeated[np.unique(sent * entities + pids[at], return_index=True)[1]] = False
     _refuse(repeated, lambda r: f"gsn {at[r] + 1}: process {pids[at[r]]} receives send gsn {sent[r]} again")
+
+
+def replay_timestamps(log: ExecutionLog) -> None:
+    """Rebuild the log from its linkage alone and check that it equals the recorded one.
+
+    A send's link is read back as its receiver and a receive's as its send
+    GSN.  Guards check that pids lie in range, that each send's receiver
+    lies in [-1, entities), and that each receive links to an earlier send
+    of another process, happens at its message's destination, if any, and is
+    the only receive of that send at its process.  Then ``_linkage_log``
+    rebuilds every column, and ``_unmatched_rows`` checks every recorded
+    row, if the log holds rows, against the two recorded rows it merges.
+    A log that holds none, as from ``run``, has nothing recorded beyond
+    its columns, so nothing is stamped for it.  ``ReplayError`` names the
+    GSN of the first failed guard, or the first GSN where anything differs.
+    """
+    config, recorded = log.config, log.columns()
+    _check_links(recorded, config.entities)
+    _, pids, kinds, _, _, receivers, send_gsns = recorded
     rebuilt = _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).columns()
     pairs = list(zip(recorded, rebuilt))
-    stamps = np.zeros(len(pids), bool)
-    # Each stamped block is compared with the log's block of the same GSNs, so replay holds one of each.
-    stamped = _stamp(config, rebuilt, DigestTable(config.seed), len(pids), [(config.m, config.k)])
-    for lo, (events, rows), block in zip(range(0, len(pids), _STAMP_CHUNK), stamped, log._blocks()):
-        stamps[events] = (rows != block[events - lo]).any(axis=1)
-    differs = np.stack([held != derived for held, derived in pairs] + [stamps])
+    if log._events is None:
+        unmatched = np.zeros(len(pids), bool)
+    else:
+        unmatched = _unmatched_rows(config, log._events.clocks, rebuilt)
+    differs = np.stack([held != derived for held, derived in pairs] + [unmatched])
     if differs.any():
         row = int(np.argmax(differs.any(axis=0)))
         field = int(np.argmax(differs[:, row]))

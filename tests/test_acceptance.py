@@ -265,7 +265,10 @@ def test_c12_numerical_oracles():
 def test_c13_protocol_replay_and_lattice_laws():
     for topology, n in (("complete", 40), ("star", 20), ("broadcast", 30)):
         for seed in (1, 2):
-            replay_timestamps(run(ExperimentConfig(topology, n=n, m=4, k=2, seed=seed)))
+            log = run(ExperimentConfig(topology, n=n, m=4, k=2, seed=seed))
+            # Stamped events give replay recorded rows to check, not only linkage columns.
+            log.events
+            replay_timestamps(log)
 
     rng = random.Random(99)
     family = HashFamily(k=2, m=6, seed=55)

@@ -46,6 +46,7 @@ from bloomclock.simulation import (
     _row_plan,
     _stamp,
 )
+from reference import stamp_and_compare_replay
 
 
 def test_config_validation():
@@ -377,6 +378,8 @@ def test_broadcast_slice_metrics_hit_targets(broadcast100_m5):
 @pytest.mark.parametrize("topology,n", [("complete", 25), ("star", 12), ("broadcast", 16)])
 def test_replay_reproduces_all_timestamps(topology, n):
     log = run(ExperimentConfig(topology, n=n, m=5, k=2, seed=13))
+    # Stamped events give replay recorded rows to check, not only linkage columns.
+    log.events
     replay_timestamps(log)
 
 
@@ -475,6 +478,70 @@ def test_replay_rejects_a_process_receiving_its_own_send():
     log = _linkage_log(config, [0, 0, 1, 1], [SEND, RECEIVE, SEND, RECEIVE], [-1, 1, -1, 1])
     with pytest.raises(ReplayError, match=r"^gsn 2: process 0 receives its own send gsn 1$"):
         replay_timestamps(log)
+
+
+def _replay_message(replay, log):
+    """The message of the ``ReplayError`` that ``replay(log)`` raises, or None if it raises none."""
+    try:
+        replay(log)
+    except ReplayError as error:
+        return str(error)
+    return None
+
+
+@st.composite
+def tampered_logs(draw):
+    """A config, a block size, and one edit of a stamped log's rows or columns, or none.
+
+    An edit is ``(part, row, index, delta)``: ``delta`` added to counter
+    ``index`` of the vector or Bloom part of ``row``, or to column
+    ``Events.COLUMNS[index]`` there.  Rows are often at or beside a block
+    boundary, and some logs are longer than a block of 1024.
+    """
+    topology = draw(st.sampled_from(("complete", "star", "broadcast")))
+    seed = draw(st.integers(min_value=1, max_value=40))
+    if topology == "complete":
+        pr_i = draw(st.sampled_from((0.0, 0.3)))
+        limit = draw(st.sampled_from((60, 300, 1100, 2100)))
+        config = ExperimentConfig(topology, n=draw(st.integers(2, 9)), m=4, k=2, pr_i=pr_i, seed=seed, gsn_limit=limit)
+    elif topology == "star":
+        rounds = draw(st.sampled_from((3, 20, 70)))
+        config = ExperimentConfig(topology, n=draw(st.integers(1, 4)), m=3, k=2, seed=seed, messages_per_client=rounds)
+    else:
+        config = ExperimentConfig(topology, n=draw(st.sampled_from((4, 9, 33))), m=5, k=3, seed=seed)
+    chunk = draw(st.sampled_from((7, 1024)))
+    count = config.event_count
+    boundaries = st.integers(0, count // chunk).map(lambda block: block * chunk)
+    beside = st.builds(lambda boundary, step: boundary + step, boundaries, st.sampled_from((-1, 0, 1)))
+    row = min(max(draw(st.one_of(beside, st.integers(0, count - 1))), 0), count - 1)
+    part = draw(st.sampled_from(("none", "vector", "bloom", "column")))
+    width = {"none": 1, "vector": config.entities, "bloom": config.m, "column": len(Events.COLUMNS)}[part]
+    delta = draw(st.sampled_from((1, -1, config.k)))
+    return config, chunk, (part, row, draw(st.integers(0, width - 1)), delta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tampered_logs())
+@example((ExperimentConfig("complete", n=8, m=4, k=2, seed=9, gsn_limit=200), 7, ("bloom", 7, 2, -1)))
+@example((ExperimentConfig("star", n=3, m=3, k=2, seed=5, messages_per_client=100), 1024, ("vector", 1024, 3, 2)))
+@example((ExperimentConfig("broadcast", n=33, m=5, k=3, seed=2), 1024, ("column", 1023, 6, 1)))
+def test_replay_agrees_with_the_stamp_and_compare_reference(case):
+    config, chunk, (part, row, index, delta) = case
+    log = _edited(run(config))
+    if part == "column":
+        values = getattr(log.events, Events.COLUMNS[index]).copy()
+        values[row] += delta
+        log = _edited(log, Events.COLUMNS[index], values)
+    elif part != "none":
+        clocks = log.events.clocks.copy()
+        clocks[row, index + (config.entities if part == "bloom" else 0)] += delta
+        log = _edited(log, clocks=clocks)
+    with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
+        message = _replay_message(replay_timestamps, log)
+        assert message == _replay_message(stamp_and_compare_replay, log)
+    # A column edit can leave a valid linkage, such as a send never received sent elsewhere.
+    if part != "column":
+        assert (message is None) == (part == "none")
 
 
 # ---------------------------------------------------------------------------
