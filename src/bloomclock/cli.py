@@ -10,7 +10,7 @@ Subcommands:
 * ``curve``  per-pair probability curve of a fixed event y against a GSN
              window of z events, written as CSV.
 * ``trace``  persist a run's event log, or load one back and verify it by
-             replaying the protocol.
+             replaying the protocol and re-running its configuration.
 
 Exit codes: 0 success, 2 configuration, trace or I/O error (running out of
 memory counts as a configuration too large for the machine), 3 numeric error.
@@ -27,7 +27,7 @@ import numpy as np
 from . import experiments
 from .errors import NumericError
 from .metrics import SliceSpec, probability_curve
-from .simulation import KINDS, TOPOLOGIES, ExperimentConfig, ReplayError, replay_timestamps, run
+from .simulation import KINDS, TOPOLOGIES, Events, ExecutionLog, ExperimentConfig, ReplayError, replay_timestamps, run
 from .trace import TraceParseError, load_trace, persist_trace
 
 
@@ -179,6 +179,24 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_linkage_is_the_configs_run(log: ExecutionLog) -> None:
+    """Refuse a loaded log whose linkage columns differ from those its configuration's run records.
+
+    Replay shows that the columns and rows are consistent with each other.
+    A send that no receive reads can be re-addressed without breaking that,
+    so the configuration is run again and its columns compared.
+    """
+    recorded, expected = log.columns(), run(log.config).columns()
+    differs = np.stack([held != derived for held, derived in zip(recorded, expected)])
+    if differs.any():
+        row = int(np.argmax(differs.any(axis=0)))
+        field = int(np.argmax(differs[:, row]))
+        raise ReplayError(
+            f"gsn {row + 1}: column {Events.COLUMNS[field]} holds {recorded[field][row]}, "
+            f"the config's run records {expected[field][row]}"
+        )
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     if args.load is not None:
         ignored = [flag for flag in args.given if flag != "--load"]
@@ -192,6 +210,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 f"trace holds {len(log)} events, but its config runs {log.config.event_count}"
             )
         replay_timestamps(log)
+        _check_linkage_is_the_configs_run(log)
         _, _, kind_codes, *_ = log.columns()
         kinds = dict(zip(KINDS, np.bincount(kind_codes, minlength=len(KINDS)).tolist()))
         print(

@@ -94,6 +94,13 @@ class DigestTable:
     m.  That relies on ``(h1 + i*h2) mod m == (h1 mod m + i*(h2 mod m)) mod m``:
     reducing each half first keeps every term below ``k*m``, so nothing
     wraps, whereas uint64 arithmetic on the raw halves would.
+
+    Each pair costs a copy of the keyed hasher, one update and one digest:
+    two BLAKE2b compressions, the key block and the pair.  Sharing a pid's
+    compressed key block across its pairs would save one, but CPython's
+    bundled BLAKE2b (timed on 3.11) buffers up to two blocks and compresses
+    the key block only at the digest, so a hasher fed a pid's 8 bytes
+    first digests no faster.
     """
 
     def __init__(self, seed: int):

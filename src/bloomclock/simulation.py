@@ -27,9 +27,10 @@ complete run's event kind, and ``_below`` for each choice among
 processes, destinations and pending messages.  ``_below`` draws from
 ``getrandbits`` by ``randrange``'s own rejection rule, so it consumes
 the same words and returns the same values as ``randrange``, and a seed
-gives the same run on CPython 3.10 to 3.13.  No random draw depends on a
-clock value, so a runner records only the linkage (each event's process
-and kind, a send's destination, a receive's send);
+gives the same run on CPython 3.10 to 3.13; the complete runner writes
+that loop out in place for its two fixed bounds.  No random draw depends
+on a clock value, so a runner records only the linkage (each event's
+process and kind, a send's destination, a receive's send);
 ``_linkage_log`` derives the other columns and ``_stamp`` the clocks.
 ``replay_timestamps`` rebuilds every column of a recorded log from its
 linkage and checks that each receive happens at its message's
@@ -46,11 +47,14 @@ event, a block of ``_STAMP_CHUNK`` consecutive GSNs at a time.  An
 event's level is 1 + the largest of the levels of its process's previous
 event, at a receive its send, and the events of earlier blocks, so the
 events of one level are pairwise concurrent and the end of each level is
-a consistent cut.  One level is one batch of numpy calls: gather the
-rows its events read, take their pointwise maximum, add their tick rows
-and scatter the results.  A complete n=200 run of 40,000 events has 491
-levels (294 causal ones); a star run, whose server serializes it, has
-about one level per two events.
+a consistent cut.  One level is one batch of numpy calls, its receives
+walked first: gather each event's previous row and each receive's send
+row, take the receives' pointwise maximum with their sends, add the tick
+rows and scatter the results.  Only a receive merges, and at most half
+of a complete run's events are receives (about 2.5% at pr_i=0.95), so
+the rest gather one row, not two.  A complete n=200 run of 40,000 events
+has 491 levels (294 causal ones); a star run, whose server serializes
+it, has about one level per two events.
 ``_stamp`` stamps a list of (m, k) geometries in one walk: its rows
 are ``[vector | bloom_1 | ... | bloom_j]``, so one plan and one walk
 serve every Bloom clock of a linkage.  The Bloom ticks come from a
@@ -406,8 +410,14 @@ class ExecutionLog:
 
 def _by_process(pids: np.ndarray) -> np.ndarray:
     """Positions of the events grouped by process, in GSN order within each."""
-    # The keys are distinct, so the default sort is stable here and faster than a stable one.
-    return np.argsort(pids.astype(np.int64) * len(pids) + np.arange(len(pids)))
+    if not len(pids):
+        return np.zeros(0, np.intp)
+    lo = pids.min()
+    # A stable sort of 8- or 16-bit keys is a radix sort.  pids - lo may
+    # wrap in the pids' dtype, but it is exact modulo 2**bits, and the
+    # narrowest unsigned dtype that holds the span keeps only those bits.
+    narrow = np.min_scalar_type(int(pids.max()) - int(lo))
+    return np.argsort((pids - lo).astype(narrow), kind="stable")
 
 
 def _previous(pids: np.ndarray) -> np.ndarray:
@@ -422,8 +432,7 @@ def _previous(pids: np.ndarray) -> np.ndarray:
 
 def _ints(values: np.ndarray) -> Iterator[int]:
     """The items of ``values`` as Python ints, converted ``_PLAN_CHUNK`` at a time."""
-    for lo in range(0, len(values), _PLAN_CHUNK):
-        yield from values[lo : lo + _PLAN_CHUNK].tolist()
+    return chain.from_iterable(values[lo : lo + _PLAN_CHUNK].tolist() for lo in range(0, len(values), _PLAN_CHUNK))
 
 
 def _row_plan(
@@ -445,22 +454,27 @@ def _row_plan(
     event's slot; a 3 x events array of what it reads: its level, the slot
     of its process's previous row (0 for none) and the slot a receive
     merges from (0 for other kinds); and the number of slots.
+
+    The level recurrence runs in Python, one block at a time.  Every event
+    of the blocks before lies at or below the block's floor, so each block
+    starts every process at the floor and compares no event with it, and
+    only a receive reads the level of another event.
     """
     count = len(pids)
     is_receive = kinds == RECEIVE
+    # 0 stands for "no send": only a receive reads level_of.
     merged = np.where(is_receive, send_gsns, 0)
-    # level_of[0] stands for "no send", so every event reads one entry.
     level_of = array("i", [0]) * (count + 1)
-    last_level = [0] * entities
     floor = 0
     for lo in range(0, count, _STAMP_CHUNK):
         hi = lo + _STAMP_CHUNK
+        last_level = [floor] * entities
         for gsn, pid, send in zip(range(lo + 1, hi + 1), pids[lo:hi].tolist(), merged[lo:hi].tolist()):
             level = last_level[pid]
-            if level_of[send] > level:
-                level = level_of[send]
-            if floor > level:
-                level = floor
+            if send:
+                sent = level_of[send]
+                if sent > level:
+                    level = sent
             level_of[gsn] = last_level[pid] = level + 1
         floor = max(level_of[lo + 1 : hi + 1])
     del merged
@@ -523,14 +537,16 @@ def _tick_rows(
         offset += m
 
 
-def _merge_and_tick(ticks: np.ndarray, previous: np.ndarray, sources: np.ndarray) -> None:
-    """Turn tick rows into timestamps: ``ticks += max(previous, sources)``, pointwise; ``previous`` is overwritten.
+def _merge_and_tick(ticks: np.ndarray, previous: np.ndarray, sends: np.ndarray) -> None:
+    """Turn tick rows into timestamps: ``ticks += previous``, its leading rows first maxed with ``sends``.
 
-    Row ``r`` of ``previous`` is the row of the event's process before it
-    and row ``r`` of ``sources`` the row of a receive's send, each the
-    zero row where there is none.
+    Row ``r`` of ``previous`` is the row of the event's process before it,
+    the zero row where there is none, and row ``r`` of ``sends`` the row of
+    a receive's send: the events that merge lead, and the rest only tick.
+    ``previous`` is overwritten.
     """
-    np.maximum(previous, sources, out=previous)
+    merged = previous[: len(sends)]
+    np.maximum(merged, sends, out=merged)
     ticks += previous
 
 
@@ -548,14 +564,17 @@ def _stamp(
     first grown to cover every event walked.
 
     The events are walked level by level (see ``_row_plan``) in the slots
-    of one working matrix of ``[vector | bloom_1 | ... | bloom_j]`` rows.
-    A level is one batch: gather the rows its events read, merge and tick
-    them (``_merge_and_tick``) and scatter the results, so every read of a
-    level comes before its writes.  Each block of ``_STAMP_CHUNK``
-    consecutive GSNs, a run of whole levels, gets its tick rows from one
-    gather of digests (``_tick_rows``), its levels are stamped into them, and
-    it is yielded as ``(positions, rows)``: a permutation of the block's
-    positions (GSN - 1) and their stamped rows.  Blocks come in GSN order,
+    of one working matrix of ``[vector | bloom_1 | ... | bloom_j]`` rows,
+    each level's receives first: ``np.lexsort`` orders the events by level
+    and, within a level, receives before the rest.  A level is one batch:
+    gather every event's previous row and the send rows of its receives
+    alone, merge and tick them (``_merge_and_tick``, with the send rows
+    leading) and scatter the results, so every read of a level comes
+    before its writes.  Each block of ``_STAMP_CHUNK`` consecutive GSNs, a
+    run of whole levels, gets its tick rows from one gather of digests
+    (``_tick_rows``), its levels are stamped into them, and it is yielded
+    as ``(positions, rows)``: a permutation of the block's positions
+    (GSN - 1) and their stamped rows.  Blocks come in GSN order,
     so each event is yielded once; ``rows`` is overwritten by the next
     block, so a reader copies what it keeps.
     """
@@ -565,9 +584,14 @@ def _stamp(
     entities = config.entities
     digests.cover(pids, xs)
     targets, reads, total = _row_plan(pids, kinds, send_gsns, entities)
-    order = np.argsort(reads[0], kind="stable")
-    # Levels run from 1 up without a gap; bounds[i] is where level i + 1 starts.
+    is_receive = kinds == RECEIVE
+    # By level, and within a level the receives first.
+    order = np.lexsort((~is_receive, reads[0]))
+    # Levels run from 1 up without a gap; bounds[i] is where level i + 1
+    # starts and splits[i] where its receives end.
     bounds = [0, *np.cumsum(np.bincount(reads[0])[1:]).tolist()]
+    splits = (np.asarray(bounds[:-1]) + np.bincount(reads[0][is_receive], minlength=len(bounds))[1:]).tolist()
+    del is_receive
     # Block b of _STAMP_CHUNK GSNs is a run of whole levels (see _row_plan),
     # walked from bound firsts[b], its first level less one, to firsts[b + 1].
     firsts = [*(reads[0][order[::_STAMP_CHUNK]] - 1).tolist(), len(bounds) - 1]
@@ -583,10 +607,11 @@ def _stamp(
         targets, previous, sources = walk[:, lo:hi].astype(np.intp)
         ticks = tick_rows[: hi - lo]
         _tick_rows(ticks, pids[order[lo:hi]], xs[order[lo:hi]], digests, geometries)
-        for start, end in zip(bounds[first:last], bounds[first + 1 : last + 1]):
+        for start, split, end in zip(bounds[first:last], splits[first:last], bounds[first + 1 : last + 1]):
             level = slice(start - lo, end - lo)
             stamped = ticks[level]
-            _merge_and_tick(stamped, clocks.take(previous[level], axis=0), clocks.take(sources[level], axis=0))
+            sends = clocks.take(sources[start - lo : split - lo], axis=0)
+            _merge_and_tick(stamped, clocks.take(previous[level], axis=0), sends)
             clocks[targets[level]] = stamped
         yield order[lo:hi], ticks
 
@@ -663,7 +688,10 @@ def _run_complete(config: ExperimentConfig, rng: random.Random, linkage: _Linkag
     Scheduler steps that draw a receive for a process with an empty pending
     pool execute nothing; the GSN only advances on executed events.  The
     loop appends to the linkage's lists and counts GSNs itself rather than
-    making a ``record`` call per event.
+    making a ``record`` call per event, and it draws below its two fixed
+    bounds, n for the process and n - 1 for a destination, by ``_below``'s
+    loop written out in place; a pool draw, whose bound varies, calls
+    ``_below``.
     """
     n = config.n
     pending: list[list[int]] = [[] for _ in range(n)]
@@ -672,14 +700,20 @@ def _run_complete(config: ExperimentConfig, rng: random.Random, linkage: _Linkag
     getrandbits, uniform = rng.getrandbits, rng.random
     add_pid, add_kind, add_link = linkage.pids.append, linkage.kinds.append, linkage.links.append
     gsn, budget = len(linkage.pids), config.event_budget
+    others = n - 1
+    pid_bits, other_bits = n.bit_length(), others.bit_length()
 
     while gsn < budget:
-        pid = _below(getrandbits, n)
+        pid = getrandbits(pid_bits)
+        while pid >= n:
+            pid = getrandbits(pid_bits)
         u = uniform()
         if u < pr_i:
             kind, link = INTERNAL, _ABSENT
         elif u < send_cut:
-            link = _below(getrandbits, n - 1)
+            link = getrandbits(other_bits)
+            while link >= others:
+                link = getrandbits(other_bits)
             if link >= pid:
                 link += 1
             kind = SEND
@@ -847,7 +881,13 @@ def _check_links(columns: Sequence[np.ndarray], entities: int) -> None:
 
 
 def replay_timestamps(log: ExecutionLog) -> None:
-    """Rebuild the log from its linkage alone and check that it equals the recorded one.
+    """Rebuild the log from its linkage alone and check that the recorded one is consistent with it.
+
+    Replay shows that every column and row follows from the recorded
+    linkage by the protocol, not that the linkage is the one the
+    configuration's seed records: a send that no receive reads may name any
+    receiver in range.  ``bloomclock trace --load`` runs the configuration
+    again for that.
 
     A send's link is read back as its receiver and a receive's as its send
     GSN.  Guards check that pids lie in range, that each send's receiver

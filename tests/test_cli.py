@@ -377,3 +377,22 @@ def test_deterministic_artifact_bytes(tmp_path):
     assert main(args + ["--out", str(second)]) == 0
     assert (first / "run.json").read_bytes() == (second / "run.json").read_bytes()
     assert (first / "run.csv").read_bytes() == (second / "run.csv").read_bytes()
+
+
+def test_trace_load_rejects_a_never_received_send_that_was_re_addressed(tmp_path, capsys):
+    out = tmp_path / "tr"
+    assert main(["trace", "--n", "8", "--m", "4", "--seed", "9", "--gsn-limit", "200", "--out", str(out)]) == 0
+    lines = (out / "trace.txt").read_text().splitlines()
+    # Line 199 holds gsn 198, a send to process 3 that no receive reads.
+    parts = lines[199].split("|")
+    assert parts[0] == "198" and parts[2] == "send" and parts[5] == "3"
+    assert not any(line.split("|")[6] == "198" for line in lines[2:])
+    parts[5] = "5"
+    lines[199] = "|".join(parts)
+    path = tmp_path / "re-addressed.txt"
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["trace", "--load", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "trace error: gsn 198: column receivers holds 5, the config's run records 3\n"

@@ -623,25 +623,48 @@ def test_engine_agrees_across_stamp_chunks(config):
     replay_timestamps(log)
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
-@pytest.mark.parametrize(
-    "config",
-    [
-        ExperimentConfig("complete", n=9, m=5, k=3, pr_i=0.3, seed=21, gsn_limit=300),
-        ExperimentConfig("star", n=4, m=4, k=2, seed=22, messages_per_client=6),
-        ExperimentConfig("broadcast", n=12, m=6, k=4, seed=23),
-    ],
-    ids=lambda config: config.topology,
-)
+_WALK_CHUNKS = [1, 3, 7, _STAMP_CHUNK]
+_WALK_CONFIGS = {
+    "complete": ExperimentConfig("complete", n=9, m=5, k=3, pr_i=0.3, seed=21, gsn_limit=300),
+    "complete-pr_i=0": ExperimentConfig("complete", n=9, m=5, k=3, pr_i=0.0, seed=21, gsn_limit=300),
+    "complete-pr_i=0.95": ExperimentConfig("complete", n=9, m=5, k=3, pr_i=0.95, seed=21, gsn_limit=300),
+    "complete-pr_i=1": ExperimentConfig("complete", n=9, m=5, k=3, pr_i=1.0, seed=21, gsn_limit=300),
+    "star": ExperimentConfig("star", n=4, m=4, k=2, seed=22, messages_per_client=6),
+    "broadcast": ExperimentConfig("broadcast", n=12, m=6, k=4, seed=23),
+}
+
+
+def _level_shapes(config):
+    """Which levels of the walk of ``run(config)`` hold no receive, only receives, or both."""
+    _, pids, kinds, _, _, _, send_gsns = run(config).columns()
+    levels = _row_plan(pids, kinds, send_gsns, config.entities)[1][0]
+    receives = np.bincount(levels[kinds == RECEIVE], minlength=levels.max() + 1)[1:]
+    return {"none" if r == 0 else "only" if r == t else "both" for r, t in zip(receives, np.bincount(levels)[1:])}
+
+
+@pytest.mark.parametrize("chunk", _WALK_CHUNKS)
+@pytest.mark.parametrize("config", _WALK_CONFIGS.values(), ids=_WALK_CONFIGS.keys())
 def test_engine_agrees_when_tick_chunks_end_inside_levels(config, chunk, monkeypatch):
-    # Causal levels here are wider than a block of one or three GSNs, so each
-    # block ends inside a causal level and splits it.
+    # Causal levels here are wider than a block of one, three or seven GSNs,
+    # so each such block ends inside a causal level and splits it.  Each
+    # level walks its receives first, and only they merge a send row.
     monkeypatch.setattr("bloomclock.simulation._STAMP_CHUNK", chunk)
     log = run(config)
     for e, (vector, bloom) in zip(log.events, _reference_timestamps(log), strict=True):
         assert e.vector_ts == vector and e.bloom_ts == bloom, f"gsn {e.gsn}"
     gsns = np.arange(2, len(log) + 1, 3)
     assert run(config).select(gsns) == log.events[gsns - 1]
+
+
+def test_the_walked_levels_hold_no_receive_only_receives_or_both(monkeypatch):
+    # The cases above walk every kind of level the receive-first merge splits.
+    shapes = {}
+    for chunk in _WALK_CHUNKS:
+        monkeypatch.setattr(simulation, "_STAMP_CHUNK", chunk)
+        for name, config in _WALK_CONFIGS.items():
+            shapes[name, chunk] = _level_shapes(config)
+    assert shapes["complete-pr_i=0", _STAMP_CHUNK] == {"none", "only", "both"}
+    assert all(shapes["complete-pr_i=1", chunk] == {"none"} for chunk in _WALK_CHUNKS)
 
 
 def test_engine_agrees_on_a_level_wider_than_a_tick_chunk(monkeypatch):
@@ -851,6 +874,23 @@ def test_replay_in_small_blocks_names_the_first_tampered_gsn_of_a_later_block(mo
     monkeypatch.setattr(simulation, "_STAMP_CHUNK", 7)
     with pytest.raises(ReplayError, match="^gsn 121: replayed timestamps differ from the recorded ones$"):
         replay_timestamps(_edited(log, clocks=clocks))
+
+
+@pytest.mark.parametrize("span", [255, 256, 65535, 65536])
+@pytest.mark.parametrize("low", [0, -70_000, np.iinfo(np.int32).min, np.iinfo(np.int32).max - 65536])
+def test_grouping_by_process_is_a_stable_argsort(span, low):
+    # Spans below 256 and 65536 sort 8- and 16-bit keys; pids - min wraps
+    # in int32 from the lowest minimum and the highest maximum.
+    rng = np.random.default_rng(span)
+    pids = rng.integers(low, low + span, 5000, endpoint=True).astype(np.int32)
+    pids[:2] = low, low + span
+    assert np.array_equal(simulation._by_process(pids), np.argsort(pids, kind="stable"))
+
+
+def test_grouping_by_process_over_the_whole_int32_range_and_none():
+    pids = np.array([np.iinfo(np.int32).max, 0, np.iinfo(np.int32).min, 0, -1], np.int32)
+    assert simulation._by_process(pids).tolist() == [2, 4, 1, 3, 0]
+    assert simulation._by_process(np.zeros(0, np.int32)).tolist() == []
 
 
 def test_events_are_a_lazy_sequence_with_view_slices():
