@@ -27,7 +27,7 @@ import numpy as np
 from . import experiments
 from .errors import NumericError
 from .metrics import SliceSpec, probability_curve
-from .simulation import KINDS, TOPOLOGIES, Events, ExecutionLog, ExperimentConfig, ReplayError, replay_timestamps, run
+from .simulation import KINDS, TOPOLOGIES, ExperimentConfig, ReplayError, _refuse_mismatch, replay_timestamps, run
 from .trace import TraceParseError, load_trace, persist_trace
 
 
@@ -179,24 +179,6 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_linkage_is_the_configs_run(log: ExecutionLog) -> None:
-    """Refuse a loaded log whose linkage columns differ from those its configuration's run records.
-
-    Replay shows that the columns and rows are consistent with each other.
-    A send that no receive reads can be re-addressed without breaking that,
-    so the configuration is run again and its columns compared.
-    """
-    recorded, expected = log.columns(), run(log.config).columns()
-    differs = np.stack([held != derived for held, derived in zip(recorded, expected)])
-    if differs.any():
-        row = int(np.argmax(differs.any(axis=0)))
-        field = int(np.argmax(differs[:, row]))
-        raise ReplayError(
-            f"gsn {row + 1}: column {Events.COLUMNS[field]} holds {recorded[field][row]}, "
-            f"the config's run records {expected[field][row]}"
-        )
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     if args.load is not None:
         ignored = [flag for flag in args.given if flag != "--load"]
@@ -210,7 +192,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 f"trace holds {len(log)} events, but its config runs {log.config.event_count}"
             )
         replay_timestamps(log)
-        _check_linkage_is_the_configs_run(log)
+        # Replay passes any address on a send that no receive reads; the config's run does not.
+        _refuse_mismatch(log.columns(), run(log.config).columns(), "the config's run records")
         _, _, kind_codes, *_ = log.columns()
         kinds = dict(zip(KINDS, np.bincount(kind_codes, minlength=len(KINDS)).tolist()))
         print(

@@ -258,27 +258,3 @@ def curve_lines(rows: Iterable[CurveRow], ending: str) -> Iterator[str]:
         if tail is None:
             tail = tails[key] = line((repr(row.pr_p), repr(row.pr_fp_step), repr(row.pr_fp_smooth), row.outcome))
         yield f"{row.z_gsn},{tail}"
-
-
-def read_curve_csv(path: str | Path) -> list[CurveRow]:
-    """Parse a curve CSV back into rows (lossless round trip with ``write_curve_csv``).
-
-    A malformed header or row raises ``ValueError`` naming its line.
-    """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        if tuple(header) != CURVE_HEADER:
-            raise ValueError(f"line 1: expected header {','.join(CURVE_HEADER)}, got {header}")
-        rows = []
-        for fields in reader:
-            if len(fields) != len(CURVE_HEADER):
-                raise ValueError(
-                    f"line {reader.line_num}: expected {len(CURVE_HEADER)} fields, got {len(fields)}"
-                )
-            gsn, pr_p, fp_step, fp_smooth, outcome = fields
-            try:
-                rows.append(CurveRow(int(gsn), float(pr_p), float(fp_step), float(fp_smooth), outcome))
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from exc
-        return rows

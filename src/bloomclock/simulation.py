@@ -33,9 +33,11 @@ on a clock value, so a runner records only the linkage (each event's
 process and kind, a send's destination, a receive's send);
 ``_linkage_log`` derives the other columns and ``_stamp`` the clocks.
 ``replay_timestamps`` rebuilds every column of a recorded log from its
-linkage and checks that each receive happens at its message's
-destination, that no process receives its own send or a send twice, and
-that each send's receiver is a process or absent.  An event's timestamps
+linkage and checks that each kind is one of ``KINDS``, that each receive
+happens at its message's destination, that no process receives its own
+send or a send twice, and that each send's receiver is a process or
+absent; ``_refuse_mismatch`` raises every mismatch of a recorded log,
+against replay or the configuration's run.  An event's timestamps
 are set by two earlier rows and its tick, so replay checks each recorded
 row against the recorded rows of its process's previous event and, at a
 receive, of its send, a block of rows at a time: it walks no levels.
@@ -853,8 +855,9 @@ def _unmatched_rows(config: ExperimentConfig, clocks: np.ndarray, columns: Seque
 
 
 def _check_links(columns: Sequence[np.ndarray], entities: int) -> None:
-    """Refuse a linkage whose pids, receivers or send links no run could record (see ``replay_timestamps``)."""
+    """Refuse a linkage whose kinds, pids, receivers or send links no run could record (see ``replay_timestamps``)."""
     _, pids, kinds, _, _, receivers, send_gsns = columns
+    _refuse((kinds < 0) | (kinds >= len(KINDS)), lambda r: f"gsn {r + 1}: kind {kinds[r]} outside [0, {len(KINDS)})")
     _refuse((pids < 0) | (pids >= entities), lambda r: f"gsn {r + 1}: pid {pids[r]} outside [0, {entities})")
     _refuse(
         (kinds == SEND) & ((receivers < _ABSENT) | (receivers >= entities)),
@@ -880,6 +883,37 @@ def _check_links(columns: Sequence[np.ndarray], entities: int) -> None:
     _refuse(repeated, lambda r: f"gsn {at[r] + 1}: process {pids[at[r]]} receives send gsn {sent[r]} again")
 
 
+def _rebuilt_linkage(log: ExecutionLog) -> tuple[np.ndarray, ...]:
+    """The columns ``_linkage_log`` derives from ``log``'s linkage, once ``_check_links`` has passed it.
+
+    A send's link is read back as its receiver and a receive's as its send GSN.
+    """
+    config, recorded = log.config, log.columns()
+    _check_links(recorded, config.entities)
+    _, pids, kinds, _, _, receivers, send_gsns = recorded
+    return _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).columns()
+
+
+def _refuse_mismatch(
+    recorded: Sequence[np.ndarray], expected: Sequence[np.ndarray], source: str, unmatched: np.ndarray | None = None
+) -> None:
+    """Raise ``ReplayError`` at the first GSN where a column differs from ``expected`` or ``unmatched`` flags the row.
+
+    A column's message gives both values, an absent one as None, the
+    expected one after ``source``; a column that differs is named before
+    a flagged row of the same GSN.
+    """
+    flags = [held != derived for held, derived in zip(recorded, expected, strict=True)]
+    differs = np.stack(flags if unmatched is None else flags + [unmatched])
+    if differs.any():
+        row = int(np.argmax(differs.any(axis=0)))
+        field = int(np.argmax(differs[:, row]))
+        if field == len(flags):
+            raise ReplayError(f"gsn {row + 1}: replayed timestamps differ from the recorded ones")
+        held, derived = (_optional(int(columns[field][row])) for columns in (recorded, expected))
+        raise ReplayError(f"gsn {row + 1}: column {Events.COLUMNS[field]} holds {held}, {source} {derived}")
+
+
 def replay_timestamps(log: ExecutionLog) -> None:
     """Rebuild the log from its linkage alone and check that the recorded one is consistent with it.
 
@@ -887,33 +921,20 @@ def replay_timestamps(log: ExecutionLog) -> None:
     linkage by the protocol, not that the linkage is the one the
     configuration's seed records: a send that no receive reads may name any
     receiver in range.  ``bloomclock trace --load`` runs the configuration
-    again for that.
+    again for that, and reports through the same ``_refuse_mismatch``.
 
-    A send's link is read back as its receiver and a receive's as its send
-    GSN.  Guards check that pids lie in range, that each send's receiver
-    lies in [-1, entities), and that each receive links to an earlier send
-    of another process, happens at its message's destination, if any, and is
-    the only receive of that send at its process.  Then ``_linkage_log``
-    rebuilds every column, and ``_unmatched_rows`` checks every recorded
+    ``_rebuilt_linkage`` guards the linkage first: every kind is one of
+    ``KINDS``, pids lie in range, each send's receiver lies in
+    [-1, entities), and each receive links to an earlier send of another
+    process, happens at its message's destination, if any, and is the only
+    receive of that send at its process.  Then it rebuilds every column
+    with ``_linkage_log``, and ``_unmatched_rows`` checks every recorded
     row, if the log holds rows, against the two recorded rows it merges.
     A log that holds none, as from ``run``, has nothing recorded beyond
     its columns, so nothing is stamped for it.  ``ReplayError`` names the
-    GSN of the first failed guard, or the first GSN where anything differs.
+    GSN of the first failed guard, or, from ``_refuse_mismatch``, the first
+    GSN where anything differs.
     """
-    config, recorded = log.config, log.columns()
-    _check_links(recorded, config.entities)
-    _, pids, kinds, _, _, receivers, send_gsns = recorded
-    rebuilt = _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).columns()
-    pairs = list(zip(recorded, rebuilt))
-    if log._events is None:
-        unmatched = np.zeros(len(pids), bool)
-    else:
-        unmatched = _unmatched_rows(config, log._events.clocks, rebuilt)
-    differs = np.stack([held != derived for held, derived in pairs] + [unmatched])
-    if differs.any():
-        row = int(np.argmax(differs.any(axis=0)))
-        field = int(np.argmax(differs[:, row]))
-        if field == len(pairs):
-            raise ReplayError(f"gsn {row + 1}: replayed timestamps differ from the recorded ones")
-        held, derived = (_optional(int(column[row])) for column in pairs[field])
-        raise ReplayError(f"gsn {row + 1}: column {Events.COLUMNS[field]} holds {held}, replay derives {derived}")
+    rebuilt = _rebuilt_linkage(log)
+    unmatched = None if log._events is None else _unmatched_rows(log.config, log._events.clocks, rebuilt)
+    _refuse_mismatch(log.columns(), rebuilt, "replay derives", unmatched)

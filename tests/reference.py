@@ -16,7 +16,7 @@ import numpy as np
 from bloomclock import ConfusionCounts, compute_metrics, run, simulation
 from bloomclock.clocks import DigestTable
 from bloomclock.experiments import RunArtifact, aggregate_reports
-from bloomclock.simulation import SEND, Events, ReplayError, _check_links, _linkage_log, _optional, _stamp
+from bloomclock.simulation import _rebuilt_linkage, _refuse_mismatch, _stamp
 
 
 def broadcast_counts(events):
@@ -47,23 +47,13 @@ def reference_artifact(config, seeds, slice_spec) -> RunArtifact:
 def stamp_and_compare_replay(log) -> None:
     """The replay that stamps the rebuilt linkage with ``_stamp`` and compares each block with ``log._blocks()``.
 
-    Its guards, ``_check_links``, and its messages are ``replay_timestamps``'s; it reads
-    ``simulation._STAMP_CHUNK`` when called, so a patched block size holds.
+    Its guards, rebuild and messages are ``replay_timestamps``'s: only its row check differs.
+    It reads ``simulation._STAMP_CHUNK`` when called, so a patched block size holds.
     """
-    config, recorded = log.config, log.columns()
-    _check_links(recorded, config.entities)
-    _, pids, kinds, _, _, receivers, send_gsns = recorded
-    rebuilt = _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).columns()
-    pairs = list(zip(recorded, rebuilt))
-    stamps = np.zeros(len(pids), bool)
-    stamped = _stamp(config, rebuilt, DigestTable(config.seed), len(pids), [(config.m, config.k)])
-    for lo, (events, rows), block in zip(range(0, len(pids), simulation._STAMP_CHUNK), stamped, log._blocks()):
+    config, count = log.config, len(log)
+    rebuilt = _rebuilt_linkage(log)
+    stamps = np.zeros(count, bool)
+    stamped = _stamp(config, rebuilt, DigestTable(config.seed), count, [(config.m, config.k)])
+    for lo, (events, rows), block in zip(range(0, count, simulation._STAMP_CHUNK), stamped, log._blocks()):
         stamps[events] = (rows != block[events - lo]).any(axis=1)
-    differs = np.stack([held != derived for held, derived in pairs] + [stamps])
-    if differs.any():
-        row = int(np.argmax(differs.any(axis=0)))
-        field = int(np.argmax(differs[:, row]))
-        if field == len(pairs):
-            raise ReplayError(f"gsn {row + 1}: replayed timestamps differ from the recorded ones")
-        held, derived = (_optional(int(column[row])) for column in pairs[field])
-        raise ReplayError(f"gsn {row + 1}: column {Events.COLUMNS[field]} holds {held}, replay derives {derived}")
+    _refuse_mismatch(log.columns(), rebuilt, "replay derives", stamps)

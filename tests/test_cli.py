@@ -387,12 +387,14 @@ def test_trace_load_rejects_a_never_received_send_that_was_re_addressed(tmp_path
     parts = lines[199].split("|")
     assert parts[0] == "198" and parts[2] == "send" and parts[5] == "3"
     assert not any(line.split("|")[6] == "198" for line in lines[2:])
-    parts[5] = "5"
-    lines[199] = "|".join(parts)
-    path = tmp_path / "re-addressed.txt"
-    path.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert main(["trace", "--load", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "trace error: gsn 198: column receivers holds 5, the config's run records 3\n"
+    # An empty receiver field is an absent one, named as None.
+    for receiver, named in (("5", "5"), ("", "None")):
+        parts[5] = receiver
+        lines[199] = "|".join(parts)
+        path = tmp_path / "re-addressed.txt"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["trace", "--load", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"trace error: gsn 198: column receivers holds {named}, the config's run records 3\n"

@@ -480,6 +480,18 @@ def test_replay_rejects_a_process_receiving_its_own_send():
         replay_timestamps(log)
 
 
+@pytest.mark.parametrize("kind", [-1, 3])
+def test_replay_refuses_a_kind_code_outside_the_three_kinds(kind):
+    # Kind -1 would read back as KINDS[-1], a receive of no send, and kind 3 would not read back at all.
+    log = run(ExperimentConfig("complete", n=4, m=3, k=2, pr_i=0.5, seed=3, gsn_limit=30))
+    kinds = log.events.kinds.copy()
+    assert kinds[5] == INTERNAL
+    kinds[5] = kind
+    for replay in (replay_timestamps, stamp_and_compare_replay):
+        with pytest.raises(ReplayError, match=rf"^gsn 6: kind {kind} outside \[0, 3\)$"):
+            replay(_edited(log, "kinds", kinds))
+
+
 def _replay_message(replay, log):
     """The message of the ``ReplayError`` that ``replay(log)`` raises, or None if it raises none."""
     try:
@@ -525,6 +537,9 @@ def tampered_logs(draw):
 @example((ExperimentConfig("complete", n=8, m=4, k=2, seed=9, gsn_limit=200), 7, ("bloom", 7, 2, -1)))
 @example((ExperimentConfig("star", n=3, m=3, k=2, seed=5, messages_per_client=100), 1024, ("vector", 1024, 3, 2)))
 @example((ExperimentConfig("broadcast", n=33, m=5, k=3, seed=2), 1024, ("column", 1023, 6, 1)))
+# Kind -1 on the internal event at GSN 6, then kind 2 + k on the receive at GSN 3.
+@example((ExperimentConfig("complete", n=4, m=3, k=2, pr_i=0.5, seed=3, gsn_limit=30), 7, ("column", 5, 2, -1)))
+@example((ExperimentConfig("complete", n=4, m=3, k=2, pr_i=0.5, seed=3, gsn_limit=30), 1024, ("column", 2, 2, 2)))
 def test_replay_agrees_with_the_stamp_and_compare_reference(case):
     config, chunk, (part, row, index, delta) = case
     log = _edited(run(config))
@@ -539,8 +554,9 @@ def test_replay_agrees_with_the_stamp_and_compare_reference(case):
     with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
         message = _replay_message(replay_timestamps, log)
         assert message == _replay_message(stamp_and_compare_replay, log)
-    # A column edit can leave a valid linkage, such as a send never received sent elsewhere.
-    if part != "column":
+    # A column edit can leave a valid linkage, such as a send never received sent elsewhere;
+    # an edited kind cannot, since each kind fills the other columns in its own way.
+    if part != "column" or Events.COLUMNS[index] == "kinds":
         assert (message is None) == (part == "none")
 
 
