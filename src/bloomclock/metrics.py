@@ -9,8 +9,9 @@ The pairs are counted on packed bitsets rather than compared one by one:
 on one Bloom counter the events that dominate y form a suffix of that
 counter's sort order, so y's predicted set is the AND of m suffix rows
 (the Bitmap method of Tan, Eng & Ooi, VLDB 2001), and y's oracle set is
-packed the same way.  For a slice of S events that is O(m·S²/64) word
-operations and a few S²/8-byte bitsets, against S²·m counter comparisons.
+packed the same way, once per slice, since it does not depend on the Bloom
+clock's (m, k).  For a slice of S events that is O(m·S²/64) word operations
+per geometry and a few S²/8-byte bitsets, against S²·m counter comparisons.
 """
 
 from __future__ import annotations
@@ -128,22 +129,9 @@ def _popcount(bits: np.ndarray) -> int:
     return int(_BYTE_POPCOUNT[bits.view(np.uint8)].sum(dtype=np.int64))
 
 
-def confusion_counts(events: Events) -> ConfusionCounts:
-    """Classify every ordered pair of distinct events (both directions) on packed bitsets.
-
-    Row y of ``predicted`` packs the z whose Bloom clock dominates y's, bit z
-    in word z // 64.  On counter i those z are the events from y's value up
-    in the counter's sort order: a suffix, which one OR-accumulation over the
-    sort order yields for every y at once, so ``predicted`` is the AND of m
-    suffix rows per y.  y's oracle row is the Fidge/Mattern test
-    ``V_z[pid_y] >= V_y[pid_y]``, which holds for timestamps of one
-    execution, packed the same way in blocks of y.  All three counts are
-    popcounts, and fn counts the oracle pairs the Bloom test rejects.
-    """
-    count = len(events)
-    if count < 2:
-        raise ValueError(f"need at least two events to form pairs, got {count}")
-    pids, vecs, blooms = events.pids, events.vectors, events.blooms
+def _predicted_bits(blooms: np.ndarray) -> np.ndarray:
+    """Row y packs the z whose Bloom clock dominates y's, bit z in word z // 64: the AND of y's m suffix rows."""
+    count = len(blooms)
     words = (count + 63) >> 6
     predicted = np.full((count, words), np.iinfo(np.uint64).max, _WORD)
     # Counters in groups whose suffix bitsets hold about 1M words.  Keys
@@ -170,28 +158,40 @@ def confusion_counts(events: Events) -> ConfusionCounts:
         for counter in range(len(values)):
             predicted &= rows[counter]
         del rows
-    # Oracle rows in blocks of y, sorted by process so that a block reads the
-    # few clock columns its processes own; each block holds 1M cells.
-    own = vecs[np.arange(count), pids]
+    return predicted
+
+
+def _oracle_bits(pids: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Row y packs the z with ``V_z[pid_y] >= V_y[pid_y]`` (y -> z in one execution), as ``_predicted_bits`` packs."""
+    count = len(pids)
+    own = vectors[np.arange(count), pids]
     by_process = np.argsort(pids, kind="stable")
-    predicted_bytes = predicted.view(np.uint8)
-    width = (count + 7) >> 3
+    oracle = np.zeros((count, (count + 63) >> 6), _WORD)
+    # Blocks of 1M cells, of y sorted by process, read the few clock columns their processes own.
     block = max(1, (1 << 20) // count)
-    both = oracle_total = predicted_total = 0
     for lo in range(0, count, block):
         ys = by_process[lo : lo + block]
         columns, column_of = np.unique(pids[ys], return_inverse=True)
-        reached = vecs[:, columns].T[column_of] >= own[ys, None]  # [y, z]: y -> z
-        oracle = np.packbits(reached, axis=1, bitorder="little")
-        claimed = predicted_bytes[ys, :width]
-        both += _popcount(oracle & claimed)
-        oracle_total += _popcount(oracle)
-        predicted_total += _popcount(claimed)
-    # The diagonal (each event against itself) passes both tests; it is not a pair.
+        reached = vectors[:, columns].T[column_of] >= own[ys, None]  # [y, z]: y -> z
+        oracle.view(np.uint8)[ys, : (count + 7) >> 3] = np.packbits(reached, axis=1, bitorder="little")
+    return oracle
+
+
+def _counts(oracle: np.ndarray, predicted: np.ndarray) -> ConfusionCounts:
+    """Counts from three popcounts; the diagonal (each event against itself) passes both tests and is not a pair."""
+    count = len(oracle)
+    both = _popcount(oracle & predicted)
     tp = both - count
-    fp = predicted_total - both
-    fn = oracle_total - both
+    fp = _popcount(predicted) - both
+    fn = _popcount(oracle) - both
     return ConfusionCounts(tp, fp, count * (count - 1) - tp - fp - fn, fn)
+
+
+def confusion_counts(events: Events) -> ConfusionCounts:
+    """Classify every ordered pair of distinct events (both directions): y's oracle row against its prediction row."""
+    if len(events) < 2:
+        raise ValueError(f"need at least two events to form pairs, got {len(events)}")
+    return _counts(_oracle_bits(events.pids, events.vectors), _predicted_bits(events.blooms))
 
 
 def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
@@ -238,16 +238,15 @@ def causality_spread(counts: ConfusionCounts) -> float:
 def slice_metrics(
     log: ExecutionLog, geometries: Geometries, digests: DigestTable, spec: SliceSpec | None = None
 ) -> list[MetricsReport]:
-    """Report j classifies the slice at ``geometries[j]``; one stamp through ``digests`` serves all of them."""
+    """Report j classifies the slice at ``geometries[j]``; one stamp through ``digests`` and one oracle serve all."""
     wanted = log._wanted(_slice_grid(log, spec))
     if len(wanted) < 2:  # refused before the stamp, which would walk the log up to the slice
         raise ValueError(f"need at least two events to form pairs, got {len(wanted)}")
     clocks = log._scatter(wanted, geometries, digests)
-    columns = [column[wanted - 1] for column in log.columns()]
     entities = log.config.entities
+    oracle = _oracle_bits(log.columns()[1][wanted - 1], clocks[:, :entities])
     bounds = np.cumsum([entities, *(m for m, _ in geometries)]).tolist()
-    blocks = (np.hstack((clocks[:, :entities], clocks[:, lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
-    return [compute_metrics(confusion_counts(Events(columns, block, entities))) for block in blocks]
+    return [compute_metrics(_counts(oracle, _predicted_bits(clocks[:, lo:hi]))) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def probability_curve(

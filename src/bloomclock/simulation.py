@@ -245,7 +245,8 @@ class Events(Sequence[EventRecord]):
     builds records on demand; slicing returns another ``Events`` over numpy
     views, so ``log.events[1999:]`` copies nothing, and an integer array
     index returns a copy of its rows.  ``kinds`` holds indices
-    into ``KINDS``; absent sender, receiver and send_gsn are -1.  Row ``i``
+    into ``KINDS``, and building a record refuses any other code with
+    ``ReplayError``; absent sender, receiver and send_gsn are -1.  Row ``i``
     of ``clocks`` is event ``i``'s ``[vector | bloom]``, its first
     ``entities`` counters the vector clock; ``vectors`` and ``blooms`` are
     views of the two parts.
@@ -269,6 +270,7 @@ class Events(Sequence[EventRecord]):
 
     def _records(self, lo: int, hi: int) -> Iterator[EventRecord]:
         rows = slice(lo, hi)
+        _check_kinds(self.gsns[rows], self.kinds[rows])
         scalars = [column[rows].tolist() for column in self.columns()]
         vectors = self.vectors[rows].tolist()
         blooms = self.blooms[rows].tolist()
@@ -816,6 +818,11 @@ def _refuse(bad: np.ndarray, message: Callable[[int], str]) -> None:
         raise ReplayError(message(int(np.argmax(bad))))
 
 
+def _check_kinds(gsns: Sequence[int], kinds: np.ndarray) -> None:
+    """Refuse a kind code that does not index ``KINDS``, naming its event's GSN from ``gsns``."""
+    _refuse((kinds < 0) | (kinds >= len(KINDS)), lambda r: f"gsn {gsns[r]}: kind {kinds[r]} outside [0, {len(KINDS)})")
+
+
 def _gathered(clocks: np.ndarray, gsns: np.ndarray) -> np.ndarray:
     """A copy of the rows of ``gsns`` (from 1) in ``clocks``, with a zero row for GSN 0."""
     # GSN 0 reads the last row, then zeroes it.  Fancy indexing, not take:
@@ -857,7 +864,7 @@ def _unmatched_rows(config: ExperimentConfig, clocks: np.ndarray, columns: Seque
 def _check_links(columns: Sequence[np.ndarray], entities: int) -> None:
     """Refuse a linkage whose kinds, pids, receivers or send links no run could record (see ``replay_timestamps``)."""
     _, pids, kinds, _, _, receivers, send_gsns = columns
-    _refuse((kinds < 0) | (kinds >= len(KINDS)), lambda r: f"gsn {r + 1}: kind {kinds[r]} outside [0, {len(KINDS)})")
+    _check_kinds(range(1, len(kinds) + 1), kinds)
     _refuse((pids < 0) | (pids >= entities), lambda r: f"gsn {r + 1}: pid {pids[r]} outside [0, {entities})")
     _refuse(
         (kinds == SEND) & ((receivers < _ABSENT) | (receivers >= entities)),

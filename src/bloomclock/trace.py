@@ -70,8 +70,8 @@ def _kind_cells(cell: int) -> np.ndarray:
     return np.frombuffer(names, np.uint8).reshape(len(KINDS), _KIND_CELLS, cell)
 
 
-def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
-    """The trace lines of ``events``; ``separators`` holds the byte that ends each cell.
+def _chunk_bytes(columns: list[np.ndarray], clocks: np.ndarray, separators: np.ndarray) -> bytes:
+    """The trace lines of the rows ``columns`` and ``clocks``; ``separators`` holds the byte that ends each cell.
 
     Every cell has D digit slots and one separator slot, D being the digit
     count of the chunk's widest value plus a sign slot if a value is
@@ -82,11 +82,11 @@ def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
     one contiguous plane per slot, each then written into its slot of the
     cells.
     """
-    gsns, pids, kinds, *linkage = events.columns()
-    values = np.zeros((len(events), len(separators)), np.int32)
+    gsns, pids, kinds, *linkage = columns
+    values = np.zeros((len(clocks), len(separators)), np.int32)
     for cell, column in zip(_SCALAR_CELLS, (gsns, pids, *linkage)):
         values[:, cell] = column
-    values[:, _CLOCK_CELL:] = events.clocks
+    values[:, _CLOCK_CELL:] = clocks
     optional = values[:, _OPTIONAL_CELLS]
     absent = optional == -1
     optional[absent] = 0
@@ -94,7 +94,7 @@ def _chunk_bytes(events: Events, separators: np.ndarray) -> bytes:
     # abs maps the int32 minimum to itself, which reads as 2**31 in uint32.
     magnitudes = np.abs(values, out=values).view(np.uint32)
     width = max(len(str(magnitudes.max())) + bool(negative.any()), 2)
-    cells = np.empty((len(events), len(separators), width + 1), np.uint8)
+    cells = np.empty((len(clocks), len(separators), width + 1), np.uint8)
     cells[:, :, width] = separators
     plane = np.empty(values.shape, np.uint8)
     quotients = magnitudes
@@ -131,8 +131,10 @@ def persist_trace(log: ExecutionLog, path: str | Path) -> None:
 
     The rows come a block at a time from the log's one row stream, so
     persist holds one block of them and leaves an unstamped log unstamped.
+    A kind code that names no kind is refused before the file is opened.
     """
     config, columns = log.config, log.columns()
+    simulation._check_kinds(columns[0], columns[2])
     layout = _layout(config.entities, config.m)
     # The kind's pipe is written with its name, in the kind cells.
     separators = np.frombuffer(layout[:_KIND_CELL] + b"\0" * _KIND_CELLS + layout[_KIND_CELL + 1 :], np.uint8)
@@ -140,8 +142,7 @@ def persist_trace(log: ExecutionLog, path: str | Path) -> None:
         handle.write(_head(config) + b"\n")
         lo = 0
         for clocks in log._blocks():
-            chunk = Events([column[lo : lo + len(clocks)] for column in columns], clocks, config.entities)
-            handle.write(_chunk_bytes(chunk, separators))
+            handle.write(_chunk_bytes([column[lo : lo + len(clocks)] for column in columns], clocks, separators))
             lo += len(clocks)
 
 

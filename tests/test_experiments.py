@@ -121,11 +121,33 @@ def test_sweep_requires_widths_and_ns():
             "broadcast", n_values=(5, 9), m_values=(2,), m_ratios=(0.5,), k_values=(1, 2), seeds=(5, 6, 7),
             slice_spec=SliceSpec(start_gsn=1, stride=2),
         ),
+        # Slices of S events, S from 2 across byte and word edges of the bitset rows; at m=1 many
+        # Bloom clocks are equal.
+        *(
+            pytest.param(
+                SweepSpec(
+                    "complete", n_values=(5,), m_values=(1, 4, 9), k_values=(1, 3), pr_i_values=(0.0, 0.6),
+                    seeds=(4,), gsn_limit=300, slice_spec=SliceSpec(start_gsn=300 - 2 * (size - 1), stride=2),
+                ),
+                id=f"slice-of-{size}",
+            )
+            for size in (2, 7, 9, 63, 65, 127, 129)
+        ),
+        # The first nine events of this seed are internal events of nine processes: no pair is
+        # causally related, and at m=1 every Bloom clock is (k,), so every pair is a false positive.
+        pytest.param(
+            SweepSpec(
+                "complete", n_values=(32,), m_values=(1, 2, 5), k_values=(1, 3), pr_i_values=(1.0,), seeds=(1,),
+                gsn_limit=9, slice_spec=SliceSpec(start_gsn=1, stride=1),
+            ),
+            id="concurrent-slice",
+        ),
     ],
     ids=lambda spec: spec.topology,
 )
 def test_a_sweep_equals_its_cells_run_one_by_one(spec):
-    # Each (n, pr_i) group's linkages are recorded once and stamped once for every (m, k).
+    # Each (n, pr_i) group's linkages are recorded once and stamped once for every (m, k), and
+    # each (m, k) is classified against the group's one oracle.
     _check_against_the_reference(spec)
 
 

@@ -481,15 +481,20 @@ def test_replay_rejects_a_process_receiving_its_own_send():
 
 
 @pytest.mark.parametrize("kind", [-1, 3])
-def test_replay_refuses_a_kind_code_outside_the_three_kinds(kind):
+def test_replay_refuses_a_kind_code_outside_the_three_kinds(kind, tmp_path):
     # Kind -1 would read back as KINDS[-1], a receive of no send, and kind 3 would not read back at all.
+    # Persist and record reading, which do not replay first, refuse it the same way.
     log = run(ExperimentConfig("complete", n=4, m=3, k=2, pr_i=0.5, seed=3, gsn_limit=30))
     kinds = log.events.kinds.copy()
     assert kinds[5] == INTERNAL
     kinds[5] = kind
-    for replay in (replay_timestamps, stamp_and_compare_replay):
+    path = tmp_path / "trace.txt"
+    persist = lambda edited: persist_trace(edited, path)  # noqa: E731
+    readers = (persist, lambda edited: list(edited.events), lambda edited: edited.events[5])
+    for read in (replay_timestamps, stamp_and_compare_replay, *readers):
         with pytest.raises(ReplayError, match=rf"^gsn 6: kind {kind} outside \[0, 3\)$"):
-            replay(_edited(log, "kinds", kinds))
+            read(_edited(log, "kinds", kinds))
+    assert not path.exists()
 
 
 def _replay_message(replay, log):
