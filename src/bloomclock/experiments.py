@@ -10,7 +10,6 @@ reruns stay byte-identical.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import struct
@@ -25,6 +24,8 @@ from .metrics import CurveRow, MetricsReport, SliceSpec, slice_metrics
 from .simulation import ExperimentConfig, run
 
 CURVE_HEADER = ("z_gsn", "pr_p", "pr_fp_step", "pr_fp_smooth", "outcome")
+# The pair outcomes a curve row may name.
+CURVE_OUTCOMES = ("TP", "FP", "TN", "FN")
 METRIC_FIELDS = ("precision", "accuracy", "recall", "fpr", "alpha")
 
 
@@ -232,29 +233,24 @@ def write_curve_csv(rows: Iterable[CurveRow], path: str | Path) -> None:
 
 
 def curve_lines(rows: Iterable[CurveRow], ending: str) -> Iterator[str]:
-    """The curve CSV's header and rows as ``csv.writer`` writes them, each line ending in ``ending``.
+    """The curve CSV's header and rows, comma-joined, each line ending in ``ending``.
 
-    Floats are written with ``repr`` so the file round-trips losslessly.  A
-    curve has few distinct (pr_p, pr_fp_step, pr_fp_smooth, outcome) tails,
-    so each tail goes through the csv writer once and is reused after the
-    row's z_gsn.  The tails are keyed by the floats' bit patterns, which
-    tell -0.0 from 0.0 and let a NaN match itself.
+    Floats are written with ``repr`` so the file round-trips losslessly.
+    No field needs CSV quoting, as each is an integer, a float ``repr`` or
+    one of ``CURVE_OUTCOMES``; any other outcome is refused.  A curve has
+    few distinct (pr_p, pr_fp_step, pr_fp_smooth, outcome) tails, so each
+    tail is joined once and reused after the row's z_gsn.  The tails are
+    keyed by the floats' bit patterns, which tell -0.0 from 0.0 and let a
+    NaN match itself.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator=ending)
-
-    def line(fields) -> str:
-        writer.writerow(fields)
-        text = buffer.getvalue()
-        buffer.seek(0)
-        buffer.truncate()
-        return text
-
-    yield line(CURVE_HEADER)
+    yield ",".join(CURVE_HEADER) + ending
     tails: dict[tuple[bytes, str], str] = {}
     for row in rows:
         key = (_pack_floats(row.pr_p, row.pr_fp_step, row.pr_fp_smooth), row.outcome)
         tail = tails.get(key)
         if tail is None:
-            tail = tails[key] = line((repr(row.pr_p), repr(row.pr_fp_step), repr(row.pr_fp_smooth), row.outcome))
+            if row.outcome not in CURVE_OUTCOMES:
+                raise ValueError(f"outcome {row.outcome!r} is not one of {CURVE_OUTCOMES}")
+            fields = (repr(row.pr_p), repr(row.pr_fp_step), repr(row.pr_fp_smooth), row.outcome)
+            tail = tails[key] = ",".join(fields) + ending
         yield f"{row.z_gsn},{tail}"

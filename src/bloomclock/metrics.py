@@ -28,7 +28,7 @@ from .errors import ConfigurationError
 # wraps ``metrics.classify_probabilities``, so the name stays bound.
 from .probability import classify_probabilities  # noqa: F401
 from .probability import false_positive_probabilities, pr_positive_by_sum
-from .simulation import EventRecord, Events, ExecutionLog, Geometries
+from .simulation import EventRecord, Events, ExecutionLog, Geometries, _by_process
 
 # Bitsets are little-endian 64-bit words, so bit z of a row sits in byte
 # z // 8 of its byte view, as ``np.packbits(..., bitorder="little")`` lays it.
@@ -165,7 +165,7 @@ def _oracle_bits(pids: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Row y packs the z with ``V_z[pid_y] >= V_y[pid_y]`` (y -> z in one execution), as ``_predicted_bits`` packs."""
     count = len(pids)
     own = vectors[np.arange(count), pids]
-    by_process = np.argsort(pids, kind="stable")
+    by_process = _by_process(pids)
     oracle = np.zeros((count, (count + 63) >> 6), _WORD)
     # Blocks of 1M cells, of y sorted by process, read the few clock columns their processes own.
     block = max(1, (1 << 20) // count)

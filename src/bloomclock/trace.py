@@ -14,16 +14,19 @@ header lines.  Persisting reads the log's rows from
 block with its columns as bytes in numpy, without building records or
 strings; an unstamped log is stamped block by block and stays unstamped.
 
-Loading reads the file once.  A file as ``persist_trace`` writes it for
-a run is decoded ``simulation._STAMP_CHUNK`` lines at a time, the row
-stream's block size, straight into the rows: its first two lines are
-byte for byte the ones persist writes for its config, and every record
-holds its separators in persist's layout, a kind name in the kind
-field, nothing in an absent sender, receiver or send_gsn, and 1 to 9
-ASCII digits in every other field.  Any other file goes whole through
-the line parser, which is the only source of ``TraceParseError`` and
-names the first bad line.  Either parser fills one int32 matrix, a row
-per line in field order, and the log views it.
+Loading reads the file once, in one loop over chunks of
+``simulation._STAMP_CHUNK`` lines, the row stream's block size.  A line
+is the bytes before a newline, with one ``\\r`` before it dropped, and is
+decoded as UTF-8 on its own; a blank record line holds no event.  The
+config and header lines are read first.  Each chunk of records is then
+decoded straight into the rows if every record holds its separators in
+persist's layout, a kind name in the kind field, nothing in an absent
+sender, receiver or send_gsn, and 1 to 9 ASCII digits in every other
+field.  A chunk the decoder declines goes through the line parser one
+line at a time.  The line parser reads any chunk the decoder accepts to
+the same rows, so it is the only source of ``TraceParseError``, which
+names the file's first bad line.  Both fill one int32 matrix, a row per
+record in field order, and the log views it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ _SCALAR_CELLS = (0, 1, 5, 6, 7, 8)
 _OPTIONAL_CELLS = slice(6, 9)
 _CLOCK_CELL = 9
 _POWERS_OF_TEN = 10 ** np.arange(1, 10, dtype=np.int64)
-_NEWLINE, _PIPE, _COMMA, _MINUS, _ZERO = b"\n|,-0"
+_NEWLINE, _CARRIAGE_RETURN, _PIPE, _COMMA, _MINUS, _ZERO = b"\n\r|,-0"
 # The reader's field positions, each kind's name, and the place value of
 # each of the at most 9 digits it reads in a field.
 _KIND_FIELD = _FIELDS.index("kind")
@@ -146,15 +149,26 @@ def persist_trace(log: ExecutionLog, path: str | Path) -> None:
             lo += len(clocks)
 
 
-def _read_config(lines: list[str]) -> ExperimentConfig:
-    """The run configuration on line 1, after checking the header on line 2."""
-    if not lines or not lines[0].startswith(_CONFIG_PREFIX):
+def _line(data: bytes, start: int, stop: int, lineno: int) -> str:
+    """Line ``lineno``, the bytes ``data[start:stop]`` before a newline, as text, less one ``\\r`` at its end."""
+    if stop > start and data[stop - 1] == _CARRIAGE_RETURN:
+        stop -= 1
+    try:
+        return data[start:stop].decode()
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"line {lineno}: byte {data[start + exc.start]:#04x} is not UTF-8 text") from exc
+
+
+def _read_config(data: bytes, ends: np.ndarray) -> ExperimentConfig:
+    """The run configuration on line 1, after checking the header on line 2; ``ends`` holds each newline's position."""
+    first = _line(data, 0, ends[0], 1)
+    if not first.startswith(_CONFIG_PREFIX):
         raise TraceParseError("line 1: missing config line")
     try:
-        config = ExperimentConfig(**json.loads(lines[0][len(_CONFIG_PREFIX):]))
+        config = ExperimentConfig(**json.loads(first[len(_CONFIG_PREFIX) :]))
     except (TypeError, ValueError, RecursionError) as exc:  # json.loads recurses once per nested bracket
         raise TraceParseError(f"line 1: bad config: {exc}") from exc
-    if len(lines) < 2 or lines[1] != _HEADER:
+    if len(ends) < 2 or _line(data, ends[0] + 1, ends[1], 2) != _HEADER:
         raise TraceParseError(f"line 2: expected header {_HEADER!r}")
     return config
 
@@ -207,19 +221,6 @@ def _log(config: ExperimentConfig, rows: np.ndarray) -> ExecutionLog:
     return ExecutionLog(config, Events(list(rows[:, :width].T), rows[:, width:], config.entities))
 
 
-def _parse_lines(text: str) -> ExecutionLog:
-    """The line parser: the reference for the bulk path and the source of every error message."""
-    lines = text.splitlines()
-    config = _read_config(lines)
-    numbered = [(lineno, line) for lineno, line in enumerate(lines[2:], start=3) if line]
-    rows = np.empty((len(numbered), len(Events.COLUMNS) + config.entities + config.m), np.int32)
-    chunk = simulation._STAMP_CHUNK
-    for lo in range(0, len(numbered), chunk):
-        parsed = [_parse_record(line, lineno, config.entities, config.m) for lineno, line in numbered[lo : lo + chunk]]
-        rows[lo : lo + len(parsed)] = parsed
-    return _log(config, rows)
-
-
 def _decode_chunk(text: np.ndarray, start: int, stop: int, out: np.ndarray, layout: np.ndarray) -> bool:
     """Read the lines of ``text[start:stop]``, each ending in a newline, into ``out``, a row a line; False if declined.
 
@@ -268,46 +269,35 @@ def _decode_chunk(text: np.ndarray, start: int, stop: int, out: np.ndarray, layo
     return named == len(out)
 
 
-def _parse_bulk(data: bytes) -> ExecutionLog | None:
-    """The log of a trace as ``persist_trace`` writes it, read by ``_decode_chunk``, or None for the line parser."""
+def load_trace(path: str | Path) -> ExecutionLog:
+    """Read a trace written by ``persist_trace``; a ``TraceParseError`` names the file's first bad line.
+
+    The records are read ``simulation._STAMP_CHUNK`` lines at a time:
+    ``_decode_chunk`` reads a chunk in persist's layout, and
+    ``_parse_record`` reads each line of a chunk it declines.  The decoder
+    may have written into a chunk's rows before it declines it, so the
+    line parser writes them again from the last filled row.
+    """
+    data = Path(path).read_bytes()
     if not data.endswith(b"\n"):  # a last line without a newline ends with the file
         data += b"\n"
     text = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(text == _NEWLINE)
-    if len(ends) < 2:
-        return None
-    head = data[: ends[1]]
-    try:
-        config = _read_config(head.decode().split("\n"))
-    except (UnicodeDecodeError, TraceParseError):
-        return None
-    if head != _head(config):
-        return None
+    config = _read_config(data, ends)
     layout = np.frombuffer(_layout(config.entities, config.m), np.uint8)
     rows = np.empty((len(ends) - 2, len(layout)), np.int32)
-    chunk = simulation._STAMP_CHUNK
-    for lo in range(0, len(rows), chunk):
-        hi = min(lo + chunk, len(rows))
-        if not _decode_chunk(text, ends[lo + 1] + 1, ends[hi + 1] + 1, rows[lo:hi], layout):
-            return None
-    return _log(config, rows)
-
-
-def load_trace(path: str | Path) -> ExecutionLog:
-    """Read a trace written by ``persist_trace``.
-
-    The bulk path reads a well-formed file; any other goes through the
-    line parser, whose ``TraceParseError`` names the first bad line.
-    """
-    data = Path(path).read_bytes()
-    log = _parse_bulk(data)
-    return log if log is not None else _parse_lines(_text(data))
-
-
-def _text(data: bytes) -> str:
-    """``data`` decoded as UTF-8; a byte that is not names its line."""
-    try:
-        return data.decode()
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise TraceParseError(f"line {lineno}: byte {data[exc.start]:#04x} is not UTF-8 text") from exc
+    filled = 0
+    for lo in range(2, len(ends), simulation._STAMP_CHUNK):
+        # The chunk's lines lie between the newline before it and each of their own.
+        bounds = ends[lo - 1 : lo + simulation._STAMP_CHUNK]
+        out = rows[filled : filled + len(bounds) - 1]
+        if _decode_chunk(text, bounds[0] + 1, bounds[-1] + 1, out, layout):
+            filled += len(out)
+            continue
+        bounds = bounds.tolist()
+        for lineno, (before, end) in enumerate(zip(bounds, bounds[1:]), start=lo + 1):
+            line = _line(data, before + 1, end, lineno)
+            if line:  # a blank line holds no record
+                rows[filled] = _parse_record(line, lineno, config.entities, config.m)
+                filled += 1
+    return _log(config, rows[:filled])

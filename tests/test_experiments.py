@@ -29,7 +29,7 @@ from bloomclock import (
 )
 from bloomclock import experiments, simulation
 from bloomclock.clocks import DigestTable
-from bloomclock.experiments import CURVE_HEADER, sweep_table
+from bloomclock.experiments import CURVE_HEADER, CURVE_OUTCOMES, sweep_table
 from bloomclock.metrics import CurveRow
 from reference import reference_artifact
 
@@ -319,8 +319,15 @@ def curve_rows(draw):
 @example([CurveRow(1, 0.0, -0.0, 0.0, "TN"), CurveRow(2, -0.0, 0.0, -0.0, "TN"), CurveRow(3, 0.0, -0.0, 0.0, "TN")])
 @example([CurveRow(1, math.nan, math.inf, -math.inf, "FP"), CurveRow(2, 5e-324, math.nan, math.nan, 'q"a,b')])
 def test_curve_csv_matches_per_row_writer(rows):
+    # The writer joins the fields unquoted, so it refuses any outcome but
+    # the four; the rows with each other outcome renamed FN give csv's bytes.
+    named = [row if row.outcome in CURVE_OUTCOMES else row._replace(outcome="FN") for row in rows]
     with tempfile.TemporaryDirectory() as scratch:
         expected, written = Path(scratch, "expected.csv"), Path(scratch, "written.csv")
-        _write_curve_csv_per_row(rows, expected)
-        write_curve_csv(rows, written)
+        _write_curve_csv_per_row(named, expected)
+        write_curve_csv(named, written)
         assert written.read_bytes() == expected.read_bytes()
+        for row in rows:
+            if row.outcome not in CURVE_OUTCOMES:
+                with pytest.raises(ValueError, match=r"^outcome .* is not one of \('TP', 'FP', 'TN', 'FN'\)$"):
+                    write_curve_csv([row], written)

@@ -29,6 +29,22 @@ from bloomclock.cli import main
 from bloomclock.simulation import _STAMP_CHUNK, KINDS, Events
 
 
+def _decline(text, start, stop, out, layout):
+    """A ``_decode_chunk`` that writes into its rows and then declines the chunk."""
+    out[:] = -7
+    return False
+
+
+def _load_line_by_line(path):
+    """``load_trace`` with the decoder declining every chunk, so ``_parse_record`` reads every line."""
+    with mock.patch.object(trace_module, "_decode_chunk", _decline):
+        return load_trace(path)
+
+
+def _no_line_parser(line, lineno, entities, m):
+    raise AssertionError(f"line {lineno} went through the line parser")
+
+
 @pytest.mark.parametrize("topology,n", [("complete", 15), ("star", 8), ("broadcast", 10)])
 def test_round_trip(tmp_path, topology, n):
     log = run(ExperimentConfig(topology, n=n, m=4, k=2, seed=27))
@@ -56,7 +72,7 @@ def test_clock_views_share_one_matrix(tmp_path):
         (stamped, stamped),
         (run(config).select(range(5, 50, 3)), stamped[4:49:3]),
         (load_trace(path).events, stamped),
-        (trace_module._parse_lines(path.read_text()).events, stamped),
+        (_load_line_by_line(path).events, stamped),
     ]:
         assert events == expected
         for part in (events, events[1:9:2], events[np.array([0, 2])]):
@@ -368,20 +384,15 @@ def _assert_same_log(actual, expected):
 
 
 def _assert_loads_like_the_line_parser(path):
-    """``load_trace`` equals the line parser's log or raises its message; returns that log or None."""
-    data = path.read_bytes()
-    bulk = trace_module._parse_bulk(data)
+    """``load_trace`` equals its log read line by line or raises its message; returns that log or None."""
     try:
-        reference = trace_module._parse_lines(data.decode())
+        reference = _load_line_by_line(path)
     except TraceParseError as exc:
-        assert bulk is None
         with pytest.raises(TraceParseError) as caught:
             load_trace(path)
         assert str(caught.value) == str(exc)
         return None
     _assert_same_log(load_trace(path), reference)
-    if bulk is not None:
-        _assert_same_log(bulk, reference)
     return reference
 
 
@@ -441,6 +452,17 @@ def _shift_one_field(lines):
     return "\n".join(lines) + "\n"
 
 
+def _end_line_and_add_a_field(ended, ending, widened):
+    """An edit that ends file line ``ended`` in ``ending`` and gives line ``widened`` a tenth field."""
+
+    def apply(lines):
+        lines[ended - 1] += ending
+        lines[widened - 1] += "|0"
+        return "\n".join(lines) + "\n"
+
+    return apply
+
+
 def _shift_one_counter(lines):
     lines[4] += ",0"
     lines[5] = lines[5].rsplit(",", 1)[0]
@@ -458,8 +480,10 @@ def _shift_one_counter(lines):
         (_swap_comma_and_pipe, "line 4: vector clock has 1 components, expected 4"),
         (_shift_one_counter, "line 5: Bloom clock has 4 counters, expected m=3"),
         (_shift_one_field, "line 5: expected 9 fields, got 10"),
-        (_edit_field(6, 8, lambda v: v.replace(",", ",\r", 1)), "line 6: invalid literal for int() with base 10: ''"),
-        (lambda lines: "\n".join([lines[0].replace("{", "{\r", 1)] + lines[1:]) + "\n", None),
+        (_edit_field(6, 8, lambda v: v.replace(",", ",\r", 1)), "same"),
+        (lambda lines: "\n".join([lines[0].replace("{", "{\r", 1)] + lines[1:]) + "\n", "same"),
+        # With no newline the file is one line, and the JSON of its config ends at the first \r.
+        (lambda lines: "\r".join(lines) + "\r", "line 1: bad config: Extra data: line 1 column 120 (char 119)"),
         (lambda lines: "\n".join(lines[:4] + ["", ""] + lines[4:]) + "\n", "same"),
         (lambda lines: "\n".join(lines), "same"),
         (lambda lines: "\r\n".join(lines) + "\r\n", "same"),
@@ -470,23 +494,28 @@ def _shift_one_counter(lines):
         (_edit_field(3, 2, lambda _: "recieve"), "line 3: unknown event kind 'recieve'"),
         (_edit_first_counter("007"), 7),
         (_edit_first_counter("+7"), 7),
+        (_end_line_and_add_a_field(4, "\f", 10), "line 10: expected 9 fields, got 10"),
+        (_end_line_and_add_a_field(4, "\u2028", 10), "line 10: expected 9 fields, got 10"),
+        (_end_line_and_add_a_field(30, "\udcff", 5), "line 5: expected 9 fields, got 10"),
     ],
     ids=[
         "kind-code", "kind-sentinel", "bare-minus", "negative-sender", "empty-sentinel-in-sender",
         "comma-pipe-swap", "balanced-counter-shift", "balanced-field-shift", "carriage-return-in-record",
-        "carriage-return-in-config", "blank-lines", "no-trailing-newline", "crlf", "header-only",
-        "65541-digit-counter", "int32-max-counter", "int32-max-plus-one-counter", "seven-letter-non-kind",
-        "leading-zeros", "plus-sign",
+        "carriage-return-in-config", "lone-carriage-returns", "blank-lines", "no-trailing-newline", "crlf",
+        "header-only", "65541-digit-counter", "int32-max-counter", "int32-max-plus-one-counter",
+        "seven-letter-non-kind", "leading-zeros", "plus-sign", "form-feed-before-bad-line",
+        "line-separator-before-bad-line", "non-utf8-after-bad-line",
     ],
 )
 def test_hand_edited_traces_load_like_the_line_parser(tmp_path, persisted, edit, expected):
     traces, _ = persisted
     original = traces["complete"]
     path = tmp_path / "edited.txt"
-    path.write_text(edit(original.decode().splitlines()), newline="")
+    # A lone surrogate such as "\udcff" is written as the byte it escapes.
+    path.write_text(edit(original.decode().splitlines()), newline="", errors="surrogateescape")
     loaded = _assert_loads_like_the_line_parser(path)
     if expected == "same":
-        _assert_same_log(loaded, trace_module._parse_lines(original.decode()))
+        _assert_same_log(loaded, run(MUTATED_CONFIGS["complete"]))
     elif expected == "empty":
         assert loaded.config == MUTATED_CONFIGS["complete"] and len(loaded.events) == 0
     elif isinstance(expected, int):
@@ -498,6 +527,20 @@ def test_hand_edited_traces_load_like_the_line_parser(tmp_path, persisted, edit,
         assert expected is None or str(caught.value) == expected
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_a_declined_chunk_after_blank_lines_fills_the_next_rows(tmp_path, monkeypatch, persisted, chunk):
+    # Blank lines fill no row, so the rows of a later declined chunk start
+    # at the last filled row, not at the chunk's first line.
+    traces, _ = persisted
+    lines = traces["complete"].split(b"\n")
+    lines[4:4] = [b"", b""]
+    lines[20] += b"\r"
+    path = tmp_path / "edited.txt"
+    path.write_bytes(b"\n".join(lines))
+    monkeypatch.setattr(simulation, "_STAMP_CHUNK", chunk)
+    _assert_same_log(load_trace(path), run(MUTATED_CONFIGS["complete"]))
+
+
 def _with_negative_values(log):
     """``log`` with a negative gsn, pid and counter, which persist writes with a ``-``."""
     columns = [column.copy() for column in log.events.columns()]
@@ -507,7 +550,7 @@ def _with_negative_values(log):
 
 
 @pytest.mark.parametrize("variant", ["two-spaces-after-config", "config-keys-in-field-order", "negative-values"])
-def test_files_unlike_a_persisted_run_go_to_the_line_parser(tmp_path, variant):
+def test_files_unlike_a_persisted_run_go_to_the_line_parser(tmp_path, monkeypatch, variant):
     log = run(MUTATED_CONFIGS["complete"])
     path = tmp_path / "trace.txt"
     if variant == "negative-values":
@@ -521,11 +564,15 @@ def test_files_unlike_a_persisted_run_go_to_the_line_parser(tmp_path, variant):
         else:
             config_line = f"#config {json.dumps(asdict(log.config))}".encode()
         path.write_bytes(config_line + b"\n" + rest)
-    data = path.read_bytes()
-    assert trace_module._parse_bulk(data) is None
     loaded = load_trace(path)
-    _assert_same_log(loaded, trace_module._parse_lines(data.decode()))
+    _assert_same_log(loaded, _load_line_by_line(path))
     assert loaded == log
+    monkeypatch.setattr(trace_module, "_parse_record", _no_line_parser)
+    if variant == "negative-values":  # a signed value is the line parser's to read
+        with pytest.raises(AssertionError, match="went through the line parser"):
+            load_trace(path)
+    else:  # the decoder reads the records whatever the config line's spacing or key order
+        assert load_trace(path) == log
 
 
 @pytest.mark.parametrize(
@@ -538,13 +585,10 @@ def test_files_unlike_a_persisted_run_go_to_the_line_parser(tmp_path, variant):
     ids=[*MUTATED_CONFIGS, "empty", "two-chunks"],
 )
 def test_clean_trace_never_reaches_the_line_parser(tmp_path, monkeypatch, config, empty):
-    def no_line_parser(text):
-        raise AssertionError("a clean trace went through the line parser")
-
     log = ExecutionLog(config, run(config).events[:0]) if empty else run(config)
     path = tmp_path / "trace.txt"
     persist_trace(log, path)
-    monkeypatch.setattr(trace_module, "_parse_lines", no_line_parser)
+    monkeypatch.setattr(trace_module, "_parse_record", _no_line_parser)
     assert load_trace(path) == log
     path.write_bytes(path.read_bytes().rstrip(b"\n"))  # a file whose last line has no newline
     assert load_trace(path) == log
@@ -556,9 +600,6 @@ def test_the_decoder_reads_every_digit_place(tmp_path, monkeypatch):
     The products of digit and place are int32 whatever numpy's promotion
     rules: a uint8 product would read 300 as 44 and 70000 as 4464.
     """
-    def no_line_parser(text):
-        raise AssertionError("a persisted trace went through the line parser")
-
     log = run(MUTATED_CONFIGS["complete"])
     clocks = log.events.clocks.copy()
     values = [999_999_999, 300, 70_000, 123_456_789, 9, 80, 255, 256, 65_536, 4_000_000, 50_000_000]
@@ -566,7 +607,7 @@ def test_the_decoder_reads_every_digit_place(tmp_path, monkeypatch):
     log = ExecutionLog(log.config, Events(log.events.columns(), clocks, log.config.entities))
     path = tmp_path / "trace.txt"
     persist_trace(log, path)
-    monkeypatch.setattr(trace_module, "_parse_lines", no_line_parser)
+    monkeypatch.setattr(trace_module, "_parse_record", _no_line_parser)
     loaded = load_trace(path)
     assert loaded == log
     assert loaded.events.clocks.flat[: len(values)].tolist() == values
