@@ -112,8 +112,6 @@ _CHUNK = 256
 # _stamp walks, hashes and yields blocks of this many consecutive GSNs;
 # fewer mean more, narrower levels.
 _STAMP_CHUNK = 1024
-# _row_plan converts its arrays to Python ints this many at a time.
-_PLAN_CHUNK = 1 << 16
 # The (m, k) of each Bloom clock a stamp ticks: its width and hash count.
 Geometries = Sequence[tuple[int, int]]
 
@@ -379,11 +377,17 @@ class ExecutionLog:
         return Events([column[wanted - 1] for column in self._columns], clocks, config.entities)
 
     def _scatter(self, wanted: np.ndarray, geometries: Geometries, digests: DigestTable) -> np.ndarray:
-        """The ``_stamp`` rows of the increasing GSNs ``wanted`` at ``geometries``, picked from its chunks."""
-        config = self.config
+        """The ``_stamp`` rows of the increasing GSNs ``wanted`` at ``geometries``, picked from its chunks.
+
+        A log that holds rows was recorded: its linkage is stamped as replay guards and rebuilds it.
+        """
+        config, columns = self.config, self._columns
+        if self._events is not None:
+            columns = _rebuilt_linkage(self)
+            _refuse_mismatch(self._columns, columns, "replay derives")
         clocks = np.empty((len(wanted), config.entities + sum(m for m, _ in geometries)), _DTYPE)
         count = int(wanted[-1]) if len(wanted) else 0
-        for positions, rows in _stamp(config, self._columns, digests, count, geometries):
+        for positions, rows in _stamp(config, columns, digests, count, geometries):
             # Every position lies below count = wanted[-1], so its insertion point is a row of clocks.
             at = np.searchsorted(wanted, positions + 1)
             kept = wanted[at] == positions + 1
@@ -432,11 +436,6 @@ def _previous(pids: np.ndarray) -> np.ndarray:
     previous = np.zeros(len(pids), _DTYPE)
     previous[by_pid[1:][follows]] = by_pid[:-1][follows] + 1
     return previous
-
-
-def _ints(values: np.ndarray) -> Iterator[int]:
-    """The items of ``values`` as Python ints, converted ``_PLAN_CHUNK`` at a time."""
-    return chain.from_iterable(values[lo : lo + _PLAN_CHUNK].tolist() for lo in range(0, len(values), _PLAN_CHUNK))
 
 
 def _row_plan(
@@ -506,7 +505,7 @@ def _row_plan(
     free: list[int] = []
     taken = [0] * len(held)
     top = 1 + entities
-    for op in _ints(ops):
+    for op in memoryview(ops):  # an int at a time: a list of all of them is 35 MB at n=1000
         if op < 0:
             free.append(taken[~op])
         elif free:

@@ -14,19 +14,20 @@ header lines.  Persisting reads the log's rows from
 block with its columns as bytes in numpy, without building records or
 strings; an unstamped log is stamped block by block and stays unstamped.
 
-Loading reads the file once, in one loop over chunks of
-``simulation._STAMP_CHUNK`` lines, the row stream's block size.  A line
-is the bytes before a newline, with one ``\\r`` before it dropped, and is
-decoded as UTF-8 on its own; a blank record line holds no event.  The
-config and header lines are read first.  Each chunk of records is then
-decoded straight into the rows if every record holds its separators in
-persist's layout, a kind name in the kind field, nothing in an absent
-sender, receiver or send_gsn, and 1 to 9 ASCII digits in every other
-field.  A chunk the decoder declines goes through the line parser one
-line at a time.  The line parser reads any chunk the decoder accepts to
-the same rows, so it is the only source of ``TraceParseError``, which
-names the file's first bad line.  Both fill one int32 matrix, a row per
-record in field order, and the log views it.
+Loading reads every ``\\r\\n`` of the file as ``\\n``, then reads the
+file once, in one loop over chunks of ``simulation._STAMP_CHUNK`` lines,
+the row stream's block size.  A line is the bytes before a newline, for
+the decoder and the line parser alike, and is decoded as UTF-8 on its
+own; a blank record line holds no event.  The config and header lines
+are read first.  Each chunk of records is then decoded straight into the
+rows if every record holds its separators in persist's layout, a kind
+name in the kind field, nothing in an absent sender, receiver or
+send_gsn, and 1 to 9 ASCII digits in every other field.  A chunk the
+decoder declines goes through the line parser one line at a time.  The
+line parser reads any chunk the decoder accepts to the same rows, so it
+is the only source of ``TraceParseError``, which names the file's first
+bad line.  Both fill one int32 matrix, a row per record in field order,
+and the log views it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ _SCALAR_CELLS = (0, 1, 5, 6, 7, 8)
 _OPTIONAL_CELLS = slice(6, 9)
 _CLOCK_CELL = 9
 _POWERS_OF_TEN = 10 ** np.arange(1, 10, dtype=np.int64)
-_NEWLINE, _CARRIAGE_RETURN, _PIPE, _COMMA, _MINUS, _ZERO = b"\n\r|,-0"
+_NEWLINE, _PIPE, _COMMA, _MINUS, _ZERO = b"\n|,-0"
 # The reader's field positions, each kind's name, and the place value of
 # each of the at most 9 digits it reads in a field.
 _KIND_FIELD = _FIELDS.index("kind")
@@ -150,9 +151,7 @@ def persist_trace(log: ExecutionLog, path: str | Path) -> None:
 
 
 def _line(data: bytes, start: int, stop: int, lineno: int) -> str:
-    """Line ``lineno``, the bytes ``data[start:stop]`` before a newline, as text, less one ``\\r`` at its end."""
-    if stop > start and data[stop - 1] == _CARRIAGE_RETURN:
-        stop -= 1
+    """Line ``lineno``, the bytes ``data[start:stop]`` before a newline, as text."""
     try:
         return data[start:stop].decode()
     except UnicodeDecodeError as exc:
@@ -272,15 +271,16 @@ def _decode_chunk(text: np.ndarray, start: int, stop: int, out: np.ndarray, layo
 def load_trace(path: str | Path) -> ExecutionLog:
     """Read a trace written by ``persist_trace``; a ``TraceParseError`` names the file's first bad line.
 
-    The records are read ``simulation._STAMP_CHUNK`` lines at a time:
-    ``_decode_chunk`` reads a chunk in persist's layout, and
-    ``_parse_record`` reads each line of a chunk it declines.  The decoder
-    may have written into a chunk's rows before it declines it, so the
-    line parser writes them again from the last filled row.
+    Each ``\\r\\n`` becomes ``\\n`` in one copy of a file that holds a
+    ``\\r``.  ``_decode_chunk`` then reads each chunk of records in
+    persist's layout, and ``_parse_record`` each line of a chunk it
+    declines, from the last filled row, over what the decoder wrote there.
     """
     data = Path(path).read_bytes()
     if not data.endswith(b"\n"):  # a last line without a newline ends with the file
         data += b"\n"
+    if b"\r" in data:  # a CRLF line end is a newline
+        data = data.replace(b"\r\n", b"\n")
     text = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(text == _NEWLINE)
     config = _read_config(data, ends)

@@ -17,6 +17,7 @@ from bloomclock import (
     EventRecord,
     ExecutionLog,
     ExperimentConfig,
+    ReplayError,
     SliceSpec,
     VectorClock,
     causality_spread,
@@ -240,6 +241,28 @@ def test_a_slice_of_one_event_is_refused_before_it_is_stamped(monkeypatch, capsy
         slice_metrics(run(config), [(config.m, config.k)], DigestTable(config.seed), SliceSpec(start_gsn=400))
     assert main(["run", "--n", "20", "--m", "4", "--runs", "1", "--slice-start", "400"]) == 2
     assert capsys.readouterr().err == "configuration error: need at least two events to form pairs, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "column,value,message",
+    [
+        (1, -1, "gsn 51: pid -1 outside [0, 6)"),
+        (3, 0, "gsn 51: column event_indices holds 0, replay derives 11"),
+        (1, 7, "gsn 51: pid 7 outside [0, 6)"),
+    ],
+    ids=["negative-pid", "event-index", "pid-beyond-n"],
+)
+def test_a_recorded_log_is_guarded_before_its_slice_is_stamped(column, value, message):
+    # A log that holds rows, as a loaded trace does, is stamped from its
+    # linkage; an edited field must not be stamped as if it were recorded.
+    config = ExperimentConfig("complete", n=6, m=4, k=2, pr_i=0.3, seed=3, gsn_limit=200)
+    events = run(config).events
+    columns = [c.copy() for c in events.columns()]
+    columns[column][50] = value
+    log = ExecutionLog(config, Events(columns, events.clocks, config.entities))
+    with pytest.raises(ReplayError) as caught:
+        slice_metrics(log, [(4, 2)], DigestTable(config.seed), SliceSpec(start_gsn=60, stride=5))
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,9 @@ def _shift_one_counter(lines):
         (lambda lines: "\n".join(lines[:4] + ["", ""] + lines[4:]) + "\n", "same"),
         (lambda lines: "\n".join(lines), "same"),
         (lambda lines: "\r\n".join(lines) + "\r\n", "same"),
+        # One \r stays in each record line, where int() reads past it.
+        (lambda lines: "\n".join(lines[:2] + [""]) + "\r\r\n".join(lines[2:]) + "\r\r\n", "same"),
+        (lambda lines: "\r\n".join(lines[:4] + [lines[4] + "|0"] + lines[5:]) + "\r\n", "line 5: expected 9 fields, got 10"),
         (lambda lines: "\n".join(lines[:2]) + "\n", "empty"),
         (_edit_first_counter("1" * 65_541), None),
         (_edit_first_counter("2147483647"), 2147483647),
@@ -502,6 +505,7 @@ def _shift_one_counter(lines):
         "kind-code", "kind-sentinel", "bare-minus", "negative-sender", "empty-sentinel-in-sender",
         "comma-pipe-swap", "balanced-counter-shift", "balanced-field-shift", "carriage-return-in-record",
         "carriage-return-in-config", "lone-carriage-returns", "blank-lines", "no-trailing-newline", "crlf",
+        "cr-crlf", "crlf-before-bad-line",
         "header-only", "65541-digit-counter", "int32-max-counter", "int32-max-plus-one-counter",
         "seven-letter-non-kind", "leading-zeros", "plus-sign", "form-feed-before-bad-line",
         "line-separator-before-bad-line", "non-utf8-after-bad-line",
@@ -530,15 +534,25 @@ def test_hand_edited_traces_load_like_the_line_parser(tmp_path, persisted, edit,
 @pytest.mark.parametrize("chunk", [1, 2, 5])
 def test_a_declined_chunk_after_blank_lines_fills_the_next_rows(tmp_path, monkeypatch, persisted, chunk):
     # Blank lines fill no row, so the rows of a later declined chunk start
-    # at the last filled row, not at the chunk's first line.
+    # at the last filled row, not at the chunk's first line.  A trailing
+    # space, which int() reads past, makes the decoder decline line 21's chunk.
     traces, _ = persisted
     lines = traces["complete"].split(b"\n")
     lines[4:4] = [b"", b""]
-    lines[20] += b"\r"
+    lines[20] += b" "
     path = tmp_path / "edited.txt"
     path.write_bytes(b"\n".join(lines))
     monkeypatch.setattr(simulation, "_STAMP_CHUNK", chunk)
+    parse, parsed = trace_module._parse_record, []
+
+    def parse_record(line, lineno, entities, m):
+        parsed.append(lineno)
+        return parse(line, lineno, entities, m)
+
+    monkeypatch.setattr(trace_module, "_parse_record", parse_record)
     _assert_same_log(load_trace(path), run(MUTATED_CONFIGS["complete"]))
+    first = 3 + (21 - 3) // chunk * chunk  # records start on line 3
+    assert set(range(first, first + chunk)) <= set(parsed)
 
 
 def _with_negative_values(log):
@@ -589,9 +603,13 @@ def test_clean_trace_never_reaches_the_line_parser(tmp_path, monkeypatch, config
     path = tmp_path / "trace.txt"
     persist_trace(log, path)
     monkeypatch.setattr(trace_module, "_parse_record", _no_line_parser)
-    assert load_trace(path) == log
-    path.write_bytes(path.read_bytes().rstrip(b"\n"))  # a file whose last line has no newline
-    assert load_trace(path) == log
+    persisted = path.read_bytes()
+    crlf = persisted.replace(b"\n", b"\r\n")
+    # As persisted and with CRLF line ends, each also with no newline after
+    # its last line, and the CRLF copy with a last \r but no newline.
+    for data in (persisted, persisted[:-1], crlf, crlf[:-2], crlf[:-1]):
+        path.write_bytes(data)
+        assert load_trace(path) == log
 
 
 def test_the_decoder_reads_every_digit_place(tmp_path, monkeypatch):
