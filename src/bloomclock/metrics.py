@@ -242,7 +242,7 @@ def slice_metrics(
     wanted = log._wanted(_slice_grid(log, spec))
     if len(wanted) < 2:  # refused before the stamp, which would walk the log up to the slice
         raise ValueError(f"need at least two events to form pairs, got {len(wanted)}")
-    clocks = log._scatter(wanted, geometries, digests)
+    clocks = log._stamped_rows(wanted, geometries, digests)
     entities = log.config.entities
     oracle = _oracle_bits(log.columns()[1][wanted - 1], clocks[:, :entities])
     bounds = np.cumsum([entities, *(m for m, _ in geometries)]).tolist()

@@ -65,6 +65,8 @@ def count_threshold_cdf(threshold: int, trials: int, width: int) -> float:
     An empty sum (threshold = 0) is 0; a threshold beyond the trial count
     covers the whole support and is 1.
     """
+    if width < 1:
+        raise ConfigurationError(f"width must be at least 1, got {width}")
     if threshold < 0:
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     if trials < 0:

@@ -66,15 +66,15 @@ walks, and each block gathers its digests once and reduces them mod each
 m.  A log stamps its own (m, k) through a table of its seed; ``run_sweep``
 stamps every (m, k) of a linkage at once, through one table per seed.
 
-A log from ``run`` holds only its int32 linkage columns.  ``_stamp``
-yields its stamped rows a block at a time and keeps none; each reader
-keeps what it needs.  ``ExecutionLog.events`` scatters every row, once,
-into one events x (entities + m) ``[vector | bloom]`` matrix, which
-``Events.vectors`` and ``Events.blooms`` view; ``ExecutionLog.select``
-scatters only the rows of chosen GSNs; ``ExecutionLog._blocks`` streams
-every row in GSN order a block at a time, the one source of whole-log
-rows for trace persist and ``==``, so neither keeps clocks.  Replay reads
-the rows a log holds and stamps none.
+A log from ``run`` holds only its int32 linkage columns.  A reader gives
+``_stamp`` the increasing GSNs it keeps, and each yielded block picks
+those of its rows in GSN order, so only ``_stamp`` knows the walk order.
+``ExecutionLog.select`` copies the picked rows of chosen GSNs into one
+``[vector | bloom]`` matrix, which ``Events.vectors`` and ``Events.blooms``
+view, and ``events`` selects every GSN, once; ``ExecutionLog._blocks``
+streams every row a block at a time, the one source of whole-log rows
+for trace persist and ``==``, so neither keeps clocks.  Replay reads the
+rows a log holds and stamps none.
 The walk holds a row per process and the sends whose receives are still
 to come: O(entities**2 + live * entities) memory, not O(events *
 entities).  The digest table adds 16 bytes per (pid, x) walked: 0.6 MB
@@ -313,7 +313,7 @@ class ExecutionLog:
     """A run's configuration echo plus its events ordered by GSN (contiguous from 1).
 
     The log holds the int32 linkage columns of ``Events.COLUMNS``;
-    ``len(log)`` and ``columns()`` read only those.  ``events`` stamps every
+    ``len(log)`` and ``columns()`` read only those.  ``events`` selects every
     row on first access and keeps the result; ``select`` reads chosen rows
     from it, or else from a stamp that keeps only those rows, and refuses a
     GSN that its row does not hold; ``_blocks``
@@ -343,11 +343,9 @@ class ExecutionLog:
 
     @property
     def events(self) -> Events:
-        """Every event with its timestamps, stamped once on first access."""
+        """Every event with its timestamps: ``select`` of every GSN, kept from the first access on."""
         if self._events is None:
-            config = self.config
-            clocks = self._scatter(np.arange(1, len(self) + 1), [(config.m, config.k)], DigestTable(config.seed))
-            self._events = Events(self._columns, clocks, config.entities)
+            self._events = self.select(range(1, len(self) + 1))
         return self._events
 
     def _wanted(self, gsns: Sequence[int]) -> np.ndarray:
@@ -366,44 +364,37 @@ class ExecutionLog:
         return wanted
 
     def select(self, gsns: Sequence[int]) -> Events:
-        """The events of ``gsns``, checked by ``_wanted``; a ``range`` over stamped events gives views."""
+        """The events of ``gsns``, checked by ``_wanted``; held rows and columns take one index, a range's a slice."""
         wanted = self._wanted(gsns)
+        index = slice(gsns[0] - 1, gsns[-1], max(gsns.step, 1)) if isinstance(gsns, range) and gsns else wanted - 1
         if self._events is not None:
-            if isinstance(gsns, range) and gsns:
-                return self._events[gsns[0] - 1 : gsns[-1] : max(gsns.step, 1)]
-            return self._events[wanted - 1]
+            return self._events[index]
         config = self.config
-        clocks = self._scatter(wanted, [(config.m, config.k)], DigestTable(config.seed))
-        return Events([column[wanted - 1] for column in self._columns], clocks, config.entities)
+        clocks = self._stamped_rows(wanted, [(config.m, config.k)], DigestTable(config.seed))
+        return Events([column[index] for column in self._columns], clocks, config.entities)
 
-    def _scatter(self, wanted: np.ndarray, geometries: Geometries, digests: DigestTable) -> np.ndarray:
-        """The ``_stamp`` rows of the increasing GSNs ``wanted`` at ``geometries``, picked from its chunks.
-
-        A log that holds rows was recorded: its linkage is stamped as replay guards and rebuilds it.
-        """
+    def _stamped_rows(self, wanted: np.ndarray, geometries: Geometries, digests: DigestTable) -> np.ndarray:
+        """The ``_stamp`` rows of increasing GSNs ``wanted`` at ``geometries``; a recorded log's linkage is rebuilt."""
         config, columns = self.config, self._columns
         if self._events is not None:
             columns = _rebuilt_linkage(self)
             _refuse_mismatch(self._columns, columns, "replay derives")
         clocks = np.empty((len(wanted), config.entities + sum(m for m, _ in geometries)), _DTYPE)
-        count = int(wanted[-1]) if len(wanted) else 0
-        for positions, rows in _stamp(config, columns, digests, count, geometries):
-            # Every position lies below count = wanted[-1], so its insertion point is a row of clocks.
-            at = np.searchsorted(wanted, positions + 1)
-            kept = wanted[at] == positions + 1
-            if not kept.all():
-                at, rows = at[kept], rows[kept]
-            clocks[at] = rows
+        at = 0
+        for rows, picked in _stamp(config, columns, digests, wanted, geometries):
+            # mode="clip" writes straight into out; the default "raise" first takes into a buffer.
+            np.take(rows, picked, axis=0, out=clocks[at : at + len(picked)], mode="clip")
+            at += len(picked)
         return clocks
 
     def _blocks(self) -> Iterator[np.ndarray]:
-        """Every row in GSN order, ``_STAMP_CHUNK`` a block: slices of the held rows, else each stamped block sorted."""
+        """Every row in GSN order, ``_STAMP_CHUNK`` a block: slices of the held rows, else each stamped block's pick."""
         if self._events is not None:
             clocks = self._events.clocks
             return (clocks[lo : lo + _STAMP_CHUNK] for lo in range(0, len(self), _STAMP_CHUNK))
-        config = self.config
-        stamped = _stamp(config, self._columns, DigestTable(config.seed), len(self), [(config.m, config.k)])
-        return (rows[np.argsort(positions)] for positions, rows in stamped)
+        config, every = self.config, np.arange(1, len(self) + 1)
+        stamped = _stamp(config, self._columns, DigestTable(config.seed), every, [(config.m, config.k)])
+        return (rows[picked] for rows, picked in stamped)
 
     def __eq__(self, other: object) -> bool:
         """Equal configs, columns and rows; the rows are compared a block at a time, and neither log keeps them."""
@@ -554,9 +545,10 @@ def _merge_and_tick(ticks: np.ndarray, previous: np.ndarray, sends: np.ndarray) 
 
 
 def _stamp(
-    config: ExperimentConfig, columns: Sequence[np.ndarray], digests: DigestTable, count: int, geometries: Geometries
+    config: ExperimentConfig, columns: Sequence[np.ndarray], digests: DigestTable,
+    wanted: np.ndarray, geometries: Geometries,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Apply the clock protocol to the first ``count`` events of a linkage, level by level.
+    """Apply the clock protocol to a linkage up to the last of the increasing GSNs ``wanted``, level by level.
 
     ``columns`` are a log's ``Events.COLUMNS``.  Event ``g`` (GSN order,
     from 1) at process ``pids[g-1]`` with event index ``xs[g-1]`` starts
@@ -576,13 +568,14 @@ def _stamp(
     before its writes.  Each block of ``_STAMP_CHUNK`` consecutive GSNs, a
     run of whole levels, gets its tick rows from one gather of digests
     (``_tick_rows``), its levels are stamped into them, and it is yielded
-    as ``(positions, rows)``: a permutation of the block's positions
-    (GSN - 1) and their stamped rows.  Blocks come in GSN order,
-    so each event is yielded once; ``rows`` is overwritten by the next
-    block, so a reader copies what it keeps.
+    as ``(rows, picked)``: ``rows[picked]`` are the block's rows of the
+    GSNs in ``wanted``, in GSN order, picked through the inverse of the
+    block's walk order.  Every block walked is yielded, in GSN order, even
+    one that picks none; ``rows`` is overwritten by the next block.
     """
     if digests.seed != config.seed:
         raise ValueError(f"a digest table of seed {digests.seed} cannot stamp a run of seed {config.seed}")
+    count = int(wanted[-1]) if len(wanted) else 0
     _, pids, kinds, xs, _, _, send_gsns = (column[:count] for column in columns)
     entities = config.entities
     digests.cover(pids, xs)
@@ -605,7 +598,10 @@ def _stamp(
     del targets, reads
     clocks = np.zeros((total, entities + sum(m for m, _ in geometries)), _DTYPE)
     tick_rows = np.empty((min(count, _STAMP_CHUNK), clocks.shape[1]), _DTYPE)
-    for first, last in zip(firsts, firsts[1:]):
+    # Block b, from GSN b * _STAMP_CHUNK + 1 on, picks wanted[cuts[b] : cuts[b + 1]]; walked_at inverts its walk order.
+    cuts = np.searchsorted(wanted, np.arange(0, count + _STAMP_CHUNK, _STAMP_CHUNK), "right")
+    walked_at = np.empty(len(tick_rows), _DTYPE)
+    for first, last, cut, next_cut in zip(firsts, firsts[1:], cuts, cuts[1:]):
         lo, hi = bounds[first], bounds[last]
         targets, previous, sources = walk[:, lo:hi].astype(np.intp)
         ticks = tick_rows[: hi - lo]
@@ -616,7 +612,9 @@ def _stamp(
             sends = clocks.take(sources[start - lo : split - lo], axis=0)
             _merge_and_tick(stamped, clocks.take(previous[level], axis=0), sends)
             clocks[targets[level]] = stamped
-        yield order[lo:hi], ticks
+        del targets, previous, sources
+        walked_at[order[lo:hi] - lo] = np.arange(hi - lo, dtype=_DTYPE)
+        yield ticks, walked_at[wanted[cut:next_cut] - 1 - lo]
 
 
 class _Linkage:

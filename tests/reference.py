@@ -53,7 +53,7 @@ def stamp_and_compare_replay(log) -> None:
     config, count = log.config, len(log)
     rebuilt = _rebuilt_linkage(log)
     stamps = np.zeros(count, bool)
-    stamped = _stamp(config, rebuilt, DigestTable(config.seed), count, [(config.m, config.k)])
-    for lo, (events, rows), block in zip(range(0, count, simulation._STAMP_CHUNK), stamped, log._blocks()):
-        stamps[events] = (rows != block[events - lo]).any(axis=1)
+    stamped = _stamp(config, rebuilt, DigestTable(config.seed), np.arange(1, count + 1), [(config.m, config.k)])
+    for lo, (rows, picked), block in zip(range(0, count, simulation._STAMP_CHUNK), stamped, log._blocks()):
+        stamps[lo : lo + len(block)] = (rows[picked] != block).any(axis=1)
     _refuse_mismatch(log.columns(), rebuilt, "replay derives", stamps)

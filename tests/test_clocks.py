@@ -162,7 +162,7 @@ def test_a_digest_table_hashes_only_the_pairs_it_lacks(monkeypatch):
 
 def test_a_digest_table_refuses_a_stamp_of_another_seed():
     config = ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20)
-    stamp = _stamp(config, run(config).columns(), DigestTable(2), 5, [(config.m, config.k)])
+    stamp = _stamp(config, run(config).columns(), DigestTable(2), np.arange(1, 6), [(config.m, config.k)])
     with pytest.raises(ValueError, match="digest table of seed 2 cannot stamp a run of seed 1"):
         next(stamp)
 

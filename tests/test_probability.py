@@ -104,6 +104,16 @@ def test_cdf_rejects_negative_arguments():
         count_threshold_cdf(1, -5, 4)
 
 
+@pytest.mark.parametrize("width", [0, -3])
+@pytest.mark.parametrize(
+    "threshold,trials", [(5, 20), (5, 2000), (0, 2000), (3000, 2000)], ids=["exact", "gamma", "empty", "whole"]
+)
+def test_cdf_refuses_a_width_below_one_on_every_path(threshold, trials, width):
+    # The width is checked before the early returns of an empty or whole support and before either path reads it.
+    with pytest.raises(ConfigurationError, match=f"^width must be at least 1, got {width}$"):
+        count_threshold_cdf(threshold, trials, width)
+
+
 # ---------------------------------------------------------------------------
 # Poisson tail via the regularized gamma function
 

@@ -733,19 +733,39 @@ def test_selected_rows_equal_the_stamped_events(config, data):
     assert log.select(gsns) == selected  # read from the kept events
 
 
-@settings(max_examples=80, deadline=None)
+@st.composite
+def stamp_requests(draw, count):
+    """Increasing GSNs of a log of ``count`` events for ``_stamp``: none, one, every one, a prefix or any subset."""
+    shape = draw(st.sampled_from(("none", "one", "every", "prefix", "subset")))
+    if shape == "none" or not count:
+        return np.zeros(0, np.int64)
+    if shape == "one":
+        return np.array([draw(st.integers(1, count))])
+    if shape == "every":
+        return np.arange(1, count + 1)
+    if shape == "prefix":
+        return np.arange(1, draw(st.integers(1, count)) + 1)
+    return np.array(sorted(draw(st.sets(st.integers(1, count), min_size=1))))
+
+
+@settings(max_examples=100, deadline=None)
 @given(small_configs(), st.data(), st.sampled_from([1, 3, _STAMP_CHUNK]))
-def test_stamp_yields_each_event_of_a_prefix_once(config, data, chunk):
+def test_stamp_picks_each_blocks_wanted_rows_in_gsn_order(config, data, chunk):
     log = run(config)
     clocks = log.events.clocks
-    count = data.draw(st.integers(min_value=0, max_value=len(log)))
-    blocks = []
+    wanted = data.draw(stamp_requests(len(log)))
+    picks = []
     with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
-        for positions, rows in _stamp(config, log.columns(), DigestTable(config.seed), count, [(config.m, config.k)]):
-            assert np.array_equal(rows, clocks[positions])
-            blocks.append(sorted(positions.tolist()))
-    # The k-th chunk holds each position of the k-th block of consecutive GSNs once.
-    assert blocks == [list(range(lo, min(lo + chunk, count))) for lo in range(0, count, chunk)]
+        stamped = _stamp(config, log.columns(), DigestTable(config.seed), wanted, [(config.m, config.k)])
+        for block, (rows, picked) in enumerate(stamped):
+            # Block b holds GSNs (b * chunk, (b + 1) * chunk] and picks exactly the wanted ones among them.
+            own = wanted[(block * chunk < wanted) & (wanted <= (block + 1) * chunk)]
+            assert np.array_equal(rows[picked], clocks[own - 1])
+            picks.append(rows[picked])
+    # Every block up to the last wanted GSN is walked and yielded, and no block after it.
+    count = int(wanted[-1]) if len(wanted) else 0
+    assert len(picks) == -(-count // chunk)
+    assert np.array_equal(np.concatenate([clocks[:0], *picks]), clocks[wanted - 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -759,17 +779,16 @@ def test_stamp_yields_each_event_of_a_prefix_once(config, data, chunk):
 def test_a_multi_geometry_stamp_holds_each_geometry_stamped_alone(config, geometries, chunk):
     columns, entities = run(config).columns(), config.entities
     with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
-        # A stamp overwrites its rows block by block, so each kept block is a copy.
-        together = [
-            (positions, rows.copy())
-            for positions, rows in _stamp(config, columns, DigestTable(config.seed), len(columns[0]), geometries)
-        ]
+        # A stamp overwrites its rows block by block; rows[picked] is a copy.
+        every = np.arange(1, len(columns[0]) + 1)
+        stamped = _stamp(config, columns, DigestTable(config.seed), every, geometries)
+        together = [rows[picked] for rows, picked in stamped]
         offset = entities
         for m, k in geometries:
-            alone = _stamp(config, columns, DigestTable(config.seed), len(columns[0]), [(m, k)])
-            for (positions, rows), (own_positions, own_rows) in zip(together, alone, strict=True):
+            alone = _stamp(config, columns, DigestTable(config.seed), every, [(m, k)])
+            for rows, (own_rows, own_picked) in zip(together, alone, strict=True):
+                own_rows = own_rows[own_picked]
                 assert rows.shape[1] == entities + sum(width for width, _ in geometries)
-                assert np.array_equal(positions, own_positions)
                 assert np.array_equal(rows[:, :entities], own_rows[:, :entities])
                 assert np.array_equal(rows[:, offset : offset + m], own_rows[:, entities:])
             offset += m
@@ -813,6 +832,16 @@ def test_select_rejects_gsns_out_of_order_or_range():
         with pytest.raises(ValueError, match="gsns must"):
             log.select(gsns)
     assert len(log.select([])) == 0
+
+
+def test_select_reads_a_descending_range_of_one_gsn():
+    # _wanted accepts range(5, 4, -1), GSN 5 alone; the one index of select keeps it only through max(step, 1).
+    unstamped, stamped = (run(ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20)) for _ in range(2))
+    stamped.events
+    for log in (unstamped, stamped):
+        selected = log.select(range(5, 4, -1))
+        assert selected.gsns.tolist() == [5] and selected == stamped.events[4:5]
+    assert unstamped._events is None
 
 
 def test_select_refuses_gsns_that_are_not_integers():
