@@ -7,7 +7,9 @@ dominates ``B_y`` under a uniform-hashing model is
 
 where each cell's hit count is Binomial(B_z_sum, 1/m).  The inner tail is
 summed exactly for small trial counts and through the Poisson limit (whose
-CDF is a regularized incomplete gamma function) for large ones.
+CDF is a regularized incomplete gamma function) for large ones, except at
+width 1, where a cell's hit count is the trial count and the tail is
+summed exactly at every trial count.
 
 Two readings of the false-positive probability are produced: the
 *step* variant gates on the exact 0/1 outcome of the dominance test, the
@@ -24,8 +26,8 @@ from .clocks import BloomClock
 from .errors import ConfigurationError, NumericError
 
 # Above this many trials the exact binomial tail sum gives way to the
-# Poisson/gamma evaluation; below it both paths stay testable against
-# each other.
+# Poisson/gamma evaluation at widths of 2 and more; below it both paths
+# stay testable against each other.  Width 1 stays exact.
 EXACT_CUTOFF = 1024
 
 _MAX_ITER = 10_000
@@ -91,7 +93,7 @@ def _threshold_cdfs(thresholds: Iterable[int], trials: int, width: int) -> dict[
             cdfs[threshold] = 0.0
         elif threshold > trials:
             cdfs[threshold] = 1.0
-        elif trials > EXACT_CUTOFF:
+        elif trials > EXACT_CUTOFF and width > 1:
             cdfs[threshold] = poisson_cdf_via_gamma(threshold, trials / width)
         else:
             exact.append(threshold)

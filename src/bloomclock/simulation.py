@@ -49,14 +49,15 @@ event, a block of ``_STAMP_CHUNK`` consecutive GSNs at a time.  An
 event's level is 1 + the largest of the levels of its process's previous
 event, at a receive its send, and the events of earlier blocks, so the
 events of one level are pairwise concurrent and the end of each level is
-a consistent cut.  One level is one batch of numpy calls, its receives
-walked first: gather each event's previous row and each receive's send
-row, take the receives' pointwise maximum with their sends, add the tick
-rows and scatter the results.  Only a receive merges, and at most half
-of a complete run's events are receives (about 2.5% at pr_i=0.95), so
-the rest gather one row, not two.  A complete n=200 run of 40,000 events
-has 491 levels (294 causal ones); a star run, whose server serializes
-it, has about one level per two events.
+a consistent cut.  Each block is a run of whole levels, so it is sorted
+into its levels alone.  One level is one batch of numpy calls, its
+receives walked first: gather each event's previous row and each
+receive's send row, take the receives' pointwise maximum with their
+sends, add the tick rows and scatter the results.  Only a receive
+merges, and at most half of a complete run's events are receives (about
+2.5% at pr_i=0.95), so the rest gather one row, not two.  A complete
+n=200 run of 40,000 events has 491 levels (294 causal ones); a star run,
+whose server serializes it, has about one level per two events.
 ``_stamp`` stamps a list of (m, k) geometries in one walk: its rows
 are ``[vector | bloom_1 | ... | bloom_j]``, so one plan and one walk
 serve every Bloom clock of a linkage.  The Bloom ticks come from a
@@ -560,16 +561,17 @@ def _stamp(
 
     The events are walked level by level (see ``_row_plan``) in the slots
     of one working matrix of ``[vector | bloom_1 | ... | bloom_j]`` rows,
-    each level's receives first: ``np.lexsort`` orders the events by level
-    and, within a level, receives before the rest.  A level is one batch:
-    gather every event's previous row and the send rows of its receives
-    alone, merge and tick them (``_merge_and_tick``, with the send rows
-    leading) and scatter the results, so every read of a level comes
-    before its writes.  Each block of ``_STAMP_CHUNK`` consecutive GSNs, a
-    run of whole levels, gets its tick rows from one gather of digests
-    (``_tick_rows``), its levels are stamped into them, and it is yielded
-    as ``(rows, picked)``: ``rows[picked]`` are the block's rows of the
-    GSNs in ``wanted``, in GSN order, picked through the inverse of the
+    a block of ``_STAMP_CHUNK`` consecutive GSNs, a run of whole levels, at
+    a time.  Each block is sorted alone, by level and, within a level,
+    receives first, and the sorted block gives where each level starts and
+    where its receives end.  A level is
+    one batch: gather every event's previous row and the send rows of its
+    receives alone, merge and tick them (``_merge_and_tick``, with the send
+    rows leading) and scatter the results, so every read of a level comes
+    before its writes.  A block gets its tick rows from one gather of
+    digests (``_tick_rows``), its levels are stamped into them, and it is
+    yielded as ``(rows, picked)``: ``rows[picked]`` are the block's rows of
+    the GSNs in ``wanted``, in GSN order, picked through the inverse of the
     block's walk order.  Every block walked is yielded, in GSN order, even
     one that picks none; ``rows`` is overwritten by the next block.
     """
@@ -580,41 +582,33 @@ def _stamp(
     entities = config.entities
     digests.cover(pids, xs)
     targets, reads, total = _row_plan(pids, kinds, send_gsns, entities)
-    is_receive = kinds == RECEIVE
-    # By level, and within a level the receives first.
-    order = np.lexsort((~is_receive, reads[0]))
-    # Levels run from 1 up without a gap; bounds[i] is where level i + 1
-    # starts and splits[i] where its receives end.
-    bounds = [0, *np.cumsum(np.bincount(reads[0])[1:]).tolist()]
-    splits = (np.asarray(bounds[:-1]) + np.bincount(reads[0][is_receive], minlength=len(bounds))[1:]).tolist()
-    del is_receive
-    # Block b of _STAMP_CHUNK GSNs is a run of whole levels (see _row_plan),
-    # walked from bound firsts[b], its first level less one, to firsts[b + 1].
-    firsts = [*(reads[0][order[::_STAMP_CHUNK]] - 1).tolist(), len(bounds) - 1]
-    # Column r of walk: the slot event order[r] writes and the two it reads.
-    reads[0] = targets
-    walk = reads[:, order]
-    order = order.astype(_DTYPE)
-    del targets, reads
     clocks = np.zeros((total, entities + sum(m for m, _ in geometries)), _DTYPE)
     tick_rows = np.empty((min(count, _STAMP_CHUNK), clocks.shape[1]), _DTYPE)
-    # Block b, from GSN b * _STAMP_CHUNK + 1 on, picks wanted[cuts[b] : cuts[b + 1]]; walked_at inverts its walk order.
+    # Block b, from GSN b * _STAMP_CHUNK + 1 on, picks wanted[cuts[b] : cuts[b + 1]].
     cuts = np.searchsorted(wanted, np.arange(0, count + _STAMP_CHUNK, _STAMP_CHUNK), "right")
-    walked_at = np.empty(len(tick_rows), _DTYPE)
-    for first, last, cut, next_cut in zip(firsts, firsts[1:], cuts, cuts[1:]):
-        lo, hi = bounds[first], bounds[last]
-        targets, previous, sources = walk[:, lo:hi].astype(np.intp)
+    for lo, cut, next_cut in zip(range(0, count, _STAMP_CHUNK), cuts, cuts[1:]):
+        hi = min(lo + _STAMP_CHUNK, count)
+        # The block's first event lies on its lowest level (see _row_plan).
+        # Twice the level above that, plus 1 for all but a receive, orders
+        # the block by level and each level's receives first; the key stays
+        # below 2 * _STAMP_CHUNK, so a stable sort of it as uint16 is a radix sort.
+        keys = 2 * (reads[0, lo:hi] - reads[0, lo]) + (kinds[lo:hi] != RECEIVE)
+        order = np.argsort(keys.astype(np.uint16), kind="stable")
+        positions = lo + order
+        previous, sources = reads[1:, positions].astype(np.intp)
+        written = targets[positions].astype(np.intp)
+        # The block's level i spans edges[2i] to edges[2i + 2]; its receives end at edges[2i + 1].
+        edges = np.searchsorted(keys[order], np.arange(keys.max() + 3)).tolist()
         ticks = tick_rows[: hi - lo]
-        _tick_rows(ticks, pids[order[lo:hi]], xs[order[lo:hi]], digests, geometries)
-        for start, split, end in zip(bounds[first:last], splits[first:last], bounds[first + 1 : last + 1]):
-            level = slice(start - lo, end - lo)
-            stamped = ticks[level]
-            sends = clocks.take(sources[start - lo : split - lo], axis=0)
-            _merge_and_tick(stamped, clocks.take(previous[level], axis=0), sends)
-            clocks[targets[level]] = stamped
-        del targets, previous, sources
-        walked_at[order[lo:hi] - lo] = np.arange(hi - lo, dtype=_DTYPE)
-        yield ticks, walked_at[wanted[cut:next_cut] - 1 - lo]
+        _tick_rows(ticks, pids[positions], xs[positions], digests, geometries)
+        for start, receive_end, end in zip(edges[::2], edges[1::2], edges[2::2]):
+            stamped = ticks[start:end]
+            sends = clocks.take(sources[start:receive_end], axis=0)
+            _merge_and_tick(stamped, clocks.take(previous[start:end], axis=0), sends)
+            clocks[written[start:end]] = stamped
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(hi - lo)
+        yield ticks, inverse[wanted[cut:next_cut] - 1 - lo]
 
 
 class _Linkage:

@@ -367,6 +367,9 @@ def test_curve_matches_per_pair_classification(case):
     rows = probability_curve(log, y_gsn, z_from, z_to)
     # Exact, not approximate: curve.csv prints these floats with repr().
     assert [repr(r) for r in rows] == [repr(r) for r in expected]
+    # A fresh log holds no rows, so its curve reads them through the stamp.
+    fresh = probability_curve(run(config), y_gsn, z_from, z_to)
+    assert [repr(r) for r in fresh] == [repr(r) for r in expected]
 
 
 def test_curve_range_validation():

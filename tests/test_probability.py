@@ -97,6 +97,13 @@ def test_cdf_switches_to_poisson_above_cutoff():
     assert abs(approximated - exact) < 0.01
 
 
+def test_cdf_is_exact_at_width_one_above_cutoff():
+    # One cell gets every hit, so fewer hits than the trial count is impossible.
+    assert count_threshold_cdf(2000, 2000, 1) == 0.0
+    assert count_threshold_cdf(2001, 2000, 1) == 1.0
+    assert pr_positive(BloomClock((2000,)), BloomClock((2000,))) == 1.0
+
+
 def test_cdf_rejects_negative_arguments():
     with pytest.raises(ValueError):
         count_threshold_cdf(-1, 5, 4)
@@ -237,7 +244,7 @@ def _cdf_left_to_right(threshold, trials, width):
         return 0.0
     if threshold > trials:
         return 1.0
-    if trials > EXACT_CUTOFF:
+    if trials > EXACT_CUTOFF and width > 1:
         return poisson_cdf_via_gamma(threshold, trials / width)
     total = 0.0
     for hits in range(threshold):
@@ -325,6 +332,7 @@ cdf_trials = st.one_of(
 @example(0, 17, 4)  # the empty tail
 @example(9, 8, 3)  # a threshold above the trial count
 @example(3, EXACT_CUTOFF, 1)  # m = 1: every hit lands in the one cell
+@example(1030, 1030, 1)  # and stays exact above the cutoff
 @example(40, EXACT_CUTOFF, 20)
 @example(40, EXACT_CUTOFF + 1, 20)
 def test_cdf_matches_left_to_right_reference(threshold, trials, width):
