@@ -100,7 +100,7 @@ class CurveRow(NamedTuple):
 
 
 def _slice_grid(log: ExecutionLog, spec: SliceSpec | None) -> range:
-    """The slice's GSNs: start, start+stride, ... <= the log's end; ``log._wanted`` checks them against its rows."""
+    """The slice's GSNs: start, start+stride, ... <= the log's end; ``log._wanted`` checks them and guards a recorded log."""
     spec = spec if spec is not None else SliceSpec()
     start = spec.start_gsn if spec.start_gsn is not None else 10 * log.config.n
     if start > len(log):
@@ -191,6 +191,11 @@ def confusion_counts(events: Events) -> ConfusionCounts:
     """Classify every ordered pair of distinct events (both directions): y's oracle row against its prediction row."""
     if len(events) < 2:
         raise ValueError(f"need at least two events to form pairs, got {len(events)}")
+    # No log guards bare Events: a pid must name its own vector counter.
+    pids, entities = events.pids, events.vectors.shape[1]
+    bad = np.flatnonzero((pids < 0) | (pids >= entities))
+    if bad.size:
+        raise ValueError(f"gsn {events.gsns[bad[0]]}: pid {pids[bad[0]]} outside [0, {entities})")
     return _counts(_oracle_bits(events.pids, events.vectors), _predicted_bits(events.blooms))
 
 
@@ -200,21 +205,16 @@ def compute_metrics(counts: ConfusionCounts) -> MetricsReport:
     if total == 0:
         raise ValueError("cannot compute metrics over zero pairs")
     sentinels = []
-    if counts.tp + counts.fp > 0:
-        precision = counts.tp / (counts.tp + counts.fp)
-    else:
-        precision = 1.0
-        sentinels.append("precision")
-    if counts.tp + counts.fn > 0:
-        recall = counts.tp / (counts.tp + counts.fn)
-    else:
-        recall = 1.0
-        sentinels.append("recall")
-    if counts.fp + counts.tn > 0:
-        fpr = counts.fp / (counts.fp + counts.tn)
-    else:
-        fpr = 0.0
-        sentinels.append("fpr")
+
+    def ratio(name: str, hits: int, rest: int, sentinel: float) -> float:
+        if hits + rest:
+            return hits / (hits + rest)
+        sentinels.append(name)
+        return sentinel
+
+    precision = ratio("precision", counts.tp, counts.fp, 1.0)
+    recall = ratio("recall", counts.tp, counts.fn, 1.0)
+    fpr = ratio("fpr", counts.fp, counts.tn, 0.0)
     accuracy = (counts.tp + counts.tn) / total
     return MetricsReport(
         counts=counts,

@@ -37,10 +37,13 @@ linkage and checks that each kind is one of ``KINDS``, that each receive
 happens at its message's destination, that no process receives its own
 send or a send twice, and that each send's receiver is a process or
 absent; ``_refuse_mismatch`` raises every mismatch of a recorded log,
-against replay or the configuration's run.  An event's timestamps
-are set by two earlier rows and its tick, so replay checks each recorded
-row against the recorded rows of its process's previous event and, at a
-receive, of its send, a block of rows at a time: it walks no levels.
+against replay or the configuration's run.  ``ExecutionLog._wanted``
+runs that rebuild and check before every read of chosen GSNs from a log
+built from ``Events``; a run's own log is never re-checked.  An event's
+timestamps are set by two earlier rows and its tick, so replay checks
+each recorded row against the recorded rows of its process's previous
+event and, at a receive, of its send, a block of rows at a time: it
+walks no levels.
 ``_tick_rows`` builds tick rows and ``_merge_and_tick`` merges and ticks,
 for ``_stamp`` and replay alike, so each protocol rule is written once.
 
@@ -316,14 +319,14 @@ class ExecutionLog:
     The log holds the int32 linkage columns of ``Events.COLUMNS``;
     ``len(log)`` and ``columns()`` read only those.  ``events`` selects every
     row on first access and keeps the result; ``select`` reads chosen rows
-    from it, or else from a stamp that keeps only those rows, and refuses a
-    GSN that its row does not hold; ``_blocks``
-    streams every row from it, or else from the stamp.  A log built
-    from ``Events`` (kept as is, views included) is stamped from the start;
-    its clock widths must match the configuration.
+    from it, or else from a stamp that keeps only those rows; ``_blocks``
+    streams every row from it, or else from the stamp.  A log built from
+    ``Events`` (kept as is, views included) is recorded and stamped from
+    the start; its clock widths must match the configuration, and
+    ``_wanted`` guards its linkage before every read of chosen GSNs.
     """
 
-    __slots__ = ("config", "_columns", "_events")
+    __slots__ = ("config", "_columns", "_events", "_recorded")
 
     def __init__(self, config: ExperimentConfig, events: Events):
         if events.vectors.shape[1] != config.entities or events.blooms.shape[1] != config.m:
@@ -334,6 +337,7 @@ class ExecutionLog:
         self.config = config
         self._columns = events.columns()
         self._events: Events | None = events
+        self._recorded = True
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The linkage columns in ``Events.COLUMNS`` order; reading them never stamps."""
@@ -350,7 +354,7 @@ class ExecutionLog:
         return self._events
 
     def _wanted(self, gsns: Sequence[int]) -> np.ndarray:
-        """``gsns`` as int64, checked to be increasing integers in [1, len] that the rows of those GSNs hold."""
+        """``gsns`` as int64, checked to be increasing integers in [1, len]; a recorded log must pass replay's guard."""
         wanted = np.asarray(gsns)
         if wanted.size and not np.issubdtype(wanted.dtype, np.integer):
             raise ValueError(f"gsns must be integers, got {wanted.dtype} values")
@@ -359,9 +363,8 @@ class ExecutionLog:
             raise ValueError(f"gsns must lie in [1, {len(self)}]")
         if (np.diff(wanted) <= 0).any():
             raise ValueError("gsns must increase")
-        gaps = np.flatnonzero(self._columns[0][wanted - 1] != wanted)
-        if gaps.size:
-            raise ValueError(f"log is not contiguous at gsn {wanted[gaps[0]]}")
+        if self._recorded:
+            _refuse_mismatch(self._columns, _rebuilt_linkage(self), "replay derives")
         return wanted
 
     def select(self, gsns: Sequence[int]) -> Events:
@@ -375,14 +378,10 @@ class ExecutionLog:
         return Events([column[index] for column in self._columns], clocks, config.entities)
 
     def _stamped_rows(self, wanted: np.ndarray, geometries: Geometries, digests: DigestTable) -> np.ndarray:
-        """The ``_stamp`` rows of increasing GSNs ``wanted`` at ``geometries``; a recorded log's linkage is rebuilt."""
-        config, columns = self.config, self._columns
-        if self._events is not None:
-            columns = _rebuilt_linkage(self)
-            _refuse_mismatch(self._columns, columns, "replay derives")
-        clocks = np.empty((len(wanted), config.entities + sum(m for m, _ in geometries)), _DTYPE)
+        """The ``_stamp`` rows of increasing GSNs ``wanted`` at ``geometries``, which ``_wanted`` has checked."""
+        clocks = np.empty((len(wanted), self.config.entities + sum(m for m, _ in geometries)), _DTYPE)
         at = 0
-        for rows, picked in _stamp(config, columns, digests, wanted, geometries):
+        for rows, picked in _stamp(self.config, self._columns, digests, wanted, geometries):
             # mode="clip" writes straight into out; the default "raise" first takes into a buffer.
             np.take(rows, picked, axis=0, out=clocks[at : at + len(picked)], mode="clip")
             at += len(picked)
@@ -653,6 +652,7 @@ def _linkage_log(
     # A log of linkage columns alone: its clocks are stamped when read.
     log = ExecutionLog.__new__(ExecutionLog)
     log.config, log._columns, log._events = config, (gsns, pids, kinds, xs, senders, receivers, send_gsns), None
+    log._recorded = False
     return log
 
 

@@ -103,24 +103,24 @@ def test_sample_slice_empty_or_out_of_range():
     log = run(ExperimentConfig("complete", n=3, m=2, k=1, seed=1, gsn_limit=30))
     with pytest.raises(ValueError):
         sample_slice(log, SliceSpec(start_gsn=40))
-    # A log whose GSNs skip 11 has a gap the grid would step over.
+    # A log whose GSNs skip 11 has a gap the grid would step over; the
+    # guard refuses the first receive whose link no longer names an earlier send.
     gapped = ExecutionLog(log.config, log.events[np.r_[0:10, 11:30]])
-    with pytest.raises(ValueError, match="log is not contiguous at gsn 11"):
+    with pytest.raises(ReplayError, match="^gsn 16: receive links to unknown send gsn 16$"):
         sample_slice(gapped, SliceSpec(start_gsn=1, stride=1))
-    with pytest.raises(ValueError, match="log is not contiguous at gsn 11"):
+    with pytest.raises(ReplayError, match="^gsn 16: receive links to unknown send gsn 16$"):
         slice_metrics(gapped, [(2, 1)], DigestTable(1), SliceSpec(start_gsn=1, stride=1))
 
 
 def test_select_and_the_curve_refuse_a_log_whose_gsns_skip():
     # Held rows of GSNs 1, 2, 3, 14, 15, 16: row 4 holds GSN 14, which
     # select([4]) would return and a curve over z in [2, 5] would report.
+    # The guard reads the whole log, so rows 1-3 are refused with it.
     log = run(ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20))
     gapped = ExecutionLog(log.config, log.events[np.r_[0:3, 13:16]])
-    with pytest.raises(ValueError, match="log is not contiguous at gsn 4"):
-        gapped.select([4])
-    with pytest.raises(ValueError, match="log is not contiguous at gsn 4"):
-        probability_curve(gapped, 1, 2, 5)
-    assert gapped.select([1, 3]) == log.events[np.array([0, 2])]
+    for read in (lambda: gapped.select([4]), lambda: probability_curve(gapped, 1, 2, 5), lambda: gapped.select([1, 3])):
+        with pytest.raises(ReplayError, match="^gsn 4: receive links to unknown send gsn 11$"):
+            read()
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +212,18 @@ def test_confusion_counts_requires_two_events():
         confusion_counts(_internal_events([0], [[1, 0]], [[1]]))
 
 
+@pytest.mark.parametrize("pid", [-1, 6])
+def test_confusion_counts_refuses_a_pid_outside_the_vector_clock(pid):
+    # Unchecked, pid -1 reads the last vector counter as its own and pid 6 reads past the row.
+    config = ExperimentConfig("complete", n=6, m=4, k=2, pr_i=0.3, seed=3, gsn_limit=200)
+    events = run(config).events[59::5]
+    columns = [c.copy() for c in events.columns()]
+    columns[1][0] = pid
+    with pytest.raises(ValueError, match=rf"^gsn 60: pid {pid} outside \[0, 6\)$"):
+        confusion_counts(Events(columns, events.clocks, config.entities))
+    assert confusion_counts(events).fn == 0
+
+
 def test_no_false_negatives_over_full_run():
     for topology, n in [("complete", 40), ("star", 15), ("broadcast", 25)]:
         log = run(ExperimentConfig(topology, n=n, m=4, k=2, seed=3))
@@ -252,17 +264,42 @@ def test_a_slice_of_one_event_is_refused_before_it_is_stamped(monkeypatch, capsy
     ],
     ids=["negative-pid", "event-index", "pid-beyond-n"],
 )
-def test_a_recorded_log_is_guarded_before_its_slice_is_stamped(column, value, message):
-    # A log that holds rows, as a loaded trace does, is stamped from its
-    # linkage; an edited field must not be stamped as if it were recorded.
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda log: log.select([60, 65]),
+        lambda log: sample_slice(log, SliceSpec(start_gsn=60, stride=5)),
+        lambda log: probability_curve(log, 60, 61, 200),
+        lambda log: slice_metrics(log, [(4, 2)], DigestTable(log.config.seed), SliceSpec(start_gsn=60, stride=5)),
+    ],
+    ids=["select", "sample_slice", "probability_curve", "slice_metrics"],
+)
+def test_every_read_of_a_recorded_log_is_guarded(column, value, message, read):
+    # A log that holds rows, as a loaded trace does, is read only once its
+    # linkage is the one replay rebuilds: an edited field must not be read,
+    # or stamped, as if it were recorded, even where the reads lie past it.
     config = ExperimentConfig("complete", n=6, m=4, k=2, pr_i=0.3, seed=3, gsn_limit=200)
     events = run(config).events
     columns = [c.copy() for c in events.columns()]
     columns[column][50] = value
     log = ExecutionLog(config, Events(columns, events.clocks, config.entities))
     with pytest.raises(ReplayError) as caught:
-        slice_metrics(log, [(4, 2)], DigestTable(config.seed), SliceSpec(start_gsn=60, stride=5))
+        read(log)
     assert str(caught.value) == message
+
+
+def test_a_run_log_is_read_without_the_guard_once_its_rows_are_kept(monkeypatch):
+    # log.events keeps the run's own stamp, so its reads rebuild no linkage.
+    def no_guard(log):
+        raise AssertionError("a run log was guarded")
+
+    monkeypatch.setattr("bloomclock.simulation._rebuilt_linkage", no_guard)
+    config = ExperimentConfig("complete", n=6, m=4, k=2, pr_i=0.3, seed=3, gsn_limit=200)
+    log = run(config)
+    log.events
+    assert log.select([60, 65]) == log.events[np.array([59, 64])]
+    assert len(probability_curve(log, 60, 61, 200)) == 140
+    slice_metrics(log, [(4, 2)], DigestTable(config.seed), SliceSpec(start_gsn=60, stride=5))
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,23 @@ def test_cdf_is_exact_at_width_one_above_cutoff():
     assert pr_positive(BloomClock((2000,)), BloomClock((2000,))) == 1.0
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 10, 20])
+def test_cdf_keeps_near_the_exact_tail_above_cutoff(width):
+    # _cdf_left_to_right copies the switch to the Poisson limit, so this
+    # holds the switch itself to the exact binomial tail: to 1e-12 at width
+    # 1, and within 0.2 / width elsewhere (the widest gap, 0.084, is at 2).
+    binom = pytest.importorskip("scipy.stats").binom
+    tolerance = 1e-12 if width == 1 else 0.2 / width
+    for trials in [*range(EXACT_CUTOFF + 1, 4096, 128), 4096]:
+        mean = trials / width
+        # The tails move within eight Poisson deviations of the mean; at width 1, at the trial count.
+        spread = 2 if width == 1 else 8 * math.sqrt(mean)
+        thresholds = range(max(0, int(mean - spread)), min(trials + 1, int(mean + spread)) + 1)
+        exact = binom.cdf([h - 1 for h in thresholds], trials, 1 / width)
+        gaps = [abs(count_threshold_cdf(h, trials, width) - tail) for h, tail in zip(thresholds, exact)]
+        assert max(gaps) <= tolerance, f"trials {trials}: gap {max(gaps)}"
+
+
 def test_cdf_rejects_negative_arguments():
     with pytest.raises(ValueError):
         count_threshold_cdf(-1, 5, 4)
