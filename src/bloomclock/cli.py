@@ -192,7 +192,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 f"trace holds {len(log)} events, but its config runs {log.config.event_count}"
             )
         replay_timestamps(log)
-        # Replay passes any address on a send that no receive reads; the config's run does not.
+        # Loading passes any receiver on a send that no receive reads; the config's run does not.
         _refuse_mismatch(log.columns(), run(log.config).columns(), "the config's run records")
         _, _, kind_codes, *_ = log.columns()
         kinds = dict(zip(KINDS, np.bincount(kind_codes, minlength=len(KINDS)).tolist()))

@@ -100,7 +100,7 @@ class CurveRow(NamedTuple):
 
 
 def _slice_grid(log: ExecutionLog, spec: SliceSpec | None) -> range:
-    """The slice's GSNs: start, start+stride, ... <= the log's end; ``log._wanted`` checks them and guards a recorded log."""
+    """The slice's GSNs: start, start+stride, ... <= the log's end; ``log._wanted`` checks them."""
     spec = spec if spec is not None else SliceSpec()
     start = spec.start_gsn if spec.start_gsn is not None else 10 * log.config.n
     if start > len(log):

@@ -32,18 +32,18 @@ that loop out in place for its two fixed bounds.  No random draw depends
 on a clock value, so a runner records only the linkage (each event's
 process and kind, a send's destination, a receive's send);
 ``_linkage_log`` derives the other columns and ``_stamp`` the clocks.
-``replay_timestamps`` rebuilds every column of a recorded log from its
-linkage and checks that each kind is one of ``KINDS``, that each receive
-happens at its message's destination, that no process receives its own
-send or a send twice, and that each send's receiver is a process or
-absent; ``_refuse_mismatch`` raises every mismatch of a recorded log,
-against replay or the configuration's run.  ``ExecutionLog._wanted``
-runs that rebuild and check before every read of chosen GSNs from a log
-built from ``Events``; a run's own log is never re-checked.  An event's
-timestamps are set by two earlier rows and its tick, so replay checks
-each recorded row against the recorded rows of its process's previous
-event and, at a receive, of its send, a block of rows at a time: it
-walks no levels.
+A log built from ``Events`` is checked once, when it is built:
+``_rebuilt_linkage`` checks that each kind is one of ``KINDS``, that
+each receive happens at its message's destination, that no process
+receives its own send or a send twice, and that each send's receiver is
+a process or absent, and rebuilds every column from the linkage;
+``_refuse_mismatch`` raises every mismatch of a log's columns, against
+that rebuild or the configuration's run.  Every log's columns are then
+read-only, so no read checks them again.  An event's timestamps are set
+by two earlier rows and its tick, so ``replay_timestamps`` checks each
+row a log holds against the rows of its process's previous event and,
+at a receive, of its send, a block of rows at a time: it walks no
+levels.
 ``_tick_rows`` builds tick rows and ``_merge_and_tick`` merges and ticks,
 for ``_stamp`` and replay alike, so each protocol rule is written once.
 
@@ -316,17 +316,19 @@ class Events(Sequence[EventRecord]):
 class ExecutionLog:
     """A run's configuration echo plus its events ordered by GSN (contiguous from 1).
 
-    The log holds the int32 linkage columns of ``Events.COLUMNS``;
+    The log holds the read-only linkage columns of ``Events.COLUMNS``;
     ``len(log)`` and ``columns()`` read only those.  ``events`` selects every
     row on first access and keeps the result; ``select`` reads chosen rows
     from it, or else from a stamp that keeps only those rows; ``_blocks``
     streams every row from it, or else from the stamp.  A log built from
-    ``Events`` (kept as is, views included) is recorded and stamped from
-    the start; its clock widths must match the configuration, and
-    ``_wanted`` guards its linkage before every read of chosen GSNs.
+    ``Events`` holds its rows from the start, kept as they are, views
+    included, beside read-only copies of its columns.  Its clock widths
+    must match the configuration, and its columns must be the ones
+    ``_rebuilt_linkage`` derives from their linkage, or ``ReplayError``
+    names the first GSN where they are not.
     """
 
-    __slots__ = ("config", "_columns", "_events", "_recorded")
+    __slots__ = ("config", "_columns", "_events")
 
     def __init__(self, config: ExperimentConfig, events: Events):
         if events.vectors.shape[1] != config.entities or events.blooms.shape[1] != config.m:
@@ -334,10 +336,14 @@ class ExecutionLog:
                 f"clock widths {events.vectors.shape[1]}/{events.blooms.shape[1]} do not match "
                 f"the configuration's {config.entities} entities and m={config.m}"
             )
+        # Copied as they are, so no value wraps in a cast, and frozen, so the check below holds.
+        columns = tuple(column.copy() for column in events.columns())
+        for column in columns:
+            column.setflags(write=False)
+        _refuse_mismatch(columns, _rebuilt_linkage(config, columns), "replay derives")
         self.config = config
-        self._columns = events.columns()
-        self._events: Events | None = events
-        self._recorded = True
+        self._columns = columns
+        self._events: Events | None = Events(columns, events.clocks, config.entities)
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """The linkage columns in ``Events.COLUMNS`` order; reading them never stamps."""
@@ -354,7 +360,7 @@ class ExecutionLog:
         return self._events
 
     def _wanted(self, gsns: Sequence[int]) -> np.ndarray:
-        """``gsns`` as int64, checked to be increasing integers in [1, len]; a recorded log must pass replay's guard."""
+        """``gsns`` as int64, checked to be increasing integers in [1, len]."""
         wanted = np.asarray(gsns)
         if wanted.size and not np.issubdtype(wanted.dtype, np.integer):
             raise ValueError(f"gsns must be integers, got {wanted.dtype} values")
@@ -363,8 +369,6 @@ class ExecutionLog:
             raise ValueError(f"gsns must lie in [1, {len(self)}]")
         if (np.diff(wanted) <= 0).any():
             raise ValueError("gsns must increase")
-        if self._recorded:
-            _refuse_mismatch(self._columns, _rebuilt_linkage(self), "replay derives")
         return wanted
 
     def select(self, gsns: Sequence[int]) -> Events:
@@ -649,10 +653,11 @@ def _linkage_log(
     receivers = np.where(sends, links, np.where(receives, pids, _ABSENT))
     send_gsns = np.where(receives, links, _ABSENT)
     gsns = np.arange(1, count + 1, dtype=_DTYPE)
-    # A log of linkage columns alone: its clocks are stamped when read.
+    # A log of read-only linkage columns alone: its clocks are stamped when read.
     log = ExecutionLog.__new__(ExecutionLog)
     log.config, log._columns, log._events = config, (gsns, pids, kinds, xs, senders, receivers, send_gsns), None
-    log._recorded = False
+    for column in log._columns:
+        column.setflags(write=False)
     return log
 
 
@@ -826,7 +831,7 @@ def _gathered(clocks: np.ndarray, gsns: np.ndarray) -> np.ndarray:
 def _unmatched_rows(config: ExperimentConfig, clocks: np.ndarray, columns: Sequence[np.ndarray]) -> np.ndarray:
     """Per event, whether its row of ``clocks`` differs from the merge and tick of the recorded rows it reads.
 
-    ``columns`` are the rebuilt linkage, whose guards have passed.  Event
+    ``columns`` are a log's, checked when it was built.  Event
     ``g``'s expected row is its tick row plus the pointwise maximum of the
     recorded rows of its process's previous event and, at a receive, of its
     send, each the zero row where there is none: the step ``_stamp`` takes.
@@ -853,7 +858,7 @@ def _unmatched_rows(config: ExperimentConfig, clocks: np.ndarray, columns: Seque
 
 
 def _check_links(columns: Sequence[np.ndarray], entities: int) -> None:
-    """Refuse a linkage whose kinds, pids, receivers or send links no run could record (see ``replay_timestamps``)."""
+    """Refuse, at its first GSN, a linkage whose kinds, pids, receivers or send links no run could record."""
     _, pids, kinds, _, _, receivers, send_gsns = columns
     _check_kinds(range(1, len(kinds) + 1), kinds)
     _refuse((pids < 0) | (pids >= entities), lambda r: f"gsn {r + 1}: pid {pids[r]} outside [0, {entities})")
@@ -881,58 +886,41 @@ def _check_links(columns: Sequence[np.ndarray], entities: int) -> None:
     _refuse(repeated, lambda r: f"gsn {at[r] + 1}: process {pids[at[r]]} receives send gsn {sent[r]} again")
 
 
-def _rebuilt_linkage(log: ExecutionLog) -> tuple[np.ndarray, ...]:
-    """The columns ``_linkage_log`` derives from ``log``'s linkage, once ``_check_links`` has passed it.
+def _rebuilt_linkage(config: ExperimentConfig, columns: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The columns ``_linkage_log`` derives from the linkage in ``columns``, once ``_check_links`` has passed it.
 
     A send's link is read back as its receiver and a receive's as its send GSN.
     """
-    config, recorded = log.config, log.columns()
-    _check_links(recorded, config.entities)
-    _, pids, kinds, _, _, receivers, send_gsns = recorded
+    _check_links(columns, config.entities)
+    _, pids, kinds, _, _, receivers, send_gsns = columns
     return _linkage_log(config, pids, kinds, np.where(kinds == SEND, receivers, send_gsns)).columns()
 
 
-def _refuse_mismatch(
-    recorded: Sequence[np.ndarray], expected: Sequence[np.ndarray], source: str, unmatched: np.ndarray | None = None
-) -> None:
-    """Raise ``ReplayError`` at the first GSN where a column differs from ``expected`` or ``unmatched`` flags the row.
+def _refuse_mismatch(recorded: Sequence[np.ndarray], expected: Sequence[np.ndarray], source: str) -> None:
+    """Raise ``ReplayError`` at the first GSN where a column of ``recorded`` differs from ``expected``.
 
-    A column's message gives both values, an absent one as None, the
-    expected one after ``source``; a column that differs is named before
-    a flagged row of the same GSN.
+    The message gives both values, an absent one as None, the expected
+    one after ``source``.
     """
-    flags = [held != derived for held, derived in zip(recorded, expected, strict=True)]
-    differs = np.stack(flags if unmatched is None else flags + [unmatched])
+    differs = np.stack([held != derived for held, derived in zip(recorded, expected, strict=True)])
     if differs.any():
         row = int(np.argmax(differs.any(axis=0)))
         field = int(np.argmax(differs[:, row]))
-        if field == len(flags):
-            raise ReplayError(f"gsn {row + 1}: replayed timestamps differ from the recorded ones")
         held, derived = (_optional(int(columns[field][row])) for columns in (recorded, expected))
         raise ReplayError(f"gsn {row + 1}: column {Events.COLUMNS[field]} holds {held}, {source} {derived}")
 
 
 def replay_timestamps(log: ExecutionLog) -> None:
-    """Rebuild the log from its linkage alone and check that the recorded one is consistent with it.
+    """Check each row the log holds against the merge and tick of the two rows it reads; ``ReplayError`` names the first.
 
-    Replay shows that every column and row follows from the recorded
-    linkage by the protocol, not that the linkage is the one the
+    A log's columns were checked, or derived by ``run``, when it was built,
+    and cannot be edited, so a log that holds no rows has nothing to check.
+    The build and replay show that every column and row follows from the
+    recorded linkage by the protocol, not that the linkage is the one the
     configuration's seed records: a send that no receive reads may name any
     receiver in range.  ``bloomclock trace --load`` runs the configuration
-    again for that, and reports through the same ``_refuse_mismatch``.
-
-    ``_rebuilt_linkage`` guards the linkage first: every kind is one of
-    ``KINDS``, pids lie in range, each send's receiver lies in
-    [-1, entities), and each receive links to an earlier send of another
-    process, happens at its message's destination, if any, and is the only
-    receive of that send at its process.  Then it rebuilds every column
-    with ``_linkage_log``, and ``_unmatched_rows`` checks every recorded
-    row, if the log holds rows, against the two recorded rows it merges.
-    A log that holds none, as from ``run``, has nothing recorded beyond
-    its columns, so nothing is stamped for it.  ``ReplayError`` names the
-    GSN of the first failed guard, or, from ``_refuse_mismatch``, the first
-    GSN where anything differs.
+    again for that, and reports through ``_refuse_mismatch``.
     """
-    rebuilt = _rebuilt_linkage(log)
-    unmatched = None if log._events is None else _unmatched_rows(log.config, log._events.clocks, rebuilt)
-    _refuse_mismatch(log.columns(), rebuilt, "replay derives", unmatched)
+    if log._events is not None:
+        unmatched = _unmatched_rows(log.config, log._events.clocks, log.columns())
+        _refuse(unmatched, lambda r: f"gsn {r + 1}: replayed timestamps differ from the recorded ones")

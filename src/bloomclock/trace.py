@@ -26,8 +26,10 @@ send_gsn, and 1 to 9 ASCII digits in every other field.  A chunk the
 decoder declines goes through the line parser one line at a time.  The
 line parser reads any chunk the decoder accepts to the same rows, so it
 is the only source of ``TraceParseError``, which names the file's first
-bad line.  Both fill one int32 matrix, a row per record in field order,
-and the log views it.
+bad line.  Both fill one int32 matrix, a row per record in field order.
+The log views its clock part and copies its linkage columns, which must
+be the ones their linkage rebuilds, so a trace whose columns no run could
+record raises ``ReplayError`` as it loads.
 """
 
 from __future__ import annotations
@@ -135,10 +137,9 @@ def persist_trace(log: ExecutionLog, path: str | Path) -> None:
 
     The rows come a block at a time from the log's one row stream, so
     persist holds one block of them and leaves an unstamped log unstamped.
-    A kind code that names no kind is refused before the file is opened.
+    The log's kind codes were checked when it was built.
     """
     config, columns = log.config, log.columns()
-    simulation._check_kinds(columns[0], columns[2])
     layout = _layout(config.entities, config.m)
     # The kind's pipe is written with its name, in the kind cells.
     separators = np.frombuffer(layout[:_KIND_CELL] + b"\0" * _KIND_CELLS + layout[_KIND_CELL + 1 :], np.uint8)
@@ -270,6 +271,9 @@ def _decode_chunk(text: np.ndarray, start: int, stop: int, out: np.ndarray, layo
 
 def load_trace(path: str | Path) -> ExecutionLog:
     """Read a trace written by ``persist_trace``; a ``TraceParseError`` names the file's first bad line.
+
+    The log is built from the rows read, so a ``ReplayError`` names the
+    first GSN whose columns differ from the ones their linkage rebuilds.
 
     Each ``\\r\\n`` becomes ``\\n`` in one copy of a file that holds a
     ``\\r``.  ``_decode_chunk`` then reads each chunk of records in

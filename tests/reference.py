@@ -3,8 +3,8 @@
 Each cell is run seed by seed, its slice read from the fully stamped log,
 and its pairs counted by comparing every counter of every pair at once;
 only the ratios and their means come from the package's own arithmetic.
-``stamp_and_compare_replay`` re-stamps a log's rebuilt linkage and
-compares the result with the log's rows block by block.
+``stamp_and_compare_replay`` re-stamps a log's columns and compares the
+result with the log's rows block by block.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from bloomclock import ConfusionCounts, compute_metrics, run, simulation
 from bloomclock.clocks import DigestTable
 from bloomclock.experiments import RunArtifact, aggregate_reports
-from bloomclock.simulation import _rebuilt_linkage, _refuse_mismatch, _stamp
+from bloomclock.simulation import _refuse, _stamp
 
 
 def broadcast_counts(events):
@@ -45,15 +45,14 @@ def reference_artifact(config, seeds, slice_spec) -> RunArtifact:
 
 
 def stamp_and_compare_replay(log) -> None:
-    """The replay that stamps the rebuilt linkage with ``_stamp`` and compares each block with ``log._blocks()``.
+    """The replay that stamps the log's columns with ``_stamp`` and compares each block with ``log._blocks()``.
 
-    Its guards, rebuild and messages are ``replay_timestamps``'s: only its row check differs.
+    It refuses the first row that differs with ``replay_timestamps``'s message: only its row check differs.
     It reads ``simulation._STAMP_CHUNK`` when called, so a patched block size holds.
     """
     config, count = log.config, len(log)
-    rebuilt = _rebuilt_linkage(log)
-    stamps = np.zeros(count, bool)
-    stamped = _stamp(config, rebuilt, DigestTable(config.seed), np.arange(1, count + 1), [(config.m, config.k)])
+    unmatched = np.zeros(count, bool)
+    stamped = _stamp(config, log.columns(), DigestTable(config.seed), np.arange(1, count + 1), [(config.m, config.k)])
     for lo, (rows, picked), block in zip(range(0, count, simulation._STAMP_CHUNK), stamped, log._blocks()):
-        stamps[lo : lo + len(block)] = (rows[picked] != block).any(axis=1)
-    _refuse_mismatch(log.columns(), rebuilt, "replay derives", stamps)
+        unmatched[lo : lo + len(block)] = (rows[picked] != block).any(axis=1)
+    _refuse(unmatched, lambda r: f"gsn {r + 1}: replayed timestamps differ from the recorded ones")

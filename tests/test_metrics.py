@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from bloomclock import (
     classify_probabilities,
     compute_metrics,
     confusion_counts,
+    persist_trace,
     probability_curve,
     run,
     run_experiment,
@@ -103,24 +105,24 @@ def test_sample_slice_empty_or_out_of_range():
     log = run(ExperimentConfig("complete", n=3, m=2, k=1, seed=1, gsn_limit=30))
     with pytest.raises(ValueError):
         sample_slice(log, SliceSpec(start_gsn=40))
-    # A log whose GSNs skip 11 has a gap the grid would step over; the
-    # guard refuses the first receive whose link no longer names an earlier send.
-    gapped = ExecutionLog(log.config, log.events[np.r_[0:10, 11:30]])
-    with pytest.raises(ReplayError, match="^gsn 16: receive links to unknown send gsn 16$"):
-        sample_slice(gapped, SliceSpec(start_gsn=1, stride=1))
-    with pytest.raises(ReplayError, match="^gsn 16: receive links to unknown send gsn 16$"):
-        slice_metrics(gapped, [(2, 1)], DigestTable(1), SliceSpec(start_gsn=1, stride=1))
+    # A log whose GSNs skip 11 has a gap the grid would step over; building
+    # it refuses the first receive whose link no longer names an earlier send.
+    for read in (
+        lambda gapped: sample_slice(gapped, SliceSpec(start_gsn=1, stride=1)),
+        lambda gapped: slice_metrics(gapped, [(2, 1)], DigestTable(1), SliceSpec(start_gsn=1, stride=1)),
+    ):
+        with pytest.raises(ReplayError, match="^gsn 16: receive links to unknown send gsn 16$"):
+            read(ExecutionLog(log.config, log.events[np.r_[0:10, 11:30]]))
 
 
 def test_select_and_the_curve_refuse_a_log_whose_gsns_skip():
     # Held rows of GSNs 1, 2, 3, 14, 15, 16: row 4 holds GSN 14, which
     # select([4]) would return and a curve over z in [2, 5] would report.
-    # The guard reads the whole log, so rows 1-3 are refused with it.
+    # The whole log is checked when it is built, so rows 1-3 are refused with it.
     log = run(ExperimentConfig("complete", n=4, m=2, k=1, seed=1, gsn_limit=20))
-    gapped = ExecutionLog(log.config, log.events[np.r_[0:3, 13:16]])
-    for read in (lambda: gapped.select([4]), lambda: probability_curve(gapped, 1, 2, 5), lambda: gapped.select([1, 3])):
+    for read in (lambda g: g.select([4]), lambda g: probability_curve(g, 1, 2, 5), lambda g: g.select([1, 3])):
         with pytest.raises(ReplayError, match="^gsn 4: receive links to unknown send gsn 11$"):
-            read()
+            read(ExecutionLog(log.config, log.events[np.r_[0:3, 13:16]]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +263,10 @@ def test_a_slice_of_one_event_is_refused_before_it_is_stamped(monkeypatch, capsy
         (1, -1, "gsn 51: pid -1 outside [0, 6)"),
         (3, 0, "gsn 51: column event_indices holds 0, replay derives 11"),
         (1, 7, "gsn 51: pid 7 outside [0, 6)"),
+        # Pid 4 moved to 5, a process in range: read whole, this log gave fn=66 where the clean one gives 0.
+        (1, 5, "gsn 51: column event_indices holds 11, replay derives 10"),
     ],
-    ids=["negative-pid", "event-index", "pid-beyond-n"],
+    ids=["negative-pid", "event-index", "pid-beyond-n", "pid-moved"],
 )
 @pytest.mark.parametrize(
     "read",
@@ -271,26 +275,30 @@ def test_a_slice_of_one_event_is_refused_before_it_is_stamped(monkeypatch, capsy
         lambda log: sample_slice(log, SliceSpec(start_gsn=60, stride=5)),
         lambda log: probability_curve(log, 60, 61, 200),
         lambda log: slice_metrics(log, [(4, 2)], DigestTable(log.config.seed), SliceSpec(start_gsn=60, stride=5)),
+        lambda log: confusion_counts(log.events),
+        lambda log: list(log.events),
+        lambda log: persist_trace(log, os.devnull),
+        lambda log: log == run(log.config),
     ],
-    ids=["select", "sample_slice", "probability_curve", "slice_metrics"],
+    ids=["select", "sample_slice", "probability_curve", "slice_metrics", "events", "records", "persist", "equality"],
 )
 def test_every_read_of_a_recorded_log_is_guarded(column, value, message, read):
-    # A log that holds rows, as a loaded trace does, is read only once its
-    # linkage is the one replay rebuilds: an edited field must not be read,
-    # or stamped, as if it were recorded, even where the reads lie past it.
+    # A log built from rows, as a loaded trace is, checks its linkage
+    # against the one replay rebuilds when it is built, so no reader ever
+    # holds a log with an edited field to read, or stamp, as if it were recorded.
     config = ExperimentConfig("complete", n=6, m=4, k=2, pr_i=0.3, seed=3, gsn_limit=200)
     events = run(config).events
     columns = [c.copy() for c in events.columns()]
+    assert columns[1][50] == 4
     columns[column][50] = value
-    log = ExecutionLog(config, Events(columns, events.clocks, config.entities))
     with pytest.raises(ReplayError) as caught:
-        read(log)
+        read(ExecutionLog(config, Events(columns, events.clocks, config.entities)))
     assert str(caught.value) == message
 
 
 def test_a_run_log_is_read_without_the_guard_once_its_rows_are_kept(monkeypatch):
     # log.events keeps the run's own stamp, so its reads rebuild no linkage.
-    def no_guard(log):
+    def no_guard(config, columns):
         raise AssertionError("a run log was guarded")
 
     monkeypatch.setattr("bloomclock.simulation._rebuilt_linkage", no_guard)

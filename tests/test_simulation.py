@@ -43,6 +43,8 @@ from bloomclock.simulation import (
     _below,
     _Linkage,
     _linkage_log,
+    _rebuilt_linkage,
+    _refuse_mismatch,
     _row_plan,
     _stamp,
 )
@@ -407,7 +409,7 @@ def test_replay_detects_broken_linkage():
     first_receive = int(np.argmax(log.events.kinds == RECEIVE))
     send_gsns[first_receive] = 10**6
     with pytest.raises(ReplayError, match="unknown send gsn 1000000"):
-        replay_timestamps(_edited(log, "send_gsns", send_gsns))
+        _edited(log, "send_gsns", send_gsns)
 
 
 def _nth(kind, i=10):
@@ -446,17 +448,17 @@ def test_replay_detects_one_tampered_linkage_column(config, tamper):
     values = getattr(log.events, column).copy()
     values[row] = edit(values[row], config.entities)
     with pytest.raises(ReplayError, match=rf"\bgsn {row + 1}\b"):
-        replay_timestamps(_edited(log, column, values))
+        _edited(log, column, values)
 
 
 def test_replay_detects_a_send_received_twice():
     # Process 1 receives send 1 twice; the clocks are stamped from that same
     # linkage, so every column and timestamp replays and only delivery is wrong.
     config = ExperimentConfig("complete", n=2, m=2, k=1, gsn_limit=3)
-    log = _linkage_log(config, [0, 1, 1], [SEND, RECEIVE, RECEIVE], [1, 1, 1])
-    assert [e.send_gsn for e in log.events] == [None, 1, 1]
+    events = _linkage_log(config, [0, 1, 1], [SEND, RECEIVE, RECEIVE], [1, 1, 1]).events
+    assert [e.send_gsn for e in events] == [None, 1, 1]
     with pytest.raises(ReplayError, match=r"^gsn 3: process 1 receives send gsn 1 again$"):
-        replay_timestamps(log)
+        ExecutionLog(config, events)
 
 
 def test_replay_rejects_a_send_to_a_receiver_out_of_range():
@@ -469,38 +471,37 @@ def test_replay_rejects_a_send_to_a_receiver_out_of_range():
         receivers = events.receivers.copy()
         receivers[row] = receiver
         with pytest.raises(ReplayError, match=rf"^gsn {row + 1}: send to receiver {receiver} outside \[-1, 8\)$"):
-            replay_timestamps(_edited(log, "receivers", receivers))
+            _edited(log, "receivers", receivers)
 
 
 def test_replay_rejects_a_process_receiving_its_own_send():
     # Process 0 receives its own broadcast; the clocks are stamped from that same linkage.
     config = ExperimentConfig("broadcast", n=2, m=2, k=1)
-    log = _linkage_log(config, [0, 0, 1, 1], [SEND, RECEIVE, SEND, RECEIVE], [-1, 1, -1, 1])
+    events = _linkage_log(config, [0, 0, 1, 1], [SEND, RECEIVE, SEND, RECEIVE], [-1, 1, -1, 1]).events
     with pytest.raises(ReplayError, match=r"^gsn 2: process 0 receives its own send gsn 1$"):
-        replay_timestamps(log)
+        ExecutionLog(config, events)
 
 
 @pytest.mark.parametrize("kind", [-1, 3])
-def test_replay_refuses_a_kind_code_outside_the_three_kinds(kind, tmp_path):
+def test_replay_refuses_a_kind_code_outside_the_three_kinds(kind):
     # Kind -1 would read back as KINDS[-1], a receive of no send, and kind 3 would not read back at all.
-    # Persist and record reading, which do not replay first, refuse it the same way.
+    # A log refuses it when it is built, and reading records from bare events refuses it the same way.
     log = run(ExperimentConfig("complete", n=4, m=3, k=2, pr_i=0.5, seed=3, gsn_limit=30))
-    kinds = log.events.kinds.copy()
+    events = log.events
+    kinds = events.kinds.copy()
     assert kinds[5] == INTERNAL
     kinds[5] = kind
-    path = tmp_path / "trace.txt"
-    persist = lambda edited: persist_trace(edited, path)  # noqa: E731
-    readers = (persist, lambda edited: list(edited.events), lambda edited: edited.events[5])
-    for read in (replay_timestamps, stamp_and_compare_replay, *readers):
+    columns = [kinds if name == "kinds" else c for name, c in zip(Events.COLUMNS, events.columns())]
+    edited = Events(columns, events.clocks, log.config.entities)
+    for read in (lambda: ExecutionLog(log.config, edited), lambda: list(edited), lambda: edited[5]):
         with pytest.raises(ReplayError, match=rf"^gsn 6: kind {kind} outside \[0, 3\)$"):
-            read(_edited(log, "kinds", kinds))
-    assert not path.exists()
+            read()
 
 
-def _replay_message(replay, log):
-    """The message of the ``ReplayError`` that ``replay(log)`` raises, or None if it raises none."""
+def _replay_message(check, *args):
+    """The message of the ``ReplayError`` that ``check(*args)`` raises, or None if it raises none."""
     try:
-        replay(log)
+        check(*args)
     except ReplayError as error:
         return str(error)
     return None
@@ -548,20 +549,33 @@ def tampered_logs(draw):
 def test_replay_agrees_with_the_stamp_and_compare_reference(case):
     config, chunk, (part, row, index, delta) = case
     log = _edited(run(config))
-    if part == "column":
-        values = getattr(log.events, Events.COLUMNS[index]).copy()
-        values[row] += delta
-        log = _edited(log, Events.COLUMNS[index], values)
-    elif part != "none":
-        clocks = log.events.clocks.copy()
-        clocks[row, index + (config.entities if part == "bloom" else 0)] += delta
-        log = _edited(log, clocks=clocks)
     with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
+        if part == "column":
+            # A column edit is refused when the log is built, with _refuse_mismatch's message
+            # for the columns against their rebuilt linkage, if it is refused at all.
+            name = Events.COLUMNS[index]
+            values = getattr(log.events, name).copy()
+            values[row] += delta
+            columns = [values if column == name else c for column, c in zip(Events.COLUMNS, log.columns())]
+
+            def refuse():
+                _refuse_mismatch(columns, _rebuilt_linkage(config, columns), "replay derives")
+
+            refused = _replay_message(refuse)
+            assert _replay_message(_edited, log, name, values) == refused
+            # A column edit can leave a valid linkage, such as a send never received sent elsewhere;
+            # an edited kind cannot, since each kind fills the other columns in its own way.
+            assert refused is not None or name != "kinds"
+            if refused is not None:
+                return
+            log = _edited(log, name, values)
+        elif part != "none":
+            clocks = log.events.clocks.copy()
+            clocks[row, index + (config.entities if part == "bloom" else 0)] += delta
+            log = _edited(log, clocks=clocks)
         message = _replay_message(replay_timestamps, log)
         assert message == _replay_message(stamp_and_compare_replay, log)
-    # A column edit can leave a valid linkage, such as a send never received sent elsewhere;
-    # an edited kind cannot, since each kind fills the other columns in its own way.
-    if part != "column" or Events.COLUMNS[index] == "kinds":
+    if part != "column":
         assert (message is None) == (part == "none")
 
 
@@ -959,3 +973,21 @@ def test_events_are_a_lazy_sequence_with_view_slices():
     assert tuple(ExecutionLog(log.config, events[:20]).events) == records[:20]
     with pytest.raises(ConfigurationError):
         ExecutionLog(replace(log.config, m=4), events)
+
+
+def test_a_logs_linkage_columns_are_read_only(tmp_path):
+    # A log's columns are checked once, when it is built, so no one may edit them after.
+    config = ExperimentConfig("complete", n=6, m=3, k=2, pr_i=0.2, seed=4, gsn_limit=60)
+    path = tmp_path / "trace.txt"
+    persist_trace(run(config), path)
+    events = run(config).events
+    columns = [column.copy() for column in events.columns()]
+    built = ExecutionLog(config, Events(columns, events.clocks, config.entities))
+    for log in (run(config), built, load_trace(path)):
+        for column in log.columns():
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+    # The log copies the caller's columns, so editing them after the build leaves the log as checked.
+    pids = events.pids.copy()
+    columns[1][50] = (columns[1][50] + 1) % config.entities
+    assert np.array_equal(built.columns()[1], pids) and np.array_equal(built.events.pids, pids)

@@ -21,7 +21,6 @@ from bloomclock import (
     confusion_counts,
     load_trace,
     persist_trace,
-    replay_timestamps,
     run,
 )
 from bloomclock import simulation
@@ -43,6 +42,26 @@ def _load_line_by_line(path):
 
 def _no_line_parser(line, lineno, entities, m):
     raise AssertionError(f"line {lineno} went through the line parser")
+
+
+def _parsed(path, load=load_trace):
+    """The ``(config, rows)`` that ``load(path)`` parses, before a log is built and checked from them."""
+    with mock.patch.object(trace_module, "_log", lambda config, rows: (config, rows)):
+        return load(path)
+
+
+class _Unchecked:
+    """What ``persist_trace`` reads of a log, over events that no log checked: columns a run could not record."""
+
+    def __init__(self, config, events):
+        self.config, self.events = config, events
+
+    def columns(self):
+        return self.events.columns()
+
+    def _blocks(self):
+        clocks = self.events.clocks
+        return (clocks[lo : lo + simulation._STAMP_CHUNK] for lo in range(0, len(clocks), simulation._STAMP_CHUNK))
 
 
 @pytest.mark.parametrize("topology,n", [("complete", 15), ("star", 8), ("broadcast", 10)])
@@ -112,7 +131,7 @@ WRITER_VALUES = st.one_of(
 
 @st.composite
 def hand_built_logs(draw):
-    """A log of drawn int32 columns and clocks, empty or of a few rows."""
+    """An unchecked log of drawn int32 columns and clocks, empty or of a few rows."""
     entities, m = draw(st.integers(2, 4)), draw(st.integers(1, 3))
     rows = draw(st.integers(0, 8))
     config = ExperimentConfig("complete", n=entities, m=m, k=1, gsn_limit=max(rows, 1))
@@ -124,7 +143,7 @@ def hand_built_logs(draw):
     gsns, pids, xs, senders, receivers, send_gsns = matrix(6).T
     kinds = np.array(draw(st.lists(st.integers(0, len(KINDS) - 1), min_size=rows, max_size=rows)), np.int32)
     columns = [gsns, pids, kinds, xs, senders, receivers, send_gsns]
-    return ExecutionLog(config, Events(columns, matrix(entities + m), entities))
+    return _Unchecked(config, Events(columns, matrix(entities + m), entities))
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +157,10 @@ def test_writer_matches_str_formatting(trace_path, log, chunk):
     with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
         persist_trace(log, trace_path)
     assert trace_path.read_bytes() == _reference_trace(log)
+    # Drawn GSNs are rarely 1, 2, ...; a log refuses any others when it is built.
+    if not np.array_equal(log.events.gsns, np.arange(1, len(log.events) + 1)):
+        with pytest.raises(ReplayError):
+            ExecutionLog(log.config, log.events)
 
 
 # The twin's rows are stamped in blocks of twin_chunk GSNs, and both logs
@@ -175,9 +198,9 @@ def test_a_negative_optional_field_other_than_absent_keeps_its_sign(tmp_path):
     row = int(np.flatnonzero(columns[2] == KINDS.index("send"))[0])
     columns[5] = columns[5].copy()
     columns[5][row] = -5
-    edited = ExecutionLog(log.config, Events(columns, clocks, log.config.entities))
+    edited = _Unchecked(log.config, Events(columns, clocks, log.config.entities))
     with pytest.raises(ReplayError, match=rf"^gsn {row + 1}: send to receiver -5 outside \[-1, 4\)$"):
-        replay_timestamps(edited)
+        ExecutionLog(edited.config, edited.events)
     path = tmp_path / "trace.txt"
     persist_trace(edited, path)
     assert path.read_bytes() == _reference_trace(edited)
@@ -384,11 +407,11 @@ def _assert_same_log(actual, expected):
 
 
 def _assert_loads_like_the_line_parser(path):
-    """``load_trace`` equals its log read line by line or raises its message; returns that log or None."""
+    """``load_trace`` equals its log read line by line or raises its error; returns that log or None."""
     try:
         reference = _load_line_by_line(path)
-    except TraceParseError as exc:
-        with pytest.raises(TraceParseError) as caught:
+    except (TraceParseError, ReplayError) as exc:
+        with pytest.raises(type(exc)) as caught:
             load_trace(path)
         assert str(caught.value) == str(exc)
         return None
@@ -419,6 +442,18 @@ def test_bulk_path_agrees_with_line_parser_on_mutated_traces(persisted, topology
             del data[position]
     path.write_bytes(bytes(data))
     with mock.patch.object(simulation, "_STAMP_CHUNK", chunk):
+        # The rows are compared before a log is built from them, so a
+        # mutant whose linkage no run could record is still read row by row.
+        try:
+            reference = _parsed(path, _load_line_by_line)
+        except TraceParseError as exc:
+            with pytest.raises(TraceParseError) as caught:
+                _parsed(path)
+            assert str(caught.value) == str(exc)
+            return
+        config, rows = _parsed(path)
+        assert config == reference[0]
+        assert rows.dtype == reference[1].dtype and np.array_equal(rows, reference[1])
         _assert_loads_like_the_line_parser(path)
 
 
@@ -556,11 +591,11 @@ def test_a_declined_chunk_after_blank_lines_fills_the_next_rows(tmp_path, monkey
 
 
 def _with_negative_values(log):
-    """``log`` with a negative gsn, pid and counter, which persist writes with a ``-``."""
+    """``log`` unchecked, with a negative gsn, pid and counter, which persist writes with a ``-``."""
     columns = [column.copy() for column in log.events.columns()]
     clocks = log.events.clocks.copy()
     columns[0][3], columns[1][4], clocks[5, -1] = -7, -1, INT32_MIN
-    return ExecutionLog(log.config, Events(columns, clocks, log.config.entities))
+    return _Unchecked(log.config, Events(columns, clocks, log.config.entities))
 
 
 @pytest.mark.parametrize("variant", ["two-spaces-after-config", "config-keys-in-field-order", "negative-values"])
@@ -568,25 +603,34 @@ def test_files_unlike_a_persisted_run_go_to_the_line_parser(tmp_path, monkeypatc
     log = run(MUTATED_CONFIGS["complete"])
     path = tmp_path / "trace.txt"
     if variant == "negative-values":
-        log = _with_negative_values(log)
-        persist_trace(log, path)
+        edited = _with_negative_values(log)
+        persist_trace(edited, path)
+        # The signed values read back as written, and building a log of them is refused as ExecutionLog refuses them.
+        config, rows = _parsed(path)
+        assert config == log.config and np.array_equal(rows, np.column_stack([*edited.columns(), edited.events.clocks]))
+        with pytest.raises(ReplayError, match=r"^gsn 5: pid -1 outside \[0, 4\)$") as refused:
+            ExecutionLog(edited.config, edited.events)
+        with pytest.raises(ReplayError) as caught:
+            load_trace(path)
+        assert str(caught.value) == str(refused.value)
+        # A signed value is the line parser's to read.
+        monkeypatch.setattr(trace_module, "_parse_record", _no_line_parser)
+        with pytest.raises(AssertionError, match="went through the line parser"):
+            load_trace(path)
+        return
+    persist_trace(log, path)
+    config_line, rest = path.read_bytes().split(b"\n", 1)
+    if variant == "two-spaces-after-config":
+        config_line = config_line.replace(b"#config {", b"#config  {")
     else:
-        persist_trace(log, path)
-        config_line, rest = path.read_bytes().split(b"\n", 1)
-        if variant == "two-spaces-after-config":
-            config_line = config_line.replace(b"#config {", b"#config  {")
-        else:
-            config_line = f"#config {json.dumps(asdict(log.config))}".encode()
-        path.write_bytes(config_line + b"\n" + rest)
+        config_line = f"#config {json.dumps(asdict(log.config))}".encode()
+    path.write_bytes(config_line + b"\n" + rest)
     loaded = load_trace(path)
     _assert_same_log(loaded, _load_line_by_line(path))
     assert loaded == log
+    # The decoder reads the records whatever the config line's spacing or key order.
     monkeypatch.setattr(trace_module, "_parse_record", _no_line_parser)
-    if variant == "negative-values":  # a signed value is the line parser's to read
-        with pytest.raises(AssertionError, match="went through the line parser"):
-            load_trace(path)
-    else:  # the decoder reads the records whatever the config line's spacing or key order
-        assert load_trace(path) == log
+    assert load_trace(path) == log
 
 
 @pytest.mark.parametrize(
